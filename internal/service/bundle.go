@@ -55,6 +55,16 @@ type Bundle struct {
 	spLog     []stream.Update
 	coalesced int // prefix length known coalesced
 
+	// sketchBytes is the resident size of mc and sp together. The config
+	// fixes it: their arenas are shared-mode (cell arrays, hash state and
+	// power tables all sized and built at construction), so no update, merge
+	// or install moves it and ResidentBytes never has to read a cell.
+	sketchBytes int64
+	// pristine marks the NewBundle state: nothing has been folded in yet, so
+	// a failed MergeBytes can be undone by re-creating it instead of being
+	// staged on a clone. Clones never carry it.
+	pristine bool
+
 	// Digest cache: one manifest leaf per bank plus a dirty flag, so epoch
 	// publication recomputes only the banks a batch touched. Sketch banks
 	// use the conservative BatchMaxLevel bound (an update at level l dirties
@@ -62,15 +72,22 @@ type Bundle struct {
 	// Lazily allocated on first Manifest call.
 	dig      []wire.BankRef
 	digDirty []bool
+	// bankBuf is the digest passes' bank-encode buffer, kept across calls so
+	// a publish does not regrow it from nothing; never cloned.
+	bankBuf []byte
 }
 
 // NewBundle creates an empty bundle with the given shape.
 func NewBundle(cfg BundleConfig) *Bundle {
-	return &Bundle{
-		cfg: cfg,
-		mc:  graphsketch.NewMinCutSketchK(cfg.N, cfg.K, cfg.Seed),
-		sp:  graphsketch.NewSimpleSparsifier(cfg.N, cfg.Eps, cfg.Seed),
+	b := &Bundle{
+		cfg:      cfg,
+		mc:       graphsketch.NewMinCutSketchK(cfg.N, cfg.K, cfg.Seed),
+		sp:       graphsketch.NewSimpleSparsifier(cfg.N, cfg.Eps, cfg.Seed),
+		pristine: true,
 	}
+	// Empty sketches: the occupancy-guided footprint walk touches no cell.
+	b.sketchBytes = b.mc.Footprint().ResidentBytes + b.sp.Footprint().ResidentBytes
+	return b
 }
 
 // Config returns the bundle's shape.
@@ -81,6 +98,7 @@ func (b *Bundle) UpdateBatch(ups []stream.Update) {
 	if len(ups) == 0 {
 		return
 	}
+	b.pristine = false
 	b.markBatchDirty(ups)
 	b.mc.UpdateBatch(ups)
 	b.sp.UpdateBatch(ups)
@@ -106,13 +124,14 @@ func (b *Bundle) coalesceLog() {
 // the same state).
 func (b *Bundle) Clone() *Bundle {
 	return &Bundle{
-		cfg:       b.cfg,
-		mc:        b.mc.Clone(),
-		sp:        b.sp.Clone(),
-		spLog:     append([]stream.Update(nil), b.spLog...),
-		coalesced: b.coalesced,
-		dig:       append([]wire.BankRef(nil), b.dig...),
-		digDirty:  append([]bool(nil), b.digDirty...),
+		cfg:         b.cfg,
+		mc:          b.mc.Clone(),
+		sp:          b.sp.Clone(),
+		spLog:       append([]stream.Update(nil), b.spLog...),
+		coalesced:   b.coalesced,
+		sketchBytes: b.sketchBytes,
+		dig:         append([]wire.BankRef(nil), b.dig...),
+		digDirty:    append([]bool(nil), b.digDirty...),
 	}
 }
 
@@ -150,8 +169,9 @@ func (b *Bundle) Footprint() graphsketch.Footprint {
 }
 
 // ResidentBytes is the budget-accounting scalar (admission control and
-// evict-coldest run on it).
-func (b *Bundle) ResidentBytes() int64 { return b.Footprint().ResidentBytes }
+// evict-coldest run on it): Footprint().ResidentBytes in O(1), because the
+// writer refreshes it after every op.
+func (b *Bundle) ResidentBytes() int64 { return b.sketchBytes + int64(len(b.spLog))*24 }
 
 // ---------------------------------------------------------------------------
 // Banked payload (v2) and the digest tree
@@ -291,26 +311,47 @@ func decodeLogBank(data []byte) ([]stream.Update, error) {
 // leaves digest canonical chunk bytes), then re-encode and re-digest every
 // dirty bank. First call builds the cache wholesale.
 func (b *Bundle) refreshDigests() error {
+	_, err := b.encodeBanks(nil, nil)
+	return err
+}
+
+// encodeBanks is refreshDigests that also appends every bank marked in want
+// (nil = none) to out as id, length, bytes, in id order — encoding each bank
+// at most once: a dirty bank's bytes serve its digest and the output both, a
+// clean bank is encoded only if wanted.
+func (b *Bundle) encodeBanks(out []byte, want []bool) ([]byte, error) {
 	b.coalesceLog()
 	if b.dig == nil {
 		b.dig = make([]wire.BankRef, b.NumBanks())
 		b.digDirty = make([]bool, b.NumBanks())
 		b.markAllDirty()
 	}
-	var scratch []byte
 	for id := range b.dig {
-		if !b.digDirty[id] {
+		encoded := b.digDirty[id]
+		if encoded {
+			bankB, err := b.appendBank(b.bankBuf[:0], id)
+			if err != nil {
+				return nil, err
+			}
+			b.bankBuf = bankB
+			b.dig[id] = wire.BankRef{Len: uint64(len(bankB)), Digest: wire.BankDigest(bankB)}
+			b.digDirty[id] = false
+		}
+		if want == nil || !want[id] {
 			continue
 		}
-		bankB, err := b.appendBank(scratch[:0], id)
-		if err != nil {
-			return err
+		out = wire.AppendUvarint(out, uint64(id))
+		out = wire.AppendUvarint(out, b.dig[id].Len)
+		if encoded {
+			out = append(out, b.bankBuf...)
+			continue
 		}
-		scratch = bankB
-		b.dig[id] = wire.BankRef{Len: uint64(len(bankB)), Digest: wire.BankDigest(bankB)}
-		b.digDirty[id] = false
+		var err error
+		if out, err = b.appendBank(out, id); err != nil {
+			return nil, err
+		}
 	}
-	return nil
+	return out, nil
 }
 
 // Manifest returns the bundle's current digest tree (a copy; callers may
@@ -366,42 +407,30 @@ func (b *Bundle) appendConfigHeader(buf []byte) []byte {
 // ascending, duplicates ignored) plus the full manifest. nil asks for every
 // bank — the full payload MarshalBinaryCompact returns.
 func (b *Bundle) MarshalBanks(ids []int) ([]byte, error) {
-	if err := b.refreshDigests(); err != nil {
-		return nil, err
-	}
 	total := b.NumBanks()
 	want := make([]bool, total)
+	present := 0
 	if ids == nil {
 		for i := range want {
 			want[i] = true
 		}
-	} else {
-		for _, id := range ids {
-			if id < 0 || id >= total {
-				return nil, fmt.Errorf("service: bank %d out of [0,%d): %w", id, total, graphsketch.ErrBadEncoding)
-			}
-			want[id] = true
-		}
+		present = total
 	}
-	present := 0
-	for _, w := range want {
-		if w {
+	for _, id := range ids {
+		if id < 0 || id >= total {
+			return nil, fmt.Errorf("service: bank %d out of [0,%d): %w", id, total, graphsketch.ErrBadEncoding)
+		}
+		if !want[id] {
+			want[id] = true
 			present++
 		}
 	}
 	out := b.appendConfigHeader(nil)
 	out = wire.AppendUvarint(out, uint64(total))
 	out = wire.AppendUvarint(out, uint64(present))
-	for id := 0; id < total; id++ {
-		if !want[id] {
-			continue
-		}
-		out = wire.AppendUvarint(out, uint64(id))
-		out = wire.AppendUvarint(out, b.dig[id].Len)
-		var err error
-		if out, err = b.appendBank(out, id); err != nil {
-			return nil, err
-		}
+	out, err := b.encodeBanks(out, want)
+	if err != nil {
+		return nil, err
 	}
 	return wire.AppendManifest(out, wire.Manifest{Banks: b.dig}), nil
 }
@@ -494,6 +523,12 @@ func (b *Bundle) decodePayload(data []byte) (*bundlePayload, error) {
 // header must match exactly, every bank must be present and digest-clean.
 // The log banks' vertex range is deliberately trusted here and checked at
 // Spanner() time — see there.
+//
+// All or nothing: a bank that fails to decode leaves the bundle as it was.
+// A live bundle stages the fold on clones of its sketches and swaps them in;
+// a pristine one (recovery's and a full pull's factory-fresh target) folds in
+// place and is re-created empty on error, which spares copying a whole
+// bundle of zeros.
 func (b *Bundle) MergeBytes(data []byte) error {
 	p, err := b.decodePayload(data)
 	if err != nil {
@@ -502,10 +537,12 @@ func (b *Bundle) MergeBytes(data []byte) error {
 	if len(p.present) != p.total {
 		return fmt.Errorf("service: merge needs a full payload (%d/%d banks): %w", len(p.present), p.total, graphsketch.ErrBadEncoding)
 	}
-	// Merge into clones and swap, so a corrupt bank payload cannot leave
-	// the bundle half-merged.
-	mcN, spN := b.mc.NumBanks(), b.sp.NumBanks()
-	mc2, sp2 := b.mc.Clone(), b.sp.Clone()
+	inPlace := b.pristine
+	mc2, sp2 := b.mc, b.sp
+	if !inPlace {
+		mc2, sp2 = b.mc.Clone(), b.sp.Clone()
+	}
+	mcN, spN := mc2.NumBanks(), sp2.NumBanks()
 	var logUps []stream.Update
 	for id := 0; id < p.total; id++ {
 		bankB := p.present[id]
@@ -521,12 +558,16 @@ func (b *Bundle) MergeBytes(data []byte) error {
 			}
 		}
 		if err != nil {
+			if inPlace {
+				*b = *NewBundle(b.cfg)
+			}
 			return err
 		}
 	}
 	b.mc, b.sp = mc2, sp2
 	b.spLog = append(b.spLog, logUps...)
 	b.coalesced = 0
+	b.pristine = false
 	b.markAllDirty()
 	return nil
 }
@@ -622,6 +663,7 @@ func (b *Bundle) InjectBankRot(bank int, seed uint64) error {
 	if bank < 0 || bank >= b.NumBanks() {
 		return fmt.Errorf("service: bank %d out of [0,%d): %w", bank, b.NumBanks(), graphsketch.ErrBadEncoding)
 	}
+	b.pristine = false
 	if bank >= mcN+spN {
 		chunk := bank - mcN - spN
 		for i := uint64(0); ; i++ {

@@ -1,0 +1,124 @@
+package service
+
+import (
+	"testing"
+
+	"graphsketch/internal/stream"
+)
+
+// publishFixture is the publish-path fixture the micro-benchmarks and the
+// byte-identity goldens share: the serve-default bundle shape, a density-½
+// base graph, and a duplicate-free 256-toggle dirtying step (present edges
+// are deleted, absent ones inserted) — one EpochEvery's worth of updates.
+func publishFixture() (cfg BundleConfig, base, toggles []stream.Update) {
+	cfg = DefaultBundleConfig(64, 1)
+	base = stream.GNP(cfg.N, 0.5, 1).Updates
+	present := make(map[uint64]bool, len(base))
+	for _, u := range base {
+		present[stream.EdgeIndex(u.U, u.V, cfg.N)] = true
+	}
+	toggles = stream.GNP(cfg.N, 0.5, 2).Shuffle(3).Updates[:256]
+	for i, u := range toggles {
+		if present[stream.EdgeIndex(u.U, u.V, cfg.N)] {
+			toggles[i].Delta = -1
+		}
+	}
+	return cfg, base, toggles
+}
+
+// dirtier applies the toggle step and then flips its sign, so a benchmark
+// loop dirties the same banks every iteration without the state drifting.
+type dirtier struct{ ups []stream.Update }
+
+func (d *dirtier) dirty(b *Bundle) {
+	b.UpdateBatch(d.ups)
+	for i := range d.ups {
+		d.ups[i].Delta = -d.ups[i].Delta
+	}
+}
+
+// benchBundle returns a bundle holding the base graph with a current digest
+// cache — the writer's live bundle between two publishes.
+func benchBundle(b *testing.B) (*Bundle, *dirtier) {
+	cfg, base, toggles := publishFixture()
+	live := NewBundle(cfg)
+	live.UpdateBatch(base)
+	if _, err := live.Manifest(); err != nil {
+		b.Fatal(err)
+	}
+	return live, &dirtier{ups: toggles}
+}
+
+var benchSink int64
+
+func BenchmarkBundleResidentBytes(b *testing.B) {
+	live, _ := benchBundle(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += live.ResidentBytes()
+	}
+}
+
+func BenchmarkBundleManifest(b *testing.B) {
+	live, d := benchBundle(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d.dirty(live)
+		b.StartTimer()
+		man, err := live.Manifest()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += int64(len(man.Banks))
+	}
+}
+
+func BenchmarkBundleClone(b *testing.B) {
+	live, _ := benchBundle(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += int64(live.Clone().NumBanks())
+	}
+}
+
+// BenchmarkBundleMarshalCompact is the WAL-snapshot case: the snapshot runs
+// ahead of the publish in the same op, so the batch's banks are still dirty.
+func BenchmarkBundleMarshalCompact(b *testing.B) {
+	live, d := benchBundle(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d.dirty(live)
+		b.StartTimer()
+		data, err := live.MarshalBinaryCompact()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += int64(len(data))
+	}
+}
+
+// BenchmarkBundleMergeBytesFresh is recovery's and a full pull's restore:
+// one full payload folded into a factory-fresh bundle.
+func BenchmarkBundleMergeBytesFresh(b *testing.B) {
+	live, _ := benchBundle(b)
+	payload, err := live.MarshalBinaryCompact()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh := NewBundle(live.Config())
+		b.StartTimer()
+		if err := fresh.MergeBytes(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -179,6 +179,7 @@ type MetricsResponse struct {
 	QueryTimeouts  int64 `json:"query_timeouts"`
 	Evictions      int64 `json:"evictions"`
 	Recoveries     int64 `json:"recoveries"`
+	PublishFailed  int64 `json:"publish_failed"`
 	SyncRounds     int64 `json:"sync_rounds"`
 	SyncApplied    int64 `json:"sync_applied"`
 	SyncSkipped    int64 `json:"sync_skipped"`
@@ -547,6 +548,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		QueryTimeouts:      s.met.QueryTimeouts.Load(),
 		Evictions:          s.met.Evictions.Load(),
 		Recoveries:         s.met.Recoveries.Load(),
+		PublishFailed:      s.met.PublishFailed.Load(),
 		SyncRounds:         s.met.SyncRounds.Load(),
 		SyncApplied:        s.met.SyncApplied.Load(),
 		SyncSkipped:        s.met.SyncSkipped.Load(),

@@ -96,6 +96,9 @@ type Metrics struct {
 	QueryTimeouts  atomic.Int64
 	Evictions      atomic.Int64
 	Recoveries     atomic.Int64
+	// PublishFailed counts epoch publications abandoned because the live
+	// bundle's digest manifest could not be built; the previous epoch stays.
+	PublishFailed atomic.Int64
 	// Replication counters: anti-entropy rounds run by this node's syncer,
 	// payload installs applied / deduped / failed on this node.
 	SyncRounds  atomic.Int64
@@ -369,6 +372,14 @@ func (s *Server) Tenant(name string, create bool) (*tenant, error) {
 		s.met.Recoveries.Add(1)
 	}
 	live := sk.(*Bundle)
+	man, err := live.Manifest()
+	if err != nil {
+		// No earlier epoch to fall back on, and one with an empty manifest
+		// would demote every peer to full pulls: fail the load instead.
+		s.met.PublishFailed.Add(1)
+		wal.Close()
+		return nil, fmt.Errorf("tenant %q: first epoch manifest: %w", name, err)
+	}
 	t := &tenant{
 		name:  name,
 		srv:   s,
@@ -379,7 +390,6 @@ func (s *Server) Tenant(name string, create bool) (*tenant, error) {
 	t.acked.Store(int64(pos))
 	t.resident.Store(live.ResidentBytes())
 	t.touched.Store(s.clock.Add(1))
-	man, _ := live.Manifest()
 	t.snap.Store(&Epoch{Bundle: live.Clone(), Pos: pos, Seq: 1, Manifest: man})
 	if sidelined != "" {
 		t.setQuarantine(sidelined)
@@ -526,7 +536,9 @@ func (t *tenant) finish(wal *runtime.DiskWAL, live *Bundle) {
 // publish installs a fresh epoch clone for queries, stamped with the
 // live state's digest manifest (incremental: only banks dirtied since the
 // last publish re-digest). Suppressed while quarantined — a fenced state
-// must not become a served epoch.
+// must not become a served epoch. A manifest that cannot be built keeps the
+// previous epoch: one published with an empty manifest would silently
+// demote every peer to full pulls.
 func (t *tenant) publish(wal *runtime.DiskWAL, live *Bundle) {
 	if t.quarantined.Load() {
 		return
@@ -536,8 +548,16 @@ func (t *tenant) publish(wal *runtime.DiskWAL, live *Bundle) {
 	if prev != nil {
 		seq = prev.Seq + 1
 	}
-	man, _ := live.Manifest()
-	t.snap.Store(&Epoch{Bundle: live.Clone(), Pos: wal.DurableUpdates(), Seq: seq, Manifest: man})
+	man, err := live.Manifest()
+	if err != nil {
+		t.srv.met.PublishFailed.Add(1)
+		return
+	}
+	ep := &Epoch{Bundle: live.Clone(), Pos: wal.DurableUpdates(), Seq: seq, Manifest: man}
+	// Readers load the epoch and then the acked position, so the position
+	// must already cover the epoch when the pointer becomes visible.
+	t.acked.Store(int64(ep.Pos))
+	t.snap.Store(ep)
 }
 
 // submit enqueues an op and waits for the writer's reply, honoring the

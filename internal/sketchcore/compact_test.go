@@ -1,6 +1,8 @@
 package sketchcore
 
 import (
+	"bytes"
+	"math"
 	"testing"
 
 	"graphsketch/internal/stream"
@@ -242,5 +244,109 @@ func FuzzCompactRoundTrip(f *testing.F) {
 		if !a.Equal(c) {
 			t.Fatal("dense round-trip not bit-identical")
 		}
+	})
+}
+
+// appendRunsReference is the accessor-driven compact encoding every other
+// layer still uses; the arena's direct-walk arm must emit its bytes exactly.
+func appendRunsReference(buf []byte, a *Arena) []byte {
+	return wire.AppendRuns(append(buf, FormatCompact), len(a.cells), func(i int) (int64, int64, uint64) {
+		c := &a.cells[i]
+		return c.w, c.s, c.f
+	})
+}
+
+// checkCompactArm compares the two encoders on a's current state, appending
+// to buffers that force every growth case: nil, a prefix with no spare
+// capacity, and a prefix with room for only part of the first literal run.
+func checkCompactArm(t *testing.T, a *Arena) {
+	t.Helper()
+	prefix := []byte("prefix")
+	for _, buf := range [][]byte{nil, prefix[:len(prefix):len(prefix)], append(make([]byte, 0, len(prefix)+wire.MaxCellBytes+3), prefix...)} {
+		want := appendRunsReference(append([]byte(nil), buf...), a)
+		got := a.AppendStateTagged(buf, FormatCompact)
+		if string(got) != string(want) {
+			t.Fatalf("direct-walk compact encoding differs from wire.AppendRuns (prefix %d, cap %d)", len(buf), cap(buf))
+		}
+	}
+}
+
+// TestCompactArmMatchesAppendRuns is the differential property test behind
+// the arena's closure-free compact encoder, over the row shapes where a run
+// boundary can go wrong.
+func TestCompactArmMatchesAppendRuns(t *testing.T) {
+	t.Run("all-zero", func(t *testing.T) {
+		checkCompactArm(t, newEdgeArena(16, 21))
+	})
+	t.Run("dense", func(t *testing.T) {
+		a := newEdgeArena(16, 21)
+		for i := range a.cells {
+			// Extremes force 10-byte varints: the per-run reservation must
+			// cover the largest cell.
+			a.cells[i] = acell{w: math.MinInt64 + int64(i), s: math.MaxInt64 - int64(i), f: uint64(i) + 1}
+		}
+		checkCompactArm(t, a)
+	})
+	t.Run("cancelled-to-zero", func(t *testing.T) {
+		// Every update followed by its inverse: the slots stay marked
+		// occupied, every cell is back to zero.
+		a := newEdgeArena(16, 21)
+		for slot := 0; slot < a.Slots(); slot++ {
+			for idx := uint64(0); idx < a.Universe(); idx += 7 {
+				a.Update(slot, idx, 3)
+				a.Update(slot, idx, -3)
+			}
+		}
+		for i, c := range a.cells {
+			if c != (acell{}) {
+				t.Fatalf("fixture did not cancel: cell %d = %+v", i, c)
+			}
+		}
+		checkCompactArm(t, a)
+	})
+	t.Run("single-cell", func(t *testing.T) {
+		n := len(newEdgeArena(16, 21).cells)
+		for _, i := range []int{0, 1, n / 2, n - 2, n - 1} {
+			a := newEdgeArena(16, 21)
+			a.cells[i] = acell{w: 1, s: int64(i), f: 12345}
+			checkCompactArm(t, a)
+		}
+	})
+	t.Run("random", func(t *testing.T) {
+		for seed := uint64(1); seed <= 20; seed++ {
+			a := newEdgeArena(16, 21)
+			fillArena(a, seed, int(seed*seed*13)%6000)
+			checkCompactArm(t, a)
+		}
+	})
+}
+
+// FuzzCompactArmDifferential drives the same comparison from arbitrary cell
+// patterns: each input byte sets one cell (0 leaves it zero), so the fuzzer
+// controls exactly where runs start and end.
+func FuzzCompactArmDifferential(f *testing.F) {
+	f.Add([]byte{})                                // all-zero
+	f.Add([]byte{1})                               // single leading cell
+	f.Add([]byte{0, 0, 0, 7})                      // single cell after a zero run
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})          // one dense run
+	f.Add([]byte{1, 0, 1, 0, 1, 0, 0, 0, 2, 2})    // alternating runs
+	f.Add([]byte{0, 0, 9, 9, 0xff, 0x80, 0, 0, 0}) // wide values mid-array
+	f.Add(append(make([]byte, 200), 3))            // long zero run (2-byte varint)
+	f.Add(bytes.Repeat([]byte{0x41}, 300))         // long literal run (2-byte count)
+	f.Fuzz(func(t *testing.T, pattern []byte) {
+		a := newEdgeArena(16, 21)
+		for i, p := range pattern {
+			if i >= len(a.cells) {
+				break
+			}
+			if p != 0 {
+				v := int64(p)
+				if p&0x80 != 0 {
+					v = -v << 40 // multi-byte varints
+				}
+				a.cells[i] = acell{w: v, s: v * int64(i+1), f: uint64(p) * 0x9e3779b97f4a7c15}
+			}
+		}
+		checkCompactArm(t, a)
 	})
 }

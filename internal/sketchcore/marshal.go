@@ -202,13 +202,37 @@ func (a *Arena) AppendStateTagged(buf []byte, format byte) []byte {
 	case FormatDense:
 		return a.AppendState(buf)
 	case FormatCompact:
-		return wire.AppendRuns(buf, len(a.cells), func(i int) (int64, int64, uint64) {
-			c := &a.cells[i]
-			return c.w, c.s, c.f
-		})
+		return appendCellRuns(buf, a.cells)
 	default:
 		panic(fmt.Sprintf("sketchcore: unknown wire format %d (unvalidated caller)", format))
 	}
+}
+
+// appendCellRuns is the compact arm: wire.AppendRuns' bytes exactly, from a
+// direct walk of the cell array. Epoch publication and snapshots re-encode
+// every dirty bank, almost all of it zero cells, so the walk calls no
+// per-cell accessor and the writer grows its buffer once per literal run.
+func appendCellRuns(buf []byte, cells []acell) []byte {
+	rw := wire.NewRunsWriter(buf, len(cells))
+	for i := 0; i < len(cells); {
+		z := i
+		for z < len(cells) && cells[z] == (acell{}) {
+			z++
+		}
+		rw.Zeros(z - i)
+		if z == len(cells) {
+			break
+		}
+		i = z + 1
+		for i < len(cells) && cells[i] != (acell{}) {
+			i++
+		}
+		rw.Literal(i - z)
+		for _, c := range cells[z:i] {
+			rw.Cell(c.w, c.s, c.f)
+		}
+	}
+	return rw.Bytes()
 }
 
 // DecodeStateTagged reads one tagged cell state (either format) into the

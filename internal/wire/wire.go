@@ -24,6 +24,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"sync/atomic"
 )
 
@@ -124,18 +125,11 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// AppendCell appends one non-zero cell: zigzag-varint w, zigzag-varint s,
-// fingerprint as fixed 8-byte LE (fingerprints are uniform mod 2^61-1, so a
-// varint would only pad them).
-func AppendCell(buf []byte, w, s int64, f uint64) []byte {
-	buf = binary.AppendUvarint(buf, Zigzag(w))
-	buf = binary.AppendUvarint(buf, Zigzag(s))
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], f)
-	return append(buf, tmp[:]...)
-}
+// MaxCellBytes is the largest encoding of one literal cell: two 10-byte
+// zigzag varints plus the fixed 8-byte fingerprint.
+const MaxCellBytes = 2*binary.MaxVarintLen64 + 8
 
-// DecodeCell reads one cell encoded by AppendCell.
+// DecodeCell reads one cell written by RunsWriter.Cell.
 func DecodeCell(data []byte) (w, s int64, f uint64, rest []byte, err error) {
 	zw, n := binary.Uvarint(data)
 	if n <= 0 {
@@ -153,18 +147,56 @@ func DecodeCell(data []byte) (w, s int64, f uint64, rest []byte, err error) {
 	return Unzigzag(zw), Unzigzag(zs), binary.LittleEndian.Uint64(data), data[8:], nil
 }
 
-// cellSize returns AppendCell's encoded size for the cell.
+// cellSize returns RunsWriter.Cell's encoded size for the cell.
 func cellSize(w, s int64) int {
 	return uvarintLen(Zigzag(w)) + uvarintLen(Zigzag(s)) + 8
 }
 
-// AppendRuns appends the compact run-length encoding of n cells served by
-// get: alternating maximal (zeroRun, literalRun) varint pairs, each literal
-// run followed by its cells, until all n are covered. A trailing zero run
-// carries no literal-run count. The leading varint is the cell count, an
-// integrity check against decoding into a differently shaped sketch.
+// RunsWriter emits the compact run-length encoding: the cell count, then
+// alternating maximal (zeroRun, literalRun) varint pairs, each literal run
+// followed by its cells, until every cell is covered. A trailing zero run
+// carries no literal-run count. It is the format's one byte emitter; callers
+// own the walk that finds the runs (AppendRuns over an accessor, the arena
+// over its cell array) and must keep runs maximal for the encoding to be
+// canonical.
+type RunsWriter struct{ buf []byte }
+
+// NewRunsWriter starts an encoding of n cells appended to buf. The leading
+// cell count is an integrity check against decoding into a differently
+// shaped sketch.
+func NewRunsWriter(buf []byte, n int) RunsWriter {
+	return RunsWriter{buf: binary.AppendUvarint(buf, uint64(n))}
+}
+
+// Zeros writes one zero run of z cells (z may be 0 ahead of a leading
+// literal run).
+func (rw *RunsWriter) Zeros(z int) { rw.buf = binary.AppendUvarint(rw.buf, uint64(z)) }
+
+// Literal opens a literal run of lit non-zero cells and reserves room for
+// all of them, so the lit Cell calls that must follow never grow the buffer.
+func (rw *RunsWriter) Literal(lit int) {
+	rw.buf = slices.Grow(binary.AppendUvarint(rw.buf, uint64(lit)), lit*MaxCellBytes)
+}
+
+// Cell writes one cell of the open literal run: zigzag-varint w,
+// zigzag-varint s, fingerprint as fixed 8-byte LE (fingerprints are uniform
+// mod 2^61-1, so a varint would only pad them).
+func (rw *RunsWriter) Cell(w, s int64, f uint64) {
+	n := len(rw.buf)
+	b := rw.buf[n : n+MaxCellBytes]
+	k := binary.PutUvarint(b, Zigzag(w))
+	k += binary.PutUvarint(b[k:], Zigzag(s))
+	binary.LittleEndian.PutUint64(b[k:], f)
+	rw.buf = rw.buf[:n+k+8]
+}
+
+// Bytes returns the buffer with everything written so far.
+func (rw *RunsWriter) Bytes() []byte { return rw.buf }
+
+// AppendRuns appends the compact run-length encoding (see RunsWriter) of n
+// cells served by get.
 func AppendRuns(buf []byte, n int, get func(i int) (w, s int64, f uint64)) []byte {
-	buf = binary.AppendUvarint(buf, uint64(n))
+	rw := NewRunsWriter(buf, n)
 	i := 0
 	for i < n {
 		z := 0
@@ -175,7 +207,7 @@ func AppendRuns(buf []byte, n int, get func(i int) (w, s int64, f uint64)) []byt
 			}
 			z++
 		}
-		buf = binary.AppendUvarint(buf, uint64(z))
+		rw.Zeros(z)
 		i += z
 		if i == n {
 			break
@@ -188,14 +220,13 @@ func AppendRuns(buf []byte, n int, get func(i int) (w, s int64, f uint64)) []byt
 			}
 			lit++
 		}
-		buf = binary.AppendUvarint(buf, uint64(lit))
+		rw.Literal(lit)
 		for j := i; j < i+lit; j++ {
-			w, s, f := get(j)
-			buf = AppendCell(buf, w, s, f)
+			rw.Cell(get(j))
 		}
 		i += lit
 	}
-	return buf
+	return rw.Bytes()
 }
 
 // AppendDenseCells appends n cells in the fixed dense layout: w, s, f as

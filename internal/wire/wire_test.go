@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -235,4 +237,53 @@ func FuzzDecodeRuns(f *testing.F) {
 			t.Fatalf("decoded %d cells, declared %d", seen, n)
 		}
 	})
+}
+
+// appendRunsFrozen is the encoder as it stood before AppendRuns moved onto
+// RunsWriter (append-based varints, no reservation), kept as the format's
+// reference bytes.
+func appendRunsFrozen(buf []byte, n int, get func(i int) (w, s int64, f uint64)) []byte {
+	zero := func(i int) bool {
+		w, s, f := get(i)
+		return w == 0 && s == 0 && f == 0
+	}
+	buf = binary.AppendUvarint(buf, uint64(n))
+	for i := 0; i < n; {
+		z := i
+		for z < n && zero(z) {
+			z++
+		}
+		buf = binary.AppendUvarint(buf, uint64(z-i))
+		if i = z; i == n {
+			break
+		}
+		lit := i
+		for lit < n && !zero(lit) {
+			lit++
+		}
+		buf = binary.AppendUvarint(buf, uint64(lit-i))
+		for ; i < lit; i++ {
+			w, s, f := get(i)
+			buf = binary.AppendUvarint(buf, Zigzag(w))
+			buf = binary.AppendUvarint(buf, Zigzag(s))
+			buf = binary.LittleEndian.AppendUint64(buf, f)
+		}
+	}
+	return buf
+}
+
+// TestAppendRunsMatchesFrozen pins RunsWriter's bytes, including the widest
+// cell (two 10-byte varints) its per-run reservation has to cover.
+func TestAppendRunsMatchesFrozen(t *testing.T) {
+	cells := sampleCells(200)
+	cells[1].w, cells[1].s = math.MinInt64, math.MaxInt64
+	cells[199].w, cells[199].s = math.MaxInt64, math.MinInt64
+	get := func(i int) (int64, int64, uint64) { return cells[i].w, cells[i].s, cells[i].f }
+	for _, n := range []int{0, 1, 2, 64, 199, 200} {
+		want := appendRunsFrozen([]byte("p"), n, get)
+		got := AppendRuns([]byte("p"), n, get)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: AppendRuns differs from the frozen encoder", n)
+		}
+	}
 }
