@@ -5,7 +5,7 @@ package graphsketch
 // throughput micro-benchmarks. Macro benches execute the corresponding
 // experiment from internal/experiments once per iteration and report the
 // headline quantity via b.ReportMetric, so `go test -bench=. -benchmem`
-// regenerates every number EXPERIMENTS.md records.
+// regenerates every one of those numbers.
 
 import (
 	"fmt"

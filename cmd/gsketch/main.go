@@ -1,6 +1,5 @@
 // Command gsketch runs the experiment suite that regenerates every figure-
-// and theorem-level claim of the paper (see DESIGN.md for the index and
-// EXPERIMENTS.md for recorded results).
+// and theorem-level claim of the paper (see DESIGN.md for the index).
 //
 // Usage:
 //
@@ -19,7 +18,11 @@
 //	                          processes mid-ingest and checks exact recovery;
 //	                          -mode=replica runs a replicated cluster through
 //	                          a partition/kill matrix and checks bit-identical
-//	                          convergence with exactly-once ingest
+//	                          convergence with exactly-once ingest;
+//	                          -mode=scrub runs the bit-rot matrix (disk, live,
+//	                          both, across a restart, in flight) and checks
+//	                          detection, the repair tier and bit-identical
+//	                          repair
 //	gsketch serve [flags]     run the multi-tenant sketch service (WAL-
 //	                          durable ingest, epoch-snapshot queries,
 //	                          graceful drain on SIGTERM; -peers enables

@@ -94,23 +94,17 @@ func simCommand(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	matrix := matrixOpts{N: *n, P: *p, Churn: *churn, Batch: *batch, Seeds: *seeds, BaseSeed: *seed}
 	switch *mode {
 	case "serve":
-		return simServe(serveSimOpts{
-			N: *n, P: *p, Churn: *churn, Batch: *batch,
-			SnapshotEvery: *snapshotEvery, Seeds: *seeds, BaseSeed: *seed,
-		}, out)
+		return simServe(serveSimOpts{matrixOpts: matrix, SnapshotEvery: *snapshotEvery}, out)
 	case "replica":
 		return simReplica(replicaSimOpts{
-			N: *n, P: *p, Churn: *churn, Batch: *batch,
-			SnapshotEvery: *snapshotEvery, Seeds: *seeds, BaseSeed: *seed,
-			Nodes: *nodes, SyncEvery: *syncEvery, ConvergeIn: *convergeIn,
+			serveSimOpts: serveSimOpts{matrixOpts: matrix, SnapshotEvery: *snapshotEvery},
+			Nodes:        *nodes, SyncEvery: *syncEvery, ConvergeIn: *convergeIn,
 		}, out)
 	case "scrub":
-		return simScrub(scrubSimOpts{
-			N: *n, P: *p, Churn: *churn, Batch: *batch,
-			Seeds: *seeds, BaseSeed: *seed,
-		}, out)
+		return simScrub(matrix, out)
 	case "cluster":
 	default:
 		return fmt.Errorf("unknown -mode %q (known: cluster, serve, replica, scrub)", *mode)

@@ -1,14 +1,12 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"os"
-	"os/exec"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,16 +17,10 @@ import (
 
 // replicaSimOpts parameterizes the replicated-cluster chaos matrix.
 type replicaSimOpts struct {
-	N             int
-	P             float64
-	Churn         int
-	Batch         int
-	SnapshotEvery int
-	Seeds         int
-	BaseSeed      uint64
-	Nodes         int
-	SyncEvery     time.Duration
-	ConvergeIn    time.Duration
+	serveSimOpts
+	Nodes      int
+	SyncEvery  time.Duration
+	ConvergeIn time.Duration
 }
 
 // ReplicaSimRow is one replicated chaos round: a 3-node cluster of real
@@ -155,55 +147,13 @@ type replicaNodeProc struct {
 // spawnReplica starts a serve child whose -peers route through the node's
 // proxy column.
 func spawnReplica(dir string, pulls []*simProxy, opts replicaSimOpts) (*serveChild, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	peers := ""
+	var peers []string
 	for _, p := range pulls {
-		if p == nil {
-			continue
+		if p != nil {
+			peers = append(peers, p.url())
 		}
-		if peers != "" {
-			peers += ","
-		}
-		peers += p.url()
 	}
-	cmd := exec.Command(exe, "serve",
-		"-addr=127.0.0.1:0",
-		"-dir", dir,
-		"-fsync", "interval", "-fsync-every", "16",
-		"-snapshot-every", fmt.Sprint(opts.SnapshotEvery),
-		"-epoch-every", "128",
-		"-n", fmt.Sprint(opts.N), "-k", "4", "-eps", "1.0", "-spanner-k", "2",
-		"-seed", fmt.Sprint(opts.BaseSeed),
-		"-peers", peers,
-		"-sync-every", opts.SyncEvery.String(),
-	)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	line, err := bufio.NewReader(stdout).ReadBytes('\n')
-	if err != nil {
-		cmd.Process.Kill()
-		cmd.Wait()
-		return nil, fmt.Errorf("replica child died before ready line: %w", err)
-	}
-	var ready struct {
-		Addr string `json:"addr"`
-	}
-	if err := json.Unmarshal(line, &ready); err != nil || ready.Addr == "" {
-		cmd.Process.Kill()
-		cmd.Wait()
-		return nil, fmt.Errorf("bad ready line %q: %v", bytes.TrimSpace(line), err)
-	}
-	go io.Copy(io.Discard, stdout)
-	return &serveChild{cmd: cmd, addr: ready.Addr}, nil
+	return spawnServe(dir, opts.serveSimOpts, "-peers", strings.Join(peers, ","), "-sync-every", opts.SyncEvery.String())
 }
 
 // simReplica runs the replicated chaos matrix. Per seed: spin up a
@@ -217,43 +167,25 @@ func simReplica(opts replicaSimOpts, out io.Writer) error {
 	if opts.Nodes < 2 {
 		return fmt.Errorf("replica sim needs at least 2 nodes, got %d", opts.Nodes)
 	}
-	cfg := service.BundleConfig{N: opts.N, K: 4, Eps: 1.0, SpannerK: 2, Seed: opts.BaseSeed}
-	rep := ReplicaSimReport{N: opts.N, Nodes: opts.Nodes, BatchSize: opts.Batch, SnapshotEvery: opts.SnapshotEvery}
-	for i := 0; i < opts.Seeds; i++ {
-		seed := opts.BaseSeed + uint64(i)
-		st := stream.GNP(opts.N, opts.P, seed).WithChurn(opts.Churn, seed^0x5eed)
-		rep.Updates = len(st.Updates)
-
-		ref := service.NewBundle(cfg)
-		ref.UpdateBatch(st.Updates)
-		want, err := ref.MarshalBinaryCompact()
-		if err != nil {
-			return err
-		}
-
-		row, err := runReplicaRound(st, seed, opts, want)
-		if err != nil {
-			return fmt.Errorf("seed %d: %w", seed, err)
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
-	for _, row := range rep.Rows {
-		if !row.BitIdentical {
-			return fmt.Errorf("seed %d: replicas not bit-identical after convergence", row.Seed)
-		}
-		for n, pos := range row.FinalPos {
-			if pos != row.Updates {
-				return fmt.Errorf("seed %d: node %d final position %d, want %d (exactly-once violated)", row.Seed, n, pos, row.Updates)
+	return runMatrix(opts.matrixOpts, out,
+		func(st *stream.Stream, seed uint64, want []byte) ([]ReplicaSimRow, error) {
+			row, err := runReplicaRound(st, seed, opts, want)
+			return []ReplicaSimRow{row}, err
+		},
+		func(updates int, rows []ReplicaSimRow) any {
+			return ReplicaSimReport{N: opts.N, Nodes: opts.Nodes, Updates: updates, BatchSize: opts.Batch, SnapshotEvery: opts.SnapshotEvery, Rows: rows}
+		},
+		func(row ReplicaSimRow) error {
+			if !row.BitIdentical {
+				return fmt.Errorf("seed %d: replicas not bit-identical after convergence", row.Seed)
 			}
-		}
-	}
-	return nil
+			for n, pos := range row.FinalPos {
+				if pos != row.Updates {
+					return fmt.Errorf("seed %d: node %d final position %d, want %d (exactly-once violated)", row.Seed, n, pos, row.Updates)
+				}
+			}
+			return nil
+		})
 }
 
 // runReplicaRound is one seed's partition/kill round.

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -16,16 +15,6 @@ import (
 	"graphsketch/internal/service"
 	"graphsketch/internal/stream"
 )
-
-// scrubSimOpts parameterizes the bit-rot chaos matrix.
-type scrubSimOpts struct {
-	N        int
-	P        float64
-	Churn    int
-	Batch    int
-	Seeds    int
-	BaseSeed uint64
-}
 
 // scrubScenarios is the bit-rot failure matrix: where the corruption
 // lands and which repair tier must resolve it.
@@ -439,50 +428,39 @@ func runScrubScenario(scenario string, st *stream.Stream, seed uint64, cfg servi
 // fresh 3-node cluster, seeded corruption, and must end with detection
 // (never serving rotted state) and byte-identical repair — with delta
 // repairs moving only a small fraction of the full payload.
-func simScrub(opts scrubSimOpts, out io.Writer) error {
-	cfg := service.BundleConfig{N: opts.N, K: 4, Eps: 1.0, SpannerK: 2, Seed: opts.BaseSeed}
-	rep := ScrubSimReport{N: opts.N, Nodes: 3}
-	for i := 0; i < opts.Seeds; i++ {
-		seed := opts.BaseSeed + uint64(i)
-		st := stream.GNP(opts.N, opts.P, seed).WithChurn(opts.Churn, seed^0x5eed)
-		rep.Updates = len(st.Updates)
-
-		ref := service.NewBundle(cfg)
-		ref.UpdateBatch(st.Updates)
-		want, err := ref.MarshalBinaryCompact()
-		if err != nil {
-			return err
-		}
-		for _, scenario := range scrubScenarios {
-			row, err := runScrubScenario(scenario, st, seed, cfg, want)
-			if err != nil {
-				return fmt.Errorf("seed %d %s: %w", seed, scenario, err)
+func simScrub(opts matrixOpts, out io.Writer) error {
+	cfg := opts.bundleConfig()
+	return runMatrix(opts, out,
+		func(st *stream.Stream, seed uint64, want []byte) ([]ScrubSimRow, error) {
+			var rows []ScrubSimRow
+			for _, scenario := range scrubScenarios {
+				row, err := runScrubScenario(scenario, st, seed, cfg, want)
+				if err != nil {
+					return nil, fmt.Errorf("%s: %w", scenario, err)
+				}
+				rows = append(rows, row)
 			}
-			rep.Rows = append(rep.Rows, row)
-		}
-	}
-
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
-	for _, row := range rep.Rows {
-		if !row.Detected {
-			return fmt.Errorf("seed %d %s: corruption went undetected", row.Seed, row.Scenario)
-		}
-		if !row.BitIdentical {
-			return fmt.Errorf("seed %d %s: not bit-identical to the oracle after repair", row.Seed, row.Scenario)
-		}
-		if row.Scenario == "rot-both" {
-			if row.Repair != "peer-delta" {
-				return fmt.Errorf("seed %d %s: repair was %q, want peer-delta", row.Seed, row.Scenario, row.Repair)
+			return rows, nil
+		},
+		func(updates int, rows []ScrubSimRow) any {
+			return ScrubSimReport{N: opts.N, Nodes: 3, Updates: updates, Rows: rows}
+		},
+		func(row ScrubSimRow) error {
+			if !row.Detected {
+				return fmt.Errorf("seed %d %s: corruption went undetected", row.Seed, row.Scenario)
 			}
-			if row.DeltaRatio > 0.25 {
-				return fmt.Errorf("seed %d %s: delta pulled %.0f%% of the full payload (gate: 25%%)",
-					row.Seed, row.Scenario, row.DeltaRatio*100)
+			if !row.BitIdentical {
+				return fmt.Errorf("seed %d %s: not bit-identical to the oracle after repair", row.Seed, row.Scenario)
 			}
-		}
-	}
-	return nil
+			if row.Scenario == "rot-both" {
+				if row.Repair != "peer-delta" {
+					return fmt.Errorf("seed %d %s: repair was %q, want peer-delta", row.Seed, row.Scenario, row.Repair)
+				}
+				if row.DeltaRatio > 0.25 {
+					return fmt.Errorf("seed %d %s: delta pulled %.0f%% of the full payload (gate: 25%%)",
+						row.Seed, row.Scenario, row.DeltaRatio*100)
+				}
+			}
+			return nil
+		})
 }

@@ -1,13 +1,10 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"sync"
 	"time"
 
@@ -17,13 +14,8 @@ import (
 
 // serveSimOpts parameterizes the kill-and-recover harness.
 type serveSimOpts struct {
-	N             int
-	P             float64
-	Churn         int
-	Batch         int
+	matrixOpts
 	SnapshotEvery int
-	Seeds         int
-	BaseSeed      uint64
 }
 
 // ServeSimRow is one kill-and-recover round against a real `gsketch
@@ -57,64 +49,6 @@ type ServeSimReport struct {
 	Rows          []ServeSimRow `json:"results"`
 }
 
-// serveChild is one spawned `gsketch serve` process on a shared data dir.
-type serveChild struct {
-	cmd  *exec.Cmd
-	addr string
-}
-
-// spawnServe starts the current binary as a serve child and waits for its
-// ready line.
-func spawnServe(dir string, opts serveSimOpts) (*serveChild, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	cmd := exec.Command(exe, "serve",
-		"-addr=127.0.0.1:0",
-		"-dir", dir,
-		"-fsync", "interval", "-fsync-every", "16",
-		"-snapshot-every", fmt.Sprint(opts.SnapshotEvery),
-		"-epoch-every", "128",
-		"-n", fmt.Sprint(opts.N), "-k", "4", "-eps", "1.0", "-spanner-k", "2",
-		"-seed", fmt.Sprint(opts.BaseSeed),
-	)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	line, err := bufio.NewReader(stdout).ReadBytes('\n')
-	if err != nil {
-		cmd.Process.Kill()
-		cmd.Wait()
-		return nil, fmt.Errorf("serve child died before ready line: %w", err)
-	}
-	var ready struct {
-		Addr string `json:"addr"`
-	}
-	if err := json.Unmarshal(line, &ready); err != nil || ready.Addr == "" {
-		cmd.Process.Kill()
-		cmd.Wait()
-		return nil, fmt.Errorf("bad ready line %q: %v", bytes.TrimSpace(line), err)
-	}
-	go io.Copy(io.Discard, stdout) // keep the pipe drained
-	return &serveChild{cmd: cmd, addr: ready.Addr}, nil
-}
-
-func (c *serveChild) client() *service.Client {
-	return &service.Client{Base: "http://" + c.addr}
-}
-
-// sigkill delivers the real thing and reaps the child.
-func (c *serveChild) sigkill() {
-	c.cmd.Process.Kill()
-	c.cmd.Wait()
-}
-
 // simServe runs the kill-and-recover matrix against real serve processes:
 // for each seed, SIGKILL the server mid-ingest at a seeded offset, restart
 // it on the same directory, re-feed only the unacknowledged suffix from
@@ -122,39 +56,20 @@ func (c *serveChild) sigkill() {
 // bit-identical to a local uninterrupted run. Returns an error (CI gate)
 // if any row fails.
 func simServe(opts serveSimOpts, out io.Writer) error {
-	cfg := service.BundleConfig{N: opts.N, K: 4, Eps: 1.0, SpannerK: 2, Seed: opts.BaseSeed}
-	rep := ServeSimReport{N: opts.N, BatchSize: opts.Batch, SnapshotEvery: opts.SnapshotEvery}
-	for i := 0; i < opts.Seeds; i++ {
-		seed := opts.BaseSeed + uint64(i)
-		st := stream.GNP(opts.N, opts.P, seed).WithChurn(opts.Churn, seed^0x5eed)
-		rep.Updates = len(st.Updates)
-
-		// Local oracle: the same bundle shape fed the whole stream.
-		ref := service.NewBundle(cfg)
-		ref.UpdateBatch(st.Updates)
-		want, err := ref.MarshalBinaryCompact()
-		if err != nil {
-			return err
-		}
-
-		row, err := runServeRound(st, seed, opts, want)
-		if err != nil {
-			return fmt.Errorf("seed %d: %w", seed, err)
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
-	for _, row := range rep.Rows {
-		if !row.BitIdentical {
-			return fmt.Errorf("seed %d: recovered payload not bit-identical", row.Seed)
-		}
-	}
-	return nil
+	return runMatrix(opts.matrixOpts, out,
+		func(st *stream.Stream, seed uint64, want []byte) ([]ServeSimRow, error) {
+			row, err := runServeRound(st, seed, opts, want)
+			return []ServeSimRow{row}, err
+		},
+		func(updates int, rows []ServeSimRow) any {
+			return ServeSimReport{N: opts.N, Updates: updates, BatchSize: opts.Batch, SnapshotEvery: opts.SnapshotEvery, Rows: rows}
+		},
+		func(row ServeSimRow) error {
+			if !row.BitIdentical {
+				return fmt.Errorf("seed %d: recovered payload not bit-identical", row.Seed)
+			}
+			return nil
+		})
 }
 
 // runServeRound is one seed's kill-and-recover round.

@@ -1,7 +1,7 @@
 // Package experiments regenerates every figure- and theorem-level claim of
-// the paper as a measured table (the experiment index lives in DESIGN.md;
-// results commentary in EXPERIMENTS.md). Each E* function is invoked by
-// both cmd/gsketch and the root bench_test.go.
+// the paper as a measured table (the experiment index lives in DESIGN.md).
+// Each E* function is invoked by both cmd/gsketch and the root
+// bench_test.go.
 //
 // The paper is a theory paper with no empirical tables; what these
 // experiments reproduce is the *shape* of each result: who wins, how error

@@ -100,13 +100,7 @@ func (w *WAL) Append(ups []stream.Update) {
 // Compaction uses it to rewrite history without moving the position; a
 // zero-length ups is legal and encodes a pure position marker.
 func (w *WAL) appendRecord(ups []stream.Update, posAfter int) {
-	payload := wire.AppendUvarint(nil, uint64(posAfter))
-	payload = wire.AppendUvarint(payload, uint64(len(ups)))
-	for _, u := range ups {
-		payload = wire.AppendUvarint(payload, uint64(u.U))
-		payload = wire.AppendUvarint(payload, uint64(u.V))
-		payload = wire.AppendUvarint(payload, wire.Zigzag(u.Delta))
-	}
+	payload := stream.AppendBatch(wire.AppendUvarint(nil, uint64(posAfter)), ups)
 	w.log = binary.LittleEndian.AppendUint32(w.log, uint32(len(payload)))
 	w.log = binary.LittleEndian.AppendUint32(w.log, wire.Checksum(payload))
 	w.log = append(w.log, payload...)
@@ -148,25 +142,8 @@ func decodeBatch(data []byte) (ups []stream.Update, posAfter int, rest []byte, s
 	if err != nil {
 		return nil, 0, nil, recCorrupt
 	}
-	count, payload, err := wire.Uvarint(payload)
-	if err != nil || count > uint64(len(payload)) {
-		return nil, 0, nil, recCorrupt
-	}
-	ups = make([]stream.Update, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var u, v, zd uint64
-		if u, payload, err = wire.Uvarint(payload); err != nil {
-			return nil, 0, nil, recCorrupt
-		}
-		if v, payload, err = wire.Uvarint(payload); err != nil {
-			return nil, 0, nil, recCorrupt
-		}
-		if zd, payload, err = wire.Uvarint(payload); err != nil {
-			return nil, 0, nil, recCorrupt
-		}
-		ups = append(ups, stream.Update{U: int(u), V: int(v), Delta: wire.Unzigzag(zd)})
-	}
-	if len(payload) != 0 {
+	ups, payload, err = stream.DecodeBatch(payload)
+	if err != nil || len(payload) != 0 {
 		return nil, 0, nil, recCorrupt
 	}
 	return ups, int(pos), body[n:], recOK

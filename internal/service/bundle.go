@@ -264,44 +264,22 @@ func (b *Bundle) appendBank(buf []byte, id int) ([]byte, error) {
 		return b.sp.AppendBank(buf, id-mcN)
 	}
 	chunk := id - mcN - spN
-	count := 0
+	ups := make([]stream.Update, 0, len(b.spLog)/logBankCount+1)
 	for _, u := range b.spLog {
 		if logChunk(u, b.cfg.N) == chunk {
-			count++
+			ups = append(ups, u)
 		}
 	}
-	buf = wire.AppendUvarint(buf, uint64(count))
-	for _, u := range b.spLog {
-		if logChunk(u, b.cfg.N) == chunk {
-			buf = wire.AppendUvarint(buf, uint64(u.U))
-			buf = wire.AppendUvarint(buf, uint64(u.V))
-			buf = wire.AppendUvarint(buf, wire.Zigzag(u.Delta))
-		}
-	}
-	return buf, nil
+	return stream.AppendBatch(buf, ups), nil
 }
 
 // decodeLogBank inverts the log-chunk encoding, consuming data fully.
 func decodeLogBank(data []byte) ([]stream.Update, error) {
-	count, data, err := wire.Uvarint(data)
-	if err != nil || count > uint64(len(data)) {
-		return nil, fmt.Errorf("service: log bank: %w", graphsketch.ErrBadEncoding)
+	ups, rest, err := stream.DecodeBatch(data)
+	if err != nil {
+		return nil, fmt.Errorf("service: log bank: %w", err)
 	}
-	ups := make([]stream.Update, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var u, v, zd uint64
-		if u, data, err = wire.Uvarint(data); err != nil {
-			return nil, fmt.Errorf("service: log bank: %w", err)
-		}
-		if v, data, err = wire.Uvarint(data); err != nil {
-			return nil, fmt.Errorf("service: log bank: %w", err)
-		}
-		if zd, data, err = wire.Uvarint(data); err != nil {
-			return nil, fmt.Errorf("service: log bank: %w", err)
-		}
-		ups = append(ups, stream.Update{U: int(u), V: int(v), Delta: wire.Unzigzag(zd)})
-	}
-	if len(data) != 0 {
+	if len(rest) != 0 {
 		return nil, fmt.Errorf("service: log bank trailing bytes: %w", graphsketch.ErrBadEncoding)
 	}
 	return ups, nil
@@ -534,6 +512,10 @@ func (b *Bundle) MergeBytes(data []byte) error {
 	if err != nil {
 		return err
 	}
+	return b.mergePayload(p)
+}
+
+func (b *Bundle) mergePayload(p *bundlePayload) error {
 	if len(p.present) != p.total {
 		return fmt.Errorf("service: merge needs a full payload (%d/%d banks): %w", len(p.present), p.total, graphsketch.ErrBadEncoding)
 	}
@@ -545,6 +527,7 @@ func (b *Bundle) MergeBytes(data []byte) error {
 	mcN, spN := mc2.NumBanks(), sp2.NumBanks()
 	var logUps []stream.Update
 	for id := 0; id < p.total; id++ {
+		var err error
 		bankB := p.present[id]
 		switch {
 		case id < mcN:
@@ -580,47 +563,44 @@ func (b *Bundle) MergeBytes(data []byte) error {
 // equal the payload root, or the install is rolled back (clone-and-swap)
 // with ErrDeltaInsufficient — the caller falls back to a full pull.
 func (b *Bundle) InstallBanks(data []byte) error {
-	p, err := b.decodePayload(data)
+	next, _, err := b.assemble(data, false)
 	if err != nil {
 		return err
 	}
-	if err := b.refreshDigests(); err != nil {
-		return err
-	}
-	for id := 0; id < p.total; id++ {
-		if _, ok := p.present[id]; ok {
-			continue
-		}
-		if b.dig[id] != p.man.Banks[id] {
-			return fmt.Errorf("service: bank %d diverges locally but is absent from delta payload: %w", id, ErrDeltaInsufficient)
-		}
-	}
-	// Assemble on a clone: replaced sketch banks decode in place, replaced
-	// log chunks splice into the coalesced log.
+	*b = *next
+	return nil
+}
+
+// replaceBanks overwrites the receiver's banks with p's present ones and
+// requires the result to reproduce p's root. In place: the receiver is a
+// clone assemble throws away on error.
+func (b *Bundle) replaceBanks(p *bundlePayload) error {
+	// Replaced sketch banks decode in place, replaced log chunks splice into
+	// the coalesced log.
 	mcN, spN := b.mc.NumBanks(), b.sp.NumBanks()
-	fresh := b.Clone()
 	logTouched := false
 	for id := 0; id < p.total; id++ {
 		bankB, ok := p.present[id]
 		if !ok {
 			continue
 		}
+		var err error
 		switch {
 		case id < mcN:
-			err = fresh.mc.ReplaceBank(id, bankB)
+			err = b.mc.ReplaceBank(id, bankB)
 		case id < mcN+spN:
-			err = fresh.sp.ReplaceBank(id-mcN, bankB)
+			err = b.sp.ReplaceBank(id-mcN, bankB)
 		default:
 			chunk := id - mcN - spN
 			var ups []stream.Update
 			if ups, err = decodeLogBank(bankB); err == nil {
-				kept := fresh.spLog[:0]
-				for _, u := range fresh.spLog {
+				kept := b.spLog[:0]
+				for _, u := range b.spLog {
 					if logChunk(u, b.cfg.N) != chunk {
 						kept = append(kept, u)
 					}
 				}
-				fresh.spLog = append(kept, ups...)
+				b.spLog = append(kept, ups...)
 				logTouched = true
 			}
 		}
@@ -629,18 +609,58 @@ func (b *Bundle) InstallBanks(data []byte) error {
 		}
 	}
 	if logTouched {
-		fresh.coalesced = 0 // re-sort: spliced chunks broke the order
+		b.coalesced = 0 // re-sort: spliced chunks broke the order
 	}
-	fresh.markAllDirty()
-	if err := fresh.refreshDigests(); err != nil {
+	b.markAllDirty()
+	if err := b.refreshDigests(); err != nil {
 		return err
 	}
-	got := wire.Manifest{Banks: fresh.dig}
+	got := wire.Manifest{Banks: b.dig}
 	if got.Root() != p.man.Root() {
 		return fmt.Errorf("service: assembled state root %x != payload root %x: %w", got.Root(), p.man.Root(), ErrDeltaInsufficient)
 	}
-	*b = *fresh
 	return nil
+}
+
+// assemble builds the state a peer's payload describes, as a new bundle; of
+// b only the digest cache may change (brought current, never the state).
+// Which of the two constructions runs is read off the payload, not asked of
+// the caller:
+//
+//   - a full payload (every bank present) is folded into a factory-fresh
+//     bundle — never into b, where linearity would double-count;
+//   - a bank payload is grafted onto a clone of b, after every ABSENT bank's
+//     current leaf in b has been found equal to the peer's (checked before
+//     the clone: an insufficient delta costs digests, not a copy of the
+//     state). rebuildLeaves first discards b's cached leaves, so that check
+//     sees b's bytes as they are now; a tenant whose bytes are suspect needs
+//     that, a healthy one does not pay for it.
+//
+// full reports which it was. Every present bank has been checked against its
+// manifest leaf either way; checking the result against a root advertised
+// out of band is the caller's.
+func (b *Bundle) assemble(data []byte, rebuildLeaves bool) (next *Bundle, full bool, err error) {
+	p, err := b.decodePayload(data)
+	if err != nil {
+		return nil, false, err
+	}
+	if len(p.present) == p.total {
+		next = NewBundle(b.cfg)
+		return next, true, next.mergePayload(p)
+	}
+	if rebuildLeaves {
+		b.markAllDirty()
+	}
+	if err := b.refreshDigests(); err != nil {
+		return nil, false, err
+	}
+	for id := 0; id < p.total; id++ {
+		if _, ok := p.present[id]; !ok && b.dig[id] != p.man.Banks[id] {
+			return nil, false, fmt.Errorf("service: bank %d diverges locally but is absent from delta payload: %w", id, ErrDeltaInsufficient)
+		}
+	}
+	next = b.Clone()
+	return next, false, next.replaceBanks(p)
 }
 
 // RecomputeDigests rebuilds every manifest leaf from the live bytes,

@@ -20,44 +20,24 @@ import (
 // server before decode hardening even sees the payload.
 const maxBodyBytes = 64 << 20
 
-// EncodeUpdates seals one update batch for the ingest endpoint:
-// envelope(uvarint count + (uvarint u, uvarint v, zigzag delta) each).
+// EncodeUpdates seals one update batch for the ingest endpoint: an envelope
+// around stream.AppendBatch's encoding.
 func EncodeUpdates(ups []stream.Update) []byte {
-	payload := wire.AppendUvarint(nil, uint64(len(ups)))
-	for _, u := range ups {
-		payload = wire.AppendUvarint(payload, uint64(u.U))
-		payload = wire.AppendUvarint(payload, uint64(u.V))
-		payload = wire.AppendUvarint(payload, wire.Zigzag(u.Delta))
-	}
-	return wire.Seal(payload)
+	return wire.Seal(stream.AppendBatch(nil, ups))
 }
 
-// DecodeUpdates inverts EncodeUpdates, rejecting corrupt envelopes and
-// malformed varint streams.
+// DecodeUpdates inverts EncodeUpdates, rejecting corrupt envelopes,
+// malformed varint streams and bytes after the batch.
 func DecodeUpdates(sealed []byte) ([]stream.Update, error) {
 	payload, _, err := wire.Open(sealed)
 	if err != nil {
 		return nil, err
 	}
-	count, payload, err := wire.Uvarint(payload)
-	if err != nil || count > uint64(len(payload)) {
-		return nil, graphsketch.ErrBadEncoding
+	ups, rest, err := stream.DecodeBatch(payload)
+	if err != nil {
+		return nil, err
 	}
-	ups := make([]stream.Update, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var u, v, zd uint64
-		if u, payload, err = wire.Uvarint(payload); err != nil {
-			return nil, err
-		}
-		if v, payload, err = wire.Uvarint(payload); err != nil {
-			return nil, err
-		}
-		if zd, payload, err = wire.Uvarint(payload); err != nil {
-			return nil, err
-		}
-		ups = append(ups, stream.Update{U: int(u), V: int(v), Delta: wire.Unzigzag(zd)})
-	}
-	if len(payload) != 0 {
+	if len(rest) != 0 {
 		return nil, graphsketch.ErrBadEncoding
 	}
 	return ups, nil
@@ -316,12 +296,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSync is the anti-entropy install endpoint: body = sealed bundle
-// payload, pos = the stream position it covers on the sending replica,
-// epoch = its epoch stamp, root = the sender's advertised manifest root
-// (16 hex chars; installs verify the payload reproduces it). mode=delta
-// installs a bank-granular delta payload; mode=repair installs into a
-// quarantined tenant and lifts the fence on success. Deduped by position
-// server-side, so re-sends and reorders are idempotent.
+// payload (every bank, or only some), pos = the stream position it covers on
+// the sending replica, epoch = its epoch stamp, root = the sender's
+// advertised manifest root (16 hex chars; installs verify the payload
+// reproduces it). Deduped by position server-side, so re-sends and reorders
+// are idempotent; on a quarantined tenant a verified install is the repair.
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
@@ -343,17 +322,7 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var acked int
-	switch mode := q.Get("mode"); mode {
-	case "", "full":
-		acked, err = s.SyncApply(r.Context(), r.PathValue("tenant"), pos, epoch, root, body)
-	case "delta":
-		acked, err = s.SyncApplyDelta(r.Context(), r.PathValue("tenant"), pos, epoch, root, body)
-	case "repair":
-		acked, err = s.RepairApply(r.Context(), r.PathValue("tenant"), pos, epoch, root, body)
-	default:
-		err = fmt.Errorf("unknown sync mode %q: %w", mode, graphsketch.ErrBadEncoding)
-	}
+	acked, err := s.SyncApply(r.Context(), r.PathValue("tenant"), pos, epoch, root, body)
 	if err != nil {
 		s.fail(w, err)
 		return

@@ -28,6 +28,9 @@ func newReplicaNode(t *testing.T, dir string) *replicaNode {
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
+	// Release the writer goroutines with the test: they keep every live
+	// bundle and epoch resident (Kill after Drain or Kill is a no-op).
+	t.Cleanup(s.Kill)
 	if err := s.Preload(); err != nil {
 		t.Fatalf("Preload: %v", err)
 	}
@@ -278,6 +281,7 @@ func TestReplicaReadyz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Kill)
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 	c := &Client{Base: hs.URL, HC: hs.Client(), Attempts: 1, JitterSeed: 7}

@@ -255,6 +255,7 @@ func TestDeltaSync(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewServer: %v", err)
 		}
+		t.Cleanup(s.Kill)
 		hs := httptest.NewServer(s.Handler())
 		t.Cleanup(hs.Close)
 		return &replicaNode{srv: s, hs: hs, c: &Client{Base: hs.URL, HC: hs.Client(), JitterSeed: 7, Timeout: 2 * time.Minute}}

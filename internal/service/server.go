@@ -353,7 +353,7 @@ func (s *Server) Tenant(name string, create bool) (*tenant, error) {
 		}
 		sidelined = "wal corrupt at open"
 	}
-	sk, pos, err := wal.Recover(func() runtime.Sketch { return NewBundle(s.cfg.Bundle) })
+	sk, _, err := wal.Recover(func() runtime.Sketch { return NewBundle(s.cfg.Bundle) })
 	if err != nil {
 		wal.Close()
 		if !errors.Is(err, runtime.ErrWALCorrupt) {
@@ -363,7 +363,7 @@ func (s *Server) Tenant(name string, create bool) (*tenant, error) {
 			return nil, err
 		}
 		sidelined = "wal corrupt at recovery"
-		if sk, pos, err = wal.Recover(func() runtime.Sketch { return NewBundle(s.cfg.Bundle) }); err != nil {
+		if sk, _, err = wal.Recover(func() runtime.Sketch { return NewBundle(s.cfg.Bundle) }); err != nil {
 			wal.Close()
 			return nil, err
 		}
@@ -372,14 +372,6 @@ func (s *Server) Tenant(name string, create bool) (*tenant, error) {
 		s.met.Recoveries.Add(1)
 	}
 	live := sk.(*Bundle)
-	man, err := live.Manifest()
-	if err != nil {
-		// No earlier epoch to fall back on, and one with an empty manifest
-		// would demote every peer to full pulls: fail the load instead.
-		s.met.PublishFailed.Add(1)
-		wal.Close()
-		return nil, fmt.Errorf("tenant %q: first epoch manifest: %w", name, err)
-	}
 	t := &tenant{
 		name:  name,
 		srv:   s,
@@ -387,10 +379,13 @@ func (s *Server) Tenant(name string, create bool) (*tenant, error) {
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	t.acked.Store(int64(pos))
-	t.resident.Store(live.ResidentBytes())
+	t.finish(wal, live)
 	t.touched.Store(s.clock.Add(1))
-	t.snap.Store(&Epoch{Bundle: live.Clone(), Pos: pos, Seq: 1, Manifest: man})
+	if err := t.publish(wal, live); err != nil {
+		// No earlier epoch to fall back on: fail the load instead.
+		wal.Close()
+		return nil, fmt.Errorf("tenant %q: first epoch: %w", name, err)
+	}
 	if sidelined != "" {
 		t.setQuarantine(sidelined)
 	}
@@ -538,26 +533,27 @@ func (t *tenant) finish(wal *runtime.DiskWAL, live *Bundle) {
 // last publish re-digest). Suppressed while quarantined — a fenced state
 // must not become a served epoch. A manifest that cannot be built keeps the
 // previous epoch: one published with an empty manifest would silently
-// demote every peer to full pulls.
-func (t *tenant) publish(wal *runtime.DiskWAL, live *Bundle) {
+// demote every peer to full pulls. The error is for the one caller with no
+// previous epoch; it is already counted.
+func (t *tenant) publish(wal *runtime.DiskWAL, live *Bundle) error {
 	if t.quarantined.Load() {
-		return
+		return nil
 	}
-	prev := t.snap.Load()
 	var seq uint64 = 1
-	if prev != nil {
+	if prev := t.snap.Load(); prev != nil {
 		seq = prev.Seq + 1
 	}
 	man, err := live.Manifest()
 	if err != nil {
 		t.srv.met.PublishFailed.Add(1)
-		return
+		return fmt.Errorf("epoch manifest: %w", err)
 	}
 	ep := &Epoch{Bundle: live.Clone(), Pos: wal.DurableUpdates(), Seq: seq, Manifest: man}
 	// Readers load the epoch and then the acked position, so the position
 	// must already cover the epoch when the pointer becomes visible.
 	t.acked.Store(int64(ep.Pos))
 	t.snap.Store(ep)
+	return nil
 }
 
 // submit enqueues an op and waits for the writer's reply, honoring the
@@ -636,8 +632,13 @@ func (s *Server) Merge(ctx context.Context, tenantName string, sealed []byte) (i
 		if err := live.MergeBytes(payload); err != nil {
 			return err
 		}
+		// Durable before visible: until the snapshot holds the merged bytes
+		// a crash cannot reproduce this state, so readers must not see it.
+		if err := w.Snapshot(live); err != nil {
+			return err
+		}
 		t.publish(w, live)
-		return w.Snapshot(live)
+		return nil
 	}})
 }
 
@@ -763,250 +764,130 @@ func (s *Server) peerSyncStatus() []PeerSyncStatus {
 	return nil
 }
 
-// SyncApply installs a sealed bundle payload pulled from a replica peer as
-// the tenant's complete state at the peer's stream position pos. The
-// anti-entropy receive path: deduped by position (an install at or below
-// the local durable position is a no-op, which makes duplicated and
-// reordered pulls idempotent), folded through MergeBytes into a
-// factory-fresh bundle (never the live one — a corrupt payload poisons
-// nothing), and made durable via the WAL's InstallSnapshot before the ack.
-// Positions only ever move forward here, and every state installed is some
-// replica's exact prefix state, so the position-addressed ingest protocol
-// keeps working across installs: a client whose expected position no
-// longer matches gets the authoritative one back via 409 and re-feeds.
+// SyncApply installs a peer's sealed bundle payload as the tenant's state at
+// the peer's stream position pos. It is the one way a peer's state lands on
+// a tenant — pull, delta pull and peer repair alike — because a payload at
+// position P is the complete state of the prefix [0,P): all three replace
+// the local state by a peer's verified one. What differs between them is
+// observed where the install runs, not chosen by the caller:
+//
+//   - full or banks is in the payload (Bundle.assemble): a full payload is
+//     rebuilt in a factory-fresh bundle, a bank payload grafted onto a clone
+//     of the live one;
+//   - healthy or fenced is the tenant's quarantine flag, read once, inside
+//     the writer goroutine, so no scrub verdict lands between the reading
+//     and the install.
+//
+// A healthy tenant dedupes by position (an install at or below its durable
+// position is a no-op, which makes duplicated and reordered pulls
+// idempotent), so its position only moves forward and every state it holds
+// is some replica's exact prefix — the position-addressed ingest protocol
+// keeps working across installs. A fenced tenant's position vouches for
+// corrupt bytes: the peer's state wins at any position, its leaves are
+// rebuilt from the bytes before an absent bank is trusted, and the install
+// lifts the fence.
+//
+// Commit order, shared with Merge and the scrubber's recover tier: verify,
+// bytes durable, *live = *next, mirrors and fence, publish. An error leaves
+// live state, disk, epoch, position and fence as they were.
 func (s *Server) SyncApply(ctx context.Context, tenantName string, pos int, epoch uint64, root uint64, sealed []byte) (int, error) {
+	acked, _, err := s.install(ctx, tenantName, pos, epoch, root, sealed)
+	return acked, err
+}
+
+// SyncApplyDelta is SyncApply under the name bank installs used to have;
+// benchmark/inproc.go pins it.
+func (s *Server) SyncApplyDelta(ctx context.Context, tenantName string, pos int, epoch uint64, root uint64, sealed []byte) (int, error) {
+	return s.SyncApply(ctx, tenantName, pos, epoch, root, sealed)
+}
+
+// install is SyncApply that also reports whether state moved (false: deduped
+// by position), which the syncer's round counters need.
+func (s *Server) install(ctx context.Context, tenantName string, pos int, epoch uint64, root uint64, sealed []byte) (acked int, applied bool, err error) {
 	if s.draining.Load() {
-		return 0, ErrDraining
+		return 0, false, ErrDraining
 	}
 	payload, _, err := wire.Open(sealed)
 	if err != nil {
 		s.met.SyncFailed.Add(1)
-		return 0, err
+		return 0, false, err
 	}
 	t, err := s.Tenant(tenantName, true)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
-	if t.Quarantined() {
-		// A fenced tenant only accepts installs through RepairApply — the
-		// path that re-verifies everything and lifts the fence.
-		return t.Acked(), fmt.Errorf("%w: %s", ErrQuarantined, t.QuarantineReason())
-	}
-	if err := s.admit(t); err != nil {
-		return 0, err
-	}
-	return t.submit(ctx, op{reply: make(chan opResult, 1), fn: func(w *runtime.DiskWAL, live *Bundle) error {
-		if pos <= w.DurableUpdates() {
-			s.met.SyncSkipped.Add(1)
-			return nil
+	// Budgets gate growth, so they bind healthy tenants only: a fenced one
+	// serves nothing until repaired and must not be refused its repair. This
+	// reading decides nothing else — the install reads the fence for itself.
+	if !t.Quarantined() {
+		if err := s.admit(t); err != nil {
+			return 0, false, err
 		}
-		fresh, err := s.verifiedState(payload, root)
-		if err != nil {
-			return err
-		}
-		if err := w.InstallSnapshot(sealed, pos); err != nil {
+	}
+	acked, err = t.submit(ctx, op{reply: make(chan opResult, 1), fn: func(w *runtime.DiskWAL, live *Bundle) (err error) {
+		if applied, err = t.install(w, live, pos, epoch, root, sealed, payload); err != nil {
 			s.met.SyncFailed.Add(1)
-			return err
+			if errors.Is(err, ErrDigestMismatch) {
+				// Bank bytes contradict the payload's own manifest (corrupted
+				// after the peer sealed it), or the manifest contradicts the
+				// root the peer advertised (corrupted in flight past the
+				// envelope CRC, or a lying peer).
+				s.met.SyncDigestReject.Add(1)
+			}
 		}
-		*live = *fresh
-		t.syncEpoch.Store(epoch)
-		t.replBytesPending.Store(0)
-		t.replEpochsBehind.Store(0)
-		t.publish(w, live)
-		s.met.SyncApplied.Add(1)
-		return nil
+		return err
 	}})
+	return acked, applied, err
 }
 
-// verifiedState reconstructs a full payload into a factory-fresh bundle
-// and checks its manifest root against the peer-advertised one (0 = peer
-// did not advertise; skip). A mismatch means the bytes that arrived are
-// not the bytes the peer committed to — in-flight corruption the envelope
-// CRC missed, or a lying peer — and must never be installed.
-func (s *Server) verifiedState(payload []byte, root uint64) (*Bundle, error) {
-	fresh := NewBundle(s.cfg.Bundle)
-	if err := fresh.MergeBytes(payload); err != nil {
-		if errors.Is(err, ErrDigestMismatch) {
-			// A bank's bytes contradict the payload's own manifest: the
-			// corruption happened after the peer sealed it.
-			s.met.SyncDigestReject.Add(1)
-		}
-		s.met.SyncFailed.Add(1)
-		return nil, err
+// install runs in the writer goroutine; payload is sealed, opened.
+func (t *tenant) install(w *runtime.DiskWAL, live *Bundle, pos int, epoch, root uint64, sealed, payload []byte) (bool, error) {
+	met := &t.srv.met
+	fenced := t.quarantined.Load()
+	if !fenced && pos <= w.DurableUpdates() {
+		met.SyncSkipped.Add(1)
+		return false, nil
 	}
-	man, err := fresh.Manifest()
+	next, full, err := live.assemble(payload, fenced)
 	if err != nil {
-		s.met.SyncFailed.Add(1)
-		return nil, err
+		return false, err
+	}
+	man, err := next.Manifest()
+	if err != nil {
+		return false, err
 	}
 	if root != 0 && man.Root() != root {
-		s.met.SyncDigestReject.Add(1)
-		s.met.SyncFailed.Add(1)
-		return nil, fmt.Errorf("service: payload root %016x != advertised %016x: %w", man.Root(), root, ErrDigestMismatch)
+		return false, fmt.Errorf("service: payload root %016x != advertised %016x: %w", man.Root(), root, ErrDigestMismatch)
 	}
-	return fresh, nil
-}
-
-// SyncApplyDelta installs a bank-granular delta payload pulled from a peer
-// at stream position pos: present banks replace local ones, absent banks
-// are kept only when their local bytes already match the peer's manifest,
-// and the assembled state must recompute to the advertised root. Any
-// insufficiency (local divergence outside the carried banks, root
-// mismatch) errors with ErrDeltaInsufficient and changes nothing — the
-// syncer falls back to a full pull. A successful install snapshots the
-// assembled state so durability never lags the delta.
-func (s *Server) SyncApplyDelta(ctx context.Context, tenantName string, pos int, epoch uint64, root uint64, sealed []byte) (int, error) {
-	if s.draining.Load() {
-		return 0, ErrDraining
-	}
-	payload, _, err := wire.Open(sealed)
-	if err != nil {
-		s.met.SyncFailed.Add(1)
-		return 0, err
-	}
-	t, err := s.Tenant(tenantName, true)
-	if err != nil {
-		return 0, err
-	}
-	if t.Quarantined() {
-		return t.Acked(), fmt.Errorf("%w: %s", ErrQuarantined, t.QuarantineReason())
-	}
-	if err := s.admit(t); err != nil {
-		return 0, err
-	}
-	return t.submit(ctx, op{reply: make(chan opResult, 1), fn: func(w *runtime.DiskWAL, live *Bundle) error {
-		if pos <= w.DurableUpdates() {
-			s.met.SyncSkipped.Add(1)
-			return nil
-		}
-		if err := live.InstallBanks(payload); err != nil {
-			s.met.SyncFailed.Add(1)
-			return err
-		}
-		man, err := live.Manifest()
+	// A full payload's received bytes are the snapshot (next is what they
+	// decode to); a bank payload is not the whole state, so seal next's.
+	durable := sealed
+	if !full {
+		whole, err := next.MarshalBinaryCompact()
 		if err != nil {
-			return err
+			return false, err
 		}
-		if root != 0 && man.Root() != root {
-			// InstallBanks already verified the assembled root against the
-			// payload manifest, so reaching here means the payload's own
-			// manifest contradicts the peer's advertisement.
-			s.met.SyncDigestReject.Add(1)
-			s.met.SyncFailed.Add(1)
-			return fmt.Errorf("service: delta root %016x != advertised %016x: %w", man.Root(), root, ErrDigestMismatch)
-		}
-		full, err := live.MarshalBinaryCompact()
-		if err != nil {
-			return err
-		}
-		sealedFull := wire.Seal(full)
-		if err := w.InstallSnapshot(sealedFull, pos); err != nil {
-			s.met.SyncFailed.Add(1)
-			return err
-		}
-		t.syncEpoch.Store(epoch)
-		t.replBytesPending.Store(0)
-		t.replEpochsBehind.Store(0)
-		t.publish(w, live)
-		s.met.SyncApplied.Add(1)
-		s.met.SyncDeltaPulls.Add(1)
-		s.met.SyncDeltaBytes.Add(int64(len(sealed)))
-		s.met.SyncDeltaFullBytes.Add(int64(len(sealedFull)))
-		return nil
-	}})
-}
-
-// RepairApply installs a peer's payload into a QUARANTINED tenant and, on
-// success, lifts the fence: the payload (full or delta) is reconstructed
-// and verified against the advertised root, made durable, and republished.
-// The position may move backward or stay equal — a quarantined tenant's
-// local position vouches for corrupt bytes, so the peer's verified state
-// wins regardless. On a healthy tenant this delegates to the normal
-// position-deduped SyncApply.
-func (s *Server) RepairApply(ctx context.Context, tenantName string, pos int, epoch uint64, root uint64, sealed []byte) (int, error) {
-	if s.draining.Load() {
-		return 0, ErrDraining
+		durable = wire.Seal(whole)
 	}
-	t, err := s.Tenant(tenantName, true)
-	if err != nil {
-		return 0, err
+	if err := w.InstallSnapshot(durable, pos); err != nil {
+		return false, err
 	}
-	if !t.Quarantined() {
-		return s.SyncApply(ctx, tenantName, pos, epoch, root, sealed)
-	}
-	payload, _, err := wire.Open(sealed)
-	if err != nil {
-		s.met.SyncFailed.Add(1)
-		return 0, err
-	}
-	return t.submit(ctx, op{reply: make(chan opResult, 1), fn: func(w *runtime.DiskWAL, live *Bundle) error {
-		var fresh *Bundle
-		if fullPayload(payload) {
-			if fresh, err = s.verifiedState(payload, root); err != nil {
-				return err
-			}
-		} else {
-			// Delta repair: graft the peer's diverged banks onto the local
-			// (partly rotted) state. RecomputeDigests first so the absent-bank
-			// check compares the peer manifest against the bytes as they
-			// actually are, not a stale pre-rot cache.
-			fresh = live.Clone()
-			if err := fresh.RecomputeDigests(); err != nil {
-				return err
-			}
-			if err := fresh.InstallBanks(payload); err != nil {
-				s.met.SyncFailed.Add(1)
-				return err
-			}
-			man, err := fresh.Manifest()
-			if err != nil {
-				return err
-			}
-			if root != 0 && man.Root() != root {
-				s.met.SyncDigestReject.Add(1)
-				s.met.SyncFailed.Add(1)
-				return fmt.Errorf("service: repair root %016x != advertised %016x: %w", man.Root(), root, ErrDigestMismatch)
-			}
-			s.met.SyncDeltaPulls.Add(1)
-			s.met.SyncDeltaBytes.Add(int64(len(sealed)))
-		}
-		full, err := fresh.MarshalBinaryCompact()
-		if err != nil {
-			return err
-		}
-		if err := w.InstallSnapshot(wire.Seal(full), pos); err != nil {
-			s.met.SyncFailed.Add(1)
-			return err
-		}
-		*live = *fresh
-		t.syncEpoch.Store(epoch)
-		t.replBytesPending.Store(0)
-		t.replEpochsBehind.Store(0)
+	*live = *next
+	t.syncEpoch.Store(epoch)
+	t.replBytesPending.Store(0)
+	t.replEpochsBehind.Store(0)
+	if fenced {
 		t.clearQuarantine()
-		t.publish(w, live)
-		s.met.SyncApplied.Add(1)
-		s.met.QuarantineRepairs.Add(1)
-		return nil
-	}})
-}
-
-// fullPayload reports whether a banked payload carries every bank (without
-// decoding the banks themselves): header config is 5 uvarints, then
-// totalBanks and presentCount.
-func fullPayload(payload []byte) bool {
-	data := payload
-	for i := 0; i < 5; i++ {
-		var err error
-		if _, data, err = wire.Uvarint(data); err != nil {
-			return false
-		}
+		met.QuarantineRepairs.Add(1)
 	}
-	total, data, err := wire.Uvarint(data)
-	if err != nil {
-		return false
+	t.publish(w, live)
+	met.SyncApplied.Add(1)
+	if !full {
+		met.SyncDeltaPulls.Add(1)
+		met.SyncDeltaBytes.Add(int64(len(sealed)))
+		met.SyncDeltaFullBytes.Add(int64(len(durable)))
 	}
-	present, _, err := wire.Uvarint(data)
-	return err == nil && present == total
+	return true, nil
 }
 
 // Flush forces a WAL snapshot for a tenant (exposed for the drain path and

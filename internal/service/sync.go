@@ -67,9 +67,9 @@ type PeerSyncStatus struct {
 // their durable positions, and their digest-manifest roots, and wherever a
 // peer is ahead it converges — by pulling only the diverged banks when the
 // manifests mostly agree (delta anti-entropy), or the full epoch-stamped
-// payload otherwise — and installing through Server.SyncApplyDelta /
-// SyncApply. Tenants quarantined by the integrity scrubber are repaired
-// from the first healthy peer through Server.RepairApply.
+// payload otherwise — and installing it the way Server.SyncApply does.
+// Tenants quarantined by the integrity scrubber are repaired from the first
+// healthy peer by the same pull: for them any healthy peer counts as ahead.
 //
 // The protocol needs nothing beyond pull + position dedup because the
 // payloads are linear-sketch states: a payload at position P is the
@@ -254,148 +254,102 @@ func (y *Syncer) peerTenants(peer *Client) ([]string, bool) {
 	return names, err == nil
 }
 
-// syncTenant probes one (peer, tenant) pair and converges on it if the
-// peer is ahead, repairing it instead if it is locally quarantined.
-// Returns false when the peer itself misbehaved (transport failures feed
-// the backoff ledger; local apply errors do not).
+// syncTenant probes one (peer, tenant) pair and converges on the peer's
+// state if there is a reason to: the peer is ahead, or the tenant is locally
+// quarantined and the peer is healthy (a repair — the same pull, wanted at
+// any position). Returns false when the peer itself misbehaved (transport
+// failures feed the backoff ledger; local apply errors do not).
 func (y *Syncer) syncTenant(ctx context.Context, peer *Client, name string, round *SyncRound) bool {
 	pi, err := peer.PositionEx(name)
 	if err != nil {
-		round.Failed++
-		y.srv.met.SyncFailed.Add(1)
-		return false
+		return y.peerFailed(round)
 	}
 	round.Probed++
-
-	localPos := -1
-	var t *tenant
-	if lt, lerr := y.srv.Tenant(name, false); lerr == nil {
-		t = lt
-		localPos = t.Acked()
-	}
-	if t != nil && t.Quarantined() {
-		if pi.Quarantined {
-			return true // both sides fenced: no healthy state to repair from
-		}
-		return y.repairTenant(ctx, peer, name, pi, round)
-	}
 	if pi.Quarantined {
-		return true // peer is fenced; it serves no payloads until repaired
+		return true // a fenced peer serves no payloads: nothing to converge on or repair from
 	}
-	// Refresh the lag mirrors on every probe, not just on pulls, so a
-	// follower that is merely behind (not pulling yet) still reports it.
-	if t != nil {
-		t.replPeerPos.Store(int64(pi.Acked))
-		behindEpochs := int64(pi.Epoch) - int64(t.syncEpoch.Load())
-		if behindEpochs < 0 || pi.Acked <= localPos {
-			behindEpochs = 0
+	t, _ := y.srv.Tenant(name, false) // nil: the peer knows a tenant we have yet to adopt
+	fenced := t != nil && t.Quarantined()
+	if !fenced {
+		localPos := -1
+		if t != nil {
+			// Refresh the lag mirrors on every probe, not just on pulls, so a
+			// follower that is merely behind (not pulling yet) still reports it.
+			localPos = t.Acked()
+			t.replPeerPos.Store(int64(pi.Acked))
+			behindEpochs := int64(pi.Epoch) - int64(t.syncEpoch.Load())
+			if behindEpochs < 0 || pi.Acked <= localPos {
+				behindEpochs = 0
+			}
+			t.replEpochsBehind.Store(behindEpochs)
 		}
-		t.replEpochsBehind.Store(behindEpochs)
-	}
-	if pi.Acked <= localPos {
-		return true // we are the one ahead (or equal): nothing to converge
+		if pi.Acked <= localPos {
+			return true // we are the one ahead (or equal): nothing to converge
+		}
 	}
 
-	// Delta attempt: when both sides have digest manifests of the same
-	// width, pull only the diverged banks. Any insufficiency (races with
-	// local ingest, manifest staleness) falls back to the full pull below.
+	// The ladder. Delta rung: when both sides have digest manifests of the
+	// same width, pull only the diverged banks. A fenced tenant's leaves are
+	// recomputed from its (partly rotted) bytes first — a cached pre-rot leaf
+	// would hide exactly the bank that needs pulling.
 	if !y.cfg.NoDelta && t != nil && pi.HasManifest {
-		if localMan, _, merr := y.srv.ManifestNow(ctx, name, false); merr == nil &&
-			len(localMan.Banks) == len(pi.Manifest.Banks) {
-			diverged := localMan.Diff(pi.Manifest)
-			if len(diverged) < len(localMan.Banks) {
+		if local, _, merr := y.srv.ManifestNow(ctx, name, fenced); merr == nil && len(local.Banks) == len(pi.Manifest.Banks) {
+			if diverged := local.Diff(pi.Manifest); len(diverged) < len(local.Banks) {
 				sealed, pos, epoch, root, perr := peer.PayloadBanksAt(name, diverged)
 				if perr != nil {
-					round.Failed++
-					y.srv.met.SyncFailed.Add(1)
-					return false
+					return y.peerFailed(round)
 				}
-				round.Pulled++
-				round.Bytes += int64(len(sealed))
-				if _, aerr := y.srv.SyncApplyDelta(ctx, name, pos, epoch, root, sealed); aerr == nil {
-					round.Applied++
-					round.Deltas++
+				if y.land(ctx, name, pos, epoch, root, sealed, true, fenced, round) {
 					return true
-				} else if !errors.Is(aerr, ErrDeltaInsufficient) && !errors.Is(aerr, ErrDigestMismatch) {
-					round.Failed++
-					return true // local apply problem, not the peer's fault
 				}
-				// Insufficient or contradicted delta: full pull decides.
 			}
 		}
 	}
-
+	// Full rung: first contact, width mismatch, NoDelta, or a delta that
+	// could not prove byte-identity (a race with local ingest, a stale
+	// manifest). Byte-identity with the peer is the postcondition either way.
 	sealed, pos, epoch, root, err := peer.PayloadBanksAt(name, nil)
 	if err != nil {
-		round.Failed++
-		y.srv.met.SyncFailed.Add(1)
-		return false
+		return y.peerFailed(round)
 	}
-	round.Pulled++
-	round.Bytes += int64(len(sealed))
 	if t != nil {
 		t.replBytesPending.Store(int64(len(sealed)))
 	}
-	before := y.srv.met.SyncApplied.Load()
-	if _, err := y.srv.SyncApply(ctx, name, pos, epoch, root, sealed); err != nil {
-		round.Failed++
-		return true
-	}
-	if y.srv.met.SyncApplied.Load() > before {
-		round.Applied++
-	} else {
-		round.Skipped++
-	}
+	y.land(ctx, name, pos, epoch, root, sealed, false, fenced, round)
 	return true
 }
 
-// repairTenant restores a locally-quarantined tenant from a healthy peer:
-// recompute the local manifest from the rotted bytes, diff it against the
-// peer's, pull just the diverged banks, and install through RepairApply —
-// which re-verifies everything against the peer's root before lifting the
-// fence. Any delta failure retries with the full payload; byte-identity
-// with the peer is the postcondition either way.
-func (y *Syncer) repairTenant(ctx context.Context, peer *Client, name string, pi PositionInfo, round *SyncRound) bool {
-	var banks []int
-	useDelta := false
-	if !y.cfg.NoDelta && pi.HasManifest {
-		if localMan, _, merr := y.srv.ManifestNow(ctx, name, true); merr == nil &&
-			len(localMan.Banks) == len(pi.Manifest.Banks) {
-			banks = localMan.Diff(pi.Manifest)
-			useDelta = len(banks) < len(localMan.Banks)
-		}
-	}
-	if useDelta {
-		sealed, pos, epoch, root, err := peer.PayloadBanksAt(name, banks)
-		if err != nil {
-			round.Failed++
-			y.srv.met.SyncFailed.Add(1)
-			return false
-		}
-		round.Pulled++
-		round.Bytes += int64(len(sealed))
-		if _, aerr := y.srv.RepairApply(ctx, name, pos, epoch, root, sealed); aerr == nil {
-			round.Applied++
-			round.Repaired++
-			round.Deltas++
-			return true
-		}
-		// Delta could not prove byte-identity; fall through to the full pull.
-	}
-	sealed, pos, epoch, root, err := peer.PayloadBanksAt(name, nil)
-	if err != nil {
-		round.Failed++
-		y.srv.met.SyncFailed.Add(1)
-		return false
-	}
+// peerFailed counts a probe or pull the peer did not answer.
+func (y *Syncer) peerFailed(round *SyncRound) bool {
+	round.Failed++
+	y.srv.met.SyncFailed.Add(1)
+	return false
+}
+
+// land installs one pulled payload and moves the round's counters. It
+// reports whether this (peer, tenant) pair is done for the round; false means
+// a delta that was insufficient or contradicted, which the full pull decides.
+// Any other install error is a local problem, not the peer's: counted, done.
+func (y *Syncer) land(ctx context.Context, name string, pos int, epoch, root uint64, sealed []byte, delta, fenced bool, round *SyncRound) bool {
 	round.Pulled++
 	round.Bytes += int64(len(sealed))
-	if _, aerr := y.srv.RepairApply(ctx, name, pos, epoch, root, sealed); aerr != nil {
+	_, applied, err := y.srv.install(ctx, name, pos, epoch, root, sealed)
+	switch {
+	case err != nil:
+		if delta && (errors.Is(err, ErrDeltaInsufficient) || errors.Is(err, ErrDigestMismatch)) {
+			return false
+		}
 		round.Failed++
-		y.srv.met.SyncFailed.Add(1)
-		return true
+	case !applied:
+		round.Skipped++
+	default:
+		round.Applied++
+		if delta {
+			round.Deltas++
+		}
+		if fenced {
+			round.Repaired++
+		}
 	}
-	round.Applied++
-	round.Repaired++
 	return true
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"graphsketch/internal/wire"
 )
 
 // Text codec for dynamic graph streams, used by `gsketch run` so external
@@ -102,4 +104,45 @@ func Read(r io.Reader) (*Stream, error) {
 		return nil, fmt.Errorf("stream: missing 'n <vertices>' header")
 	}
 	return st, nil
+}
+
+// Binary codec for one update batch — the form batches take on the ingest
+// wire, in WAL records and in a bundle's spanner-log banks:
+//
+//	uvarint count, then count × (uvarint u, uvarint v, zigzag-uvarint delta)
+//
+// Callers frame it (envelope, record header, bank table) and own whatever
+// may follow it.
+
+// AppendBatch appends the binary encoding of ups to buf.
+func AppendBatch(buf []byte, ups []Update) []byte {
+	buf = wire.AppendUvarint(buf, uint64(len(ups)))
+	for _, u := range ups {
+		buf = wire.AppendUvarint(buf, uint64(u.U))
+		buf = wire.AppendUvarint(buf, uint64(u.V))
+		buf = wire.AppendUvarint(buf, wire.Zigzag(u.Delta))
+	}
+	return buf
+}
+
+// DecodeBatch reads one batch off the front of data and returns it with the
+// bytes that follow. A declared count larger than the remaining bytes (every
+// update takes at least three) is refused before anything is allocated; all
+// errors wrap wire.ErrBadEncoding. Vertex range is the caller's to check.
+func DecodeBatch(data []byte) ([]Update, []byte, error) {
+	count, data, err := wire.Uvarint(data)
+	if err != nil || count > uint64(len(data)) {
+		return nil, nil, fmt.Errorf("stream: batch count: %w", wire.ErrBadEncoding)
+	}
+	ups := make([]Update, 0, count)
+	for i := uint64(0); i < count; i++ {
+		var f [3]uint64
+		for j := range f {
+			if f[j], data, err = wire.Uvarint(data); err != nil {
+				return nil, nil, fmt.Errorf("stream: batch update %d: %w", i, err)
+			}
+		}
+		ups = append(ups, Update{U: int(f[0]), V: int(f[1]), Delta: wire.Unzigzag(f[2])})
+	}
+	return ups, data, nil
 }
