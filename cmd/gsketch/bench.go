@@ -126,17 +126,16 @@ type BenchReport struct {
 	// MergeBinary fold reproduced, byte for byte, the state of sequential
 	// pairwise Add calls and of a single-site ingest of the whole stream.
 	MergeBitIdentical bool `json:"merge_bit_identical"`
-	// CompactRoundTrip reports whether the compact (AGM3) and dense (AGM2)
-	// encodings both round-trip to bit-identical sketch state.
+	// CompactRoundTrip reports whether the AGM3 encoding round-trips to
+	// bit-identical sketch state.
 	CompactRoundTrip bool `json:"compact_roundtrip"`
 	// MergeSpeedup is merge-pairwise ns/op divided by merge-many ns/op on
 	// the sparse k-site aggregation workload.
 	MergeSpeedup float64 `json:"merge_speedup"`
-	// WireDenseBytes and WireCompactBytes are one sparse site sketch's
-	// serialized sizes; CompactWireRatio is their quotient.
-	WireDenseBytes   int     `json:"wire_dense_bytes"`
-	WireCompactBytes int     `json:"wire_compact_bytes"`
-	CompactWireRatio float64 `json:"compact_wire_ratio"`
+	// WireCompactBytes is one sparse site sketch's serialized size and
+	// TotalCells its cell count, occupied or not.
+	WireCompactBytes int   `json:"wire_compact_bytes"`
+	TotalCells       int64 `json:"total_cells"`
 	// SpannerBitIdentical reports whether the banked/planned spanner
 	// constructions (BASWANA-SEN and RECURSECONNECT) reproduced, edge for
 	// edge, the retained scalar map-based baseline path — the property
@@ -446,24 +445,16 @@ func benchCommand(args []string, out io.Writer) error {
 		report.MergeSpeedup = pairNs / manyNs
 	}
 
-	// Wire rows: serialize one sparse site sketch in both formats, then
-	// fold all sites' compact bytes into a coordinator sketch.
-	var denseBytes, compactBytes []byte
-	measure("wire-dense", 1, 1, func() int {
-		denseBytes, _ = sites[0].MarshalBinary()
-		return sites[0].Words()
-	})
-	report.Results[len(report.Results)-1].Bytes = len(denseBytes)
+	// Wire rows: serialize one sparse site sketch, then fold all sites'
+	// bytes into a coordinator sketch.
+	var compactBytes []byte
 	measure("wire-compact", 1, 1, func() int {
 		compactBytes, _ = sites[0].MarshalBinaryCompact()
 		return sites[0].Words()
 	})
 	report.Results[len(report.Results)-1].Bytes = len(compactBytes)
-	report.WireDenseBytes = len(denseBytes)
 	report.WireCompactBytes = len(compactBytes)
-	if len(denseBytes) > 0 {
-		report.CompactWireRatio = float64(len(compactBytes)) / float64(len(denseBytes))
-	}
+	report.TotalCells = sites[0].Footprint().TotalCells
 
 	siteWire := make([][]byte, len(sites))
 	for i, s := range sites {
@@ -484,16 +475,10 @@ func benchCommand(args []string, out io.Writer) error {
 
 	report.MergeBitIdentical = pair.Equal(whole) && many.Equal(whole) && coord.Equal(whole)
 
-	// Round-trip invariants: both formats must reproduce the site sketch
+	// Round-trip invariant: the wire bytes must reproduce the site sketch
 	// bit for bit.
-	report.CompactRoundTrip = true
-	var rtDense, rtCompact agm.ForestSketch
-	if err := rtDense.UnmarshalBinary(denseBytes); err != nil || !rtDense.Equal(sites[0]) {
-		report.CompactRoundTrip = false
-	}
-	if err := rtCompact.UnmarshalBinary(compactBytes); err != nil || !rtCompact.Equal(sites[0]) {
-		report.CompactRoundTrip = false
-	}
+	var rtCompact agm.ForestSketch
+	report.CompactRoundTrip = rtCompact.UnmarshalBinary(compactBytes) == nil && rtCompact.Equal(sites[0])
 
 	// Spanner construction rows: the Sec. 5 adaptive (multi-pass) pipeline.
 	// The baseline rows run the retained scalar path — k raw stream replays

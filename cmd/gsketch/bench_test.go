@@ -20,9 +20,9 @@ func TestBenchCommandEmitsValidJSON(t *testing.T) {
 		t.Fatalf("bench output is not valid JSON: %v\n%s", err, buf.String())
 	}
 	// baseline, arena-scalar, arena, parallel x2, 3 decode rows, 3 merge
-	// rows, 2 wire rows, 4 spanner rows.
-	if len(rep.Results) != 17 {
-		t.Fatalf("want 17 results, got %d", len(rep.Results))
+	// rows, 1 wire row, 4 spanner rows.
+	if len(rep.Results) != 16 {
+		t.Fatalf("want 16 results, got %d", len(rep.Results))
 	}
 	if !rep.ParallelBitIdentical {
 		t.Fatal("parallel ingest must be bit-identical to sequential")
@@ -39,8 +39,8 @@ func TestBenchCommandEmitsValidJSON(t *testing.T) {
 	if rep.ArenaSpeedup <= 1 {
 		t.Fatalf("arena should beat the pointer baseline, speedup = %.2f", rep.ArenaSpeedup)
 	}
-	if rep.WireCompactBytes <= 0 || rep.WireCompactBytes >= rep.WireDenseBytes {
-		t.Fatalf("compact wire bytes %d should undercut dense %d", rep.WireCompactBytes, rep.WireDenseBytes)
+	if rep.WireCompactBytes <= 0 || int64(rep.WireCompactBytes) > 6*rep.TotalCells {
+		t.Fatalf("compact wire bytes %d exceed 6 per cell (%d cells)", rep.WireCompactBytes, rep.TotalCells)
 	}
 	decodes := 0
 	for _, r := range rep.Results {
@@ -49,7 +49,7 @@ func TestBenchCommandEmitsValidJSON(t *testing.T) {
 		}
 		switch r.Name {
 		case "forest-extract", "mincut-decode", "sparsify-decode",
-			"merge-pairwise", "merge-many", "merge-bytes", "wire-dense", "wire-compact",
+			"merge-pairwise", "merge-many", "merge-bytes", "wire-compact",
 			"spanner-build-baseline", "spanner-build",
 			"recurse-connect-baseline", "recurse-connect":
 			decodes++
@@ -62,8 +62,8 @@ func TestBenchCommandEmitsValidJSON(t *testing.T) {
 			}
 		}
 	}
-	if decodes != 12 {
-		t.Fatalf("want 12 decode/merge/wire/spanner rows, got %d", decodes)
+	if decodes != 11 {
+		t.Fatalf("want 11 decode/merge/wire/spanner rows, got %d", decodes)
 	}
 	if !rep.SpannerBitIdentical {
 		t.Fatal("banked/planned spanner paths must match the retained baseline")

@@ -46,7 +46,7 @@ func main() {
 	// ---- Act 1: the clean protocol, by hand. Same seed at every site:
 	// that is the protocol contract making the sketches summable.
 	merged := graphsketch.NewConnectivitySketch(n, seed)
-	var wireCompact, wireDense int
+	var wireCompact, resident int
 	for i, p := range parts {
 		conn := graphsketch.NewConnectivitySketch(n, seed)
 		conn.Ingest(p)
@@ -58,12 +58,12 @@ func main() {
 			panic(err)
 		}
 		wireCompact += len(wb)
-		wireDense += int(conn.Footprint().WireDenseBytes)
+		resident += int(conn.Footprint().ResidentBytes)
 		fmt.Printf("site %d sketched and shipped %d compact bytes\n", i, len(wb))
 	}
-	fmt.Printf("\nwire traffic: %d compact bytes vs %d dense (%.1f%% — %.0fx smaller)\n",
-		wireCompact, wireDense, 100*float64(wireCompact)/float64(wireDense),
-		float64(wireDense)/float64(wireCompact))
+	fmt.Printf("\nwire traffic: %d compact bytes vs %d resident (%.1f%% — %.0fx smaller)\n",
+		wireCompact, resident, 100*float64(wireCompact)/float64(resident),
+		float64(resident)/float64(wireCompact))
 	fmt.Printf("merged sketch answers: connected = %v\n", merged.Connected())
 
 	// The linearity oracle: one uninterrupted site over the whole stream.

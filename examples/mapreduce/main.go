@@ -32,11 +32,12 @@ func main() {
 	// its shard and EMITS compact wire bytes, the reducer folds the
 	// payloads with MergeBytes (linearity!), then picks the next round's
 	// measurements. The shuffle below checks the mapper/reducer split
-	// changes nothing — and reports the shuffle traffic, since bytes
-	// crossing the shuffle are the resource the compact format exists for.
+	// changes nothing — and reports the shuffle traffic against the mappers'
+	// resident sketch bytes, since bytes crossing the shuffle are the
+	// resource the compact encoding exists for.
 	parts := st.Partition(mappers, seed)
 	merged := graphsketch.NewConnectivitySketch(n, seed)
-	var shuffleBytes, denseBytes int
+	var shuffleBytes, resident int
 	for _, p := range parts {
 		mapper := graphsketch.NewConnectivitySketch(n, seed)
 		mapper.Ingest(p)
@@ -48,11 +49,11 @@ func main() {
 			panic(err)
 		}
 		shuffleBytes += len(wb)
-		denseBytes += int(mapper.Footprint().WireDenseBytes)
+		resident += int(mapper.Footprint().ResidentBytes)
 	}
 	fmt.Printf("round 0 (mapper shuffle check): merged connectivity = %v\n", merged.Connected())
-	fmt.Printf("shuffle traffic: %d compact bytes vs %d dense (%.1f%%)\n\n",
-		shuffleBytes, denseBytes, 100*float64(shuffleBytes)/float64(denseBytes))
+	fmt.Printf("shuffle traffic: %d compact bytes vs %d resident (%.1f%%)\n\n",
+		shuffleBytes, resident, 100*float64(shuffleBytes)/float64(resident))
 
 	for _, k := range []int{4, 16} {
 		res := graphsketch.RecurseConnectSpanner(st, k, seed)

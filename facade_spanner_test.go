@@ -86,7 +86,7 @@ func TestSpannerSketchFootprint(t *testing.T) {
 	bs.Ingest(st)
 	bs.Build()
 	f := bs.Footprint()
-	if f.ResidentBytes <= 0 || f.TotalCells <= 0 || f.WireDenseBytes <= 0 {
+	if f.ResidentBytes <= 0 || f.TotalCells <= 0 || f.WireCompactBytes <= 0 {
 		t.Fatalf("implausible BS footprint %+v", f)
 	}
 	if f.NonzeroCells <= 0 || f.NonzeroCells > f.TotalCells {

@@ -4,8 +4,8 @@ import (
 	"testing"
 )
 
-// Facade-level coverage of the PR 4 surface: MergeMany, MergeBytes, both
-// marshal formats, and Footprint on every sketch type, checked through
+// Facade-level coverage of the merge and wire surface: MergeMany,
+// MergeBytes, MarshalBinaryCompact, and Footprint on every sketch type, checked through
 // query answers (internal bit-identity is pinned by the per-package
 // tests).
 
@@ -57,34 +57,22 @@ func TestConnectivityMergeManyAndBytes(t *testing.T) {
 		}
 	}
 
-	// Dense marshal stays the legacy byte-stable format; both round-trip.
-	for _, compact := range []bool{false, true} {
-		var enc []byte
-		var err error
-		if compact {
-			enc, err = whole.MarshalBinaryCompact()
-		} else {
-			enc, err = whole.MarshalBinary()
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back ConnectivitySketch
-		if err := back.UnmarshalBinary(enc); err != nil {
-			t.Fatalf("compact=%v: unmarshal: %v", compact, err)
-		}
-		if got := back.SpanningForest(); len(got) != len(wantForest) {
-			t.Fatalf("compact=%v: decoded forest differs", compact)
-		}
+	enc, err := whole.MarshalBinaryCompact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back ConnectivitySketch
+	if err := back.UnmarshalBinary(enc); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if got := back.SpanningForest(); len(got) != len(wantForest) {
+		t.Fatal("decoded forest differs")
 	}
 
 	fp := whole.Footprint()
 	if fp.NonzeroCells <= 0 || fp.NonzeroCells > fp.TotalCells ||
 		fp.WireCompactBytes <= 0 || fp.ResidentBytes < fp.TotalCells*24 {
 		t.Fatalf("implausible footprint %+v", fp)
-	}
-	if whole.Words() <= 0 {
-		t.Fatal("deprecated Words alias broke")
 	}
 }
 
@@ -122,7 +110,7 @@ func TestMinCutMergeBytesMatchesAdd(t *testing.T) {
 }
 
 func TestSparsifierWireAcrossTypes(t *testing.T) {
-	const n, seed = 24, 3
+	const n, seed, eps = 16, 3, 0.9
 	st := GNP(n, 0.45, seed)
 	parts := st.Partition(2, 8)
 
@@ -140,19 +128,19 @@ func TestSparsifierWireAcrossTypes(t *testing.T) {
 	}
 
 	t.Run("simple", func(t *testing.T) {
-		whole := NewSimpleSparsifier(n, 0.5, seed)
+		whole := NewSimpleSparsifier(n, eps, seed)
 		whole.Ingest(st)
-		coord := NewSimpleSparsifier(n, 0.5, seed)
+		coord := NewSimpleSparsifier(n, eps, seed)
 		sites := make([]*SimpleSparsifier, len(parts))
 		for i, p := range parts {
-			sites[i] = NewSimpleSparsifier(n, 0.5, seed)
+			sites[i] = NewSimpleSparsifier(n, eps, seed)
 			sites[i].Ingest(p)
 			wb, _ := sites[i].MarshalBinaryCompact()
 			if err := coord.MergeBytes(wb); err != nil {
 				t.Fatal(err)
 			}
 		}
-		many := NewSimpleSparsifier(n, 0.5, seed)
+		many := NewSimpleSparsifier(n, eps, seed)
 		many.MergeMany(sites)
 		wantG, err := whole.Sparsify()
 		if err != nil {
@@ -168,7 +156,7 @@ func TestSparsifierWireAcrossTypes(t *testing.T) {
 	})
 
 	t.Run("better", func(t *testing.T) {
-		whole := NewSparsifier(n, 0.5, seed)
+		whole := NewSparsifier(n, eps, seed)
 		whole.Ingest(st)
 		enc, err := whole.MarshalBinaryCompact()
 		if err != nil {
@@ -191,19 +179,19 @@ func TestSparsifierWireAcrossTypes(t *testing.T) {
 
 	t.Run("weighted", func(t *testing.T) {
 		wst := WeightedGNP(n, 0.5, 8, seed)
-		whole := NewWeightedSparsifier(n, 0.5, 8, seed)
+		whole := NewWeightedSparsifier(n, eps, 8, seed)
 		whole.Ingest(wst)
-		coord := NewWeightedSparsifier(n, 0.5, 8, seed)
+		coord := NewWeightedSparsifier(n, eps, 8, seed)
 		wsites := make([]*WeightedSparsifier, 2)
 		for i, p := range wst.Partition(2, 4) {
-			wsites[i] = NewWeightedSparsifier(n, 0.5, 8, seed)
+			wsites[i] = NewWeightedSparsifier(n, eps, 8, seed)
 			wsites[i].Ingest(p)
 			wb, _ := wsites[i].MarshalBinaryCompact()
 			if err := coord.MergeBytes(wb); err != nil {
 				t.Fatal(err)
 			}
 		}
-		many := NewWeightedSparsifier(n, 0.5, 8, seed)
+		many := NewWeightedSparsifier(n, eps, 8, seed)
 		many.MergeMany(wsites)
 		wantG, err := whole.Sparsify()
 		if err != nil {

@@ -42,20 +42,17 @@ import (
 	"graphsketch/internal/graph"
 	"graphsketch/internal/sketchcore"
 	"graphsketch/internal/stream"
-	"graphsketch/internal/wire"
 )
 
 // Footprint is the space report every sketch exposes: resident bytes, cell
-// occupancy (total vs non-zero), and serialized size in the dense and
-// compact wire formats. The compact format costs bytes proportional to the
-// non-zero state, which is what a distributed site actually ships
-// (Sec. 1.1); NonzeroCells/TotalCells tells you which format wins.
+// occupancy (total vs non-zero), and serialized size. The wire encoding
+// costs bytes proportional to the non-zero state, which is what a
+// distributed site actually ships (Sec. 1.1).
 type Footprint = sketchcore.Footprint
 
-// Each sketch serializes in two formats: MarshalBinary (dense, fixed-size,
-// byte-stable) and MarshalBinaryCompact (zero-run-length + varint, size
-// proportional to non-zero state). UnmarshalBinary and MergeBytes accept
-// both.
+// Each sketch serializes with MarshalBinaryCompact (zero-run-length +
+// varint cells, size proportional to non-zero state); UnmarshalBinary and
+// MergeBytes read that encoding.
 
 // Graph is a weighted undirected graph; the output type of sparsifiers,
 // spanners, and witnesses, with exact-algorithm methods (BFS, StoerWagner,
@@ -148,17 +145,13 @@ func (c *ConnectivitySketch) Clone() *ConnectivitySketch {
 	return &ConnectivitySketch{fs: c.fs.Clone()}
 }
 
-// MarshalBinary serializes the sketch in the dense AGM2 format
-// (byte-stable across releases).
-func (c *ConnectivitySketch) MarshalBinary() ([]byte, error) { return c.fs.MarshalBinary() }
-
 // MarshalBinaryCompact serializes in the compact AGM3 format: bytes
 // proportional to the sketch's non-zero state.
 func (c *ConnectivitySketch) MarshalBinaryCompact() ([]byte, error) {
 	return c.fs.MarshalBinaryCompact()
 }
 
-// UnmarshalBinary reconstructs the sketch from either wire format.
+// UnmarshalBinary reconstructs the sketch from its wire form.
 func (c *ConnectivitySketch) UnmarshalBinary(data []byte) error {
 	if c.fs == nil {
 		c.fs = &agm.ForestSketch{}
@@ -166,7 +159,7 @@ func (c *ConnectivitySketch) UnmarshalBinary(data []byte) error {
 	return wrapBadEncoding(c.fs.UnmarshalBinary(data))
 }
 
-// MergeBytes folds a serialized sketch (either format, same n and seed)
+// MergeBytes folds a serialized sketch (same n and seed)
 // directly into c without materializing a second sketch — the wire-level
 // coordinator merge.
 // On error the destination may already hold a partially folded
@@ -181,12 +174,6 @@ func (c *ConnectivitySketch) MergeBytes(data []byte) error {
 
 // Footprint reports resident bytes, cell occupancy, and wire bytes.
 func (c *ConnectivitySketch) Footprint() Footprint { return c.fs.Footprint() }
-
-// Words reports the sketch size in 64-bit words.
-//
-// Deprecated: use Footprint, which separates resident, occupied, and wire
-// sizes.
-func (c *ConnectivitySketch) Words() int { return c.fs.Words() }
 
 // Connected reports whether the sketched graph is connected.
 func (c *ConnectivitySketch) Connected() bool { return c.fs.IsConnected() }
@@ -224,11 +211,6 @@ func (b *BipartitenessSketch) Bipartite() bool { return b.bs.IsBipartite() }
 
 // Footprint reports resident bytes, cell occupancy, and wire bytes.
 func (b *BipartitenessSketch) Footprint() Footprint { return b.bs.Footprint() }
-
-// Words reports the sketch size in 64-bit words.
-//
-// Deprecated: use Footprint.
-func (b *BipartitenessSketch) Words() int { return b.bs.Words() }
 
 // MSTSketch approximates a minimum-weight spanning forest of a weighted
 // dynamic stream (|delta| carries the edge weight) — the remaining [4]
@@ -268,9 +250,6 @@ func (m *MSTSketch) MergeMany(others []*MSTSketch) {
 	m.sk.MergeMany(srcs)
 }
 
-// MarshalBinary serializes the sketch (dense-tagged banks).
-func (m *MSTSketch) MarshalBinary() ([]byte, error) { return m.sk.MarshalBinary() }
-
 // MarshalBinaryCompact serializes with bytes proportional to the non-zero
 // state.
 func (m *MSTSketch) MarshalBinaryCompact() ([]byte, error) { return m.sk.MarshalBinaryCompact() }
@@ -296,11 +275,6 @@ func (m *MSTSketch) MergeBytes(data []byte) error {
 
 // Footprint reports resident bytes, cell occupancy, and wire bytes.
 func (m *MSTSketch) Footprint() Footprint { return m.sk.Footprint() }
-
-// Words reports the sketch size in 64-bit words.
-//
-// Deprecated: use Footprint.
-func (m *MSTSketch) Words() int { return m.sk.Words() }
 
 // ApproxMSF extracts the approximate minimum spanning forest and its
 // total weight.
@@ -360,9 +334,6 @@ func (m *MinCutSketch) MergeMany(others []*MinCutSketch) {
 // queries run on the clone while the original keeps ingesting.
 func (m *MinCutSketch) Clone() *MinCutSketch { return &MinCutSketch{sk: m.sk.Clone()} }
 
-// MarshalBinary serializes the sketch (dense-tagged banks).
-func (m *MinCutSketch) MarshalBinary() ([]byte, error) { return m.sk.MarshalBinary() }
-
 // MarshalBinaryCompact serializes with bytes proportional to the non-zero
 // state — the per-site coordinator payload.
 func (m *MinCutSketch) MarshalBinaryCompact() ([]byte, error) { return m.sk.MarshalBinaryCompact() }
@@ -400,12 +371,6 @@ func (m *MinCutSketch) MinCut() (MinCutResult, error) { return m.sk.MinCut() }
 // every setting.
 func (m *MinCutSketch) SetDecodeWorkers(workers int) { m.sk.SetDecodeWorkers(workers) }
 
-// Words reports the sketch size in 64-bit words.
-//
-// Deprecated: use Footprint, which separates resident, occupied, and wire
-// sizes.
-func (m *MinCutSketch) Words() int { return m.sk.Words() }
-
 // NumBanks reports the sketch's digestable bank count (one per subsampling
 // level) — the granularity the service's digest tree and delta sync
 // address.
@@ -415,7 +380,7 @@ func (m *MinCutSketch) NumBanks() int { return m.sk.NumBanks() }
 // bytes MarshalBinaryCompact writes for that level, so per-bank digests
 // cover the full compact payload body.
 func (m *MinCutSketch) AppendBank(buf []byte, bank int) ([]byte, error) {
-	out, err := m.sk.AppendBankState(buf, bank, wire.FormatCompact)
+	out, err := m.sk.AppendBankState(buf, bank)
 	return out, wrapBadEncoding(err)
 }
 
@@ -483,9 +448,6 @@ func (s *SimpleSparsifier) Clone() *SimpleSparsifier {
 	return &SimpleSparsifier{sk: s.sk.Clone()}
 }
 
-// MarshalBinary serializes the sketch (dense-tagged banks).
-func (s *SimpleSparsifier) MarshalBinary() ([]byte, error) { return s.sk.MarshalBinary() }
-
 // MarshalBinaryCompact serializes with bytes proportional to the non-zero
 // state.
 func (s *SimpleSparsifier) MarshalBinaryCompact() ([]byte, error) {
@@ -518,7 +480,7 @@ func (s *SimpleSparsifier) NumBanks() int { return s.sk.NumBanks() }
 // AppendBank appends one level bank's compact tagged state; see
 // MinCutSketch.AppendBank.
 func (s *SimpleSparsifier) AppendBank(buf []byte, bank int) ([]byte, error) {
-	out, err := s.sk.AppendBankState(buf, bank, wire.FormatCompact)
+	out, err := s.sk.AppendBankState(buf, bank)
 	return out, wrapBadEncoding(err)
 }
 
@@ -550,11 +512,6 @@ func (s *SimpleSparsifier) Sparsify() (*Graph, error) { return s.sk.Sparsify() }
 // count (0 restores the GOMAXPROCS default); the graph is bit-identical
 // for every setting.
 func (s *SimpleSparsifier) SetDecodeWorkers(workers int) { s.sk.SetDecodeWorkers(workers) }
-
-// Words reports the sketch size in 64-bit words.
-//
-// Deprecated: use Footprint.
-func (s *SimpleSparsifier) Words() int { return s.sk.Words() }
 
 // Sparsifier is SPARSIFICATION (Fig 3, Theorem 3.4): rough sparsifier +
 // Gomory-Hu guided sparse recovery. The paper's headline construction.
@@ -592,9 +549,6 @@ func (s *Sparsifier) MergeMany(others []*Sparsifier) {
 	s.sk.MergeMany(srcs)
 }
 
-// MarshalBinary serializes the sketch (dense-tagged banks).
-func (s *Sparsifier) MarshalBinary() ([]byte, error) { return s.sk.MarshalBinary() }
-
 // MarshalBinaryCompact serializes with bytes proportional to the non-zero
 // state — the per-site coordinator payload of the paper's headline
 // construction.
@@ -631,11 +585,6 @@ func (s *Sparsifier) Sparsify() (*Graph, error) { return s.sk.Sparsify() }
 // extraction worker count (0 restores the GOMAXPROCS default); the graph
 // is bit-identical for every setting.
 func (s *Sparsifier) SetDecodeWorkers(workers int) { s.sk.SetDecodeWorkers(workers) }
-
-// Words reports the sketch size in 64-bit words.
-//
-// Deprecated: use Footprint.
-func (s *Sparsifier) Words() int { return s.sk.Words() }
 
 // WeightedSparsifier sparsifies weighted graphs by powers-of-two weight
 // classes (Sec. 3.5, Theorem 3.8). |delta| of each update is the edge's
@@ -680,9 +629,6 @@ func (w *WeightedSparsifier) MergeMany(others []*WeightedSparsifier) {
 	w.sk.MergeMany(srcs)
 }
 
-// MarshalBinary serializes the sketch (dense-tagged banks).
-func (w *WeightedSparsifier) MarshalBinary() ([]byte, error) { return w.sk.MarshalBinary() }
-
 // MarshalBinaryCompact serializes with bytes proportional to the non-zero
 // state.
 func (w *WeightedSparsifier) MarshalBinaryCompact() ([]byte, error) {
@@ -720,11 +666,6 @@ func (w *WeightedSparsifier) Sparsify() (*Graph, error) { return w.sk.Sparsify()
 // worker count (0 restores the GOMAXPROCS default); the graph is
 // bit-identical for every setting.
 func (w *WeightedSparsifier) SetDecodeWorkers(workers int) { w.sk.SetDecodeWorkers(workers) }
-
-// Words reports the sketch size in 64-bit words.
-//
-// Deprecated: use Footprint.
-func (w *WeightedSparsifier) Words() int { return w.sk.Words() }
 
 // MaxCutError measures the worst relative cut error of h against g over
 // singleton cuts and `random` pseudorandom bisections — the sparsifier
@@ -791,9 +732,6 @@ func (s *SubgraphSketch) MergeMany(others []*SubgraphSketch) {
 	s.sk.MergeMany(srcs)
 }
 
-// MarshalBinary serializes the sketch (dense-tagged cells).
-func (s *SubgraphSketch) MarshalBinary() ([]byte, error) { return s.sk.MarshalBinary() }
-
 // MarshalBinaryCompact serializes with bytes proportional to the non-zero
 // state.
 func (s *SubgraphSketch) MarshalBinaryCompact() ([]byte, error) {
@@ -834,11 +772,6 @@ func (s *SubgraphSketch) Count(pattern uint64) float64 { return s.sk.CountEstima
 
 // NonEmpty estimates the number of non-empty order-k induced subgraphs.
 func (s *SubgraphSketch) NonEmpty() float64 { return s.sk.NonEmptyEstimate() }
-
-// Words reports the sketch size in 64-bit words.
-//
-// Deprecated: use Footprint.
-func (s *SubgraphSketch) Words() int { return s.sk.Words() }
 
 // ExactTriangles counts triangles exactly (ground-truth baseline).
 func ExactTriangles(g *Graph) int64 { return subgraph.CountTriangles(g) }

@@ -59,8 +59,8 @@ func TestMinCutFacade(t *testing.T) {
 	if err != nil || res.Value != 2 {
 		t.Fatalf("min cut: got (%d, %v), want 2", res.Value, err)
 	}
-	if m.Words() <= 0 {
-		t.Fatal("Words must be positive")
+	if m.Footprint().ResidentBytes <= 0 {
+		t.Fatal("resident bytes must be positive")
 	}
 }
 

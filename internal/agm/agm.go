@@ -192,11 +192,11 @@ func (fs *ForestSketch) Reset() {
 }
 
 // AppendState appends the tagged cell state of every round bank —
-// headerless; the envelope (MarshalBinary or an owning sketch) carries
-// (n, seed, rounds).
-func (fs *ForestSketch) AppendState(buf []byte, format byte) []byte {
+// headerless; the envelope (MarshalBinaryCompact or an owning sketch)
+// carries (n, seed, rounds).
+func (fs *ForestSketch) AppendState(buf []byte) []byte {
 	for _, b := range fs.banks {
-		buf = b.AppendStateTagged(buf, format)
+		buf = b.AppendStateTagged(buf)
 	}
 	return buf
 }
@@ -214,8 +214,8 @@ func (fs *ForestSketch) DecodeState(data []byte) ([]byte, error) {
 }
 
 // MergeState folds tagged per-bank state directly into the sketch — the
-// wire-level merge: no second sketch is materialized, and compact payloads
-// cost work proportional to their bytes.
+// wire-level merge: no second sketch is materialized, and the work is
+// proportional to the payload's bytes.
 func (fs *ForestSketch) MergeState(data []byte) ([]byte, error) {
 	var err error
 	for _, b := range fs.banks {
@@ -226,8 +226,8 @@ func (fs *ForestSketch) MergeState(data []byte) ([]byte, error) {
 	return data, nil
 }
 
-// Footprint reports resident size, cell occupancy, and wire bytes in both
-// formats, summed over the round banks.
+// Footprint reports resident size, cell occupancy, and wire bytes, summed
+// over the round banks.
 func (fs *ForestSketch) Footprint() sketchcore.Footprint {
 	var f sketchcore.Footprint
 	for _, b := range fs.banks {

@@ -125,9 +125,9 @@ func (ec *EdgeConnectSketch) MergeMany(others []*EdgeConnectSketch) {
 }
 
 // AppendState appends the tagged state of all k forest banks (headerless).
-func (ec *EdgeConnectSketch) AppendState(buf []byte, format byte) []byte {
+func (ec *EdgeConnectSketch) AppendState(buf []byte) []byte {
 	for _, b := range ec.banks {
-		buf = b.AppendState(buf, format)
+		buf = b.AppendState(buf)
 	}
 	return buf
 }

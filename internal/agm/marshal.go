@@ -9,21 +9,14 @@ import (
 	"graphsketch/internal/wire"
 )
 
-// Wire formats.
-//
-// v2 (magic "AGM2", arena-backed): (n, seed, rounds) u64 LE, then per round
-// the raw dense arena cell state (fixed size — the shape is fully
-// determined by n, so no per-sampler headers are needed). Byte-stable
-// since PR 1; pinned by the golden-fixture test.
-//
-// v3 (magic "AGM3"): same header, then per round a format-TAGGED cell
-// state (sketchcore.FormatDense or FormatCompact). The compact form costs
-// bytes proportional to the non-zero state — the payload a distributed
-// site actually ships to the coordinator (Sec. 1.1), where per-site
-// sketches are sparse.
+// Wire envelopes: magic, three u64 LE header fields, then the tagged
+// run-length cell state of every bank, costing bytes proportional to the
+// non-zero state — the payload a distributed site ships to the coordinator
+// (Sec. 1.1), where per-site sketches are sparse. "AGM3" is a ForestSketch
+// (n, seed, rounds), "AGE1" an EdgeConnectSketch (n, k, seed), "AGT1" an
+// MSTSketch (n, classes, seed).
 var (
-	fsMagic  = [4]byte{'A', 'G', 'M', '2'}
-	fsMagic3 = [4]byte{'A', 'G', 'M', '3'}
+	fsMagic  = [4]byte{'A', 'G', 'M', '3'}
 	ecMagic  = [4]byte{'A', 'G', 'E', '1'}
 	mstMagic = [4]byte{'A', 'G', 'T', '1'}
 )
@@ -50,95 +43,57 @@ func appendHeader(buf []byte, magic [4]byte, a, b, c uint64) []byte {
 	return append(buf, hdr[:]...)
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler for ForestSketch in
-// the legacy dense AGM2 format (byte-stable across releases).
-func (fs *ForestSketch) MarshalBinary() ([]byte, error) {
-	size := 4 + 24
-	for _, b := range fs.banks {
-		size += b.StateSize()
-	}
-	buf := make([]byte, 0, size)
-	buf = appendHeader(buf, fsMagic, uint64(fs.n), fs.seed, uint64(fs.rounds))
-	for _, b := range fs.banks {
-		buf = b.AppendState(buf)
-	}
-	return buf, nil
-}
-
-// MarshalBinaryFormat emits the AGM3 envelope with the chosen per-bank
-// format tag.
-func (fs *ForestSketch) MarshalBinaryFormat(format byte) ([]byte, error) {
-	if !wire.ValidFormat(format) {
-		return nil, fmt.Errorf("%w: unknown wire format %d", ErrBadEncoding, format)
-	}
-	buf := appendHeader(nil, fsMagic3, uint64(fs.n), fs.seed, uint64(fs.rounds))
-	return fs.AppendState(buf, format), nil
-}
-
-// MarshalBinaryCompact emits the AGM3 envelope with compact bank payloads:
-// wire bytes proportional to the sketch's non-zero state.
+// MarshalBinaryCompact emits the AGM3 envelope.
 func (fs *ForestSketch) MarshalBinaryCompact() ([]byte, error) {
-	return fs.MarshalBinaryFormat(wire.FormatCompact)
+	buf := appendHeader(nil, fsMagic, uint64(fs.n), fs.seed, uint64(fs.rounds))
+	return fs.AppendState(buf), nil
 }
 
 // decodeFSHeader validates a ForestSketch envelope and returns its fields
-// plus the payload (v3 reports tagged=true).
-func decodeFSHeader(data []byte) (n int, seed uint64, rounds int, tagged bool, rest []byte, err error) {
-	if len(data) < 28 {
-		return 0, 0, 0, false, nil, ErrBadEncoding
-	}
-	switch [4]byte(data[0:4]) {
-	case fsMagic:
-	case fsMagic3:
-		tagged = true
-	default:
-		return 0, 0, 0, false, nil, ErrBadEncoding
+// plus the payload.
+func decodeFSHeader(data []byte) (n int, seed uint64, rounds int, rest []byte, err error) {
+	if len(data) < 28 || [4]byte(data[0:4]) != fsMagic {
+		return 0, 0, 0, nil, ErrBadEncoding
 	}
 	n = int(binary.LittleEndian.Uint64(data[4:]))
 	seed = binary.LittleEndian.Uint64(data[12:])
 	rounds = int(binary.LittleEndian.Uint64(data[20:]))
-	if n < 1 || n > 1<<24 || rounds < 1 || rounds > 128 {
-		return 0, 0, 0, false, nil, fmt.Errorf("%w: implausible shape n=%d rounds=%d", ErrBadEncoding, n, rounds)
+	if n < 1 || n > 1<<24 || rounds != boruvkaRounds(n) {
+		return 0, 0, 0, nil, fmt.Errorf("%w: implausible shape n=%d rounds=%d", ErrBadEncoding, n, rounds)
 	}
-	if err := forestCellBudget(n, rounds, 1); err != nil {
-		return 0, 0, 0, false, nil, err
+	if err := CheckForestBudget(n); err != nil {
+		return 0, 0, 0, nil, err
 	}
-	return n, seed, rounds, tagged, data[28:], nil
+	return n, seed, rounds, data[28:], nil
 }
 
-// forestCellBudget bounds the total cell count copies of a ForestSketch
-// shape would materialize against the wire decode budget, BEFORE any arena
-// is allocated — individually plausible header fields can still multiply
-// into an allocation no real deployment would construct.
-func forestCellBudget(n, rounds, copies int) error {
+// CheckForestBudget reports ErrBadEncoding when ForestSketches on n
+// vertices, times the copies factors, would hold more cells than the wire
+// decode budget. Envelope decoders call it on their header-declared shape
+// BEFORE constructing anything — individually plausible header fields can
+// still multiply into an allocation no real deployment would construct.
+func CheckForestBudget(n int, copies ...int) error {
 	levels := hashing.SamplerLevels(uint64(n) * uint64(n))
-	if err := wire.CheckCellBudget(int64(copies), int64(rounds), int64(n), samplerReps, int64(levels)); err != nil {
+	dims := []int64{int64(boruvkaRounds(n)), int64(n), samplerReps, int64(levels)}
+	for _, c := range copies {
+		dims = append(dims, int64(c))
+	}
+	if err := wire.CheckCellBudget(dims...); err != nil {
 		return fmt.Errorf("%w: declared shape exceeds decode budget", ErrBadEncoding)
 	}
 	return nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler, accepting both
-// the legacy AGM2 and the tagged AGM3 envelopes.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler for the AGM3
+// envelope.
 func (fs *ForestSketch) UnmarshalBinary(data []byte) error {
-	n, seed, rounds, tagged, rest, err := decodeFSHeader(data)
+	n, seed, _, rest, err := decodeFSHeader(data)
 	if err != nil {
 		return err
 	}
 	fresh := NewForestSketch(n, seed)
-	if fresh.rounds != rounds {
-		return fmt.Errorf("%w: round count mismatch for n=%d", ErrBadEncoding, n)
-	}
-	if tagged {
-		if rest, err = fresh.DecodeState(rest); err != nil {
-			return fmt.Errorf("%w: bad arena state", ErrBadEncoding)
-		}
-	} else {
-		for _, b := range fresh.banks {
-			if rest, err = b.DecodeState(rest); err != nil {
-				return fmt.Errorf("%w: truncated arena state", ErrBadEncoding)
-			}
-		}
+	if rest, err = fresh.DecodeState(rest); err != nil {
+		return fmt.Errorf("%w: bad arena state", ErrBadEncoding)
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
@@ -147,13 +102,13 @@ func (fs *ForestSketch) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MergeBinary folds a serialized ForestSketch (either envelope) directly
+// MergeBinary folds a serialized ForestSketch directly
 // into fs without materializing a second sketch — the coordinator's
 // aggregation primitive. The encoded sketch must have been built with the
 // same (n, seed); an error leaves fs unspecified only if the payload was
 // truncated mid-bank (callers treat errors as fatal to the merge).
 func (fs *ForestSketch) MergeBinary(data []byte) error {
-	n, seed, rounds, tagged, rest, err := decodeFSHeader(data)
+	n, seed, rounds, rest, err := decodeFSHeader(data)
 	if err != nil {
 		return err
 	}
@@ -161,16 +116,8 @@ func (fs *ForestSketch) MergeBinary(data []byte) error {
 		return fmt.Errorf("%w: merge parameter mismatch (n=%d seed=%d rounds=%d vs n=%d seed=%d rounds=%d)",
 			ErrBadEncoding, n, seed, rounds, fs.n, fs.seed, fs.rounds)
 	}
-	if tagged {
-		if rest, err = fs.MergeState(rest); err != nil {
-			return wrapBad(err)
-		}
-	} else {
-		for _, b := range fs.banks {
-			if rest, err = b.MergeStateDense(rest); err != nil {
-				return wrapBad(err)
-			}
-		}
+	if rest, err = fs.MergeState(rest); err != nil {
+		return wrapBad(err)
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
@@ -178,24 +125,11 @@ func (fs *ForestSketch) MergeBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinaryFormat emits the EdgeConnectSketch envelope: magic "AGE1",
-// (n, k, seed) header, then the tagged state of all k forest banks.
-func (ec *EdgeConnectSketch) MarshalBinaryFormat(format byte) ([]byte, error) {
-	if !wire.ValidFormat(format) {
-		return nil, fmt.Errorf("%w: unknown wire format %d", ErrBadEncoding, format)
-	}
-	buf := appendHeader(nil, ecMagic, uint64(ec.n), uint64(ec.k), ec.seed)
-	return ec.AppendState(buf, format), nil
-}
-
-// MarshalBinary emits the dense-tagged envelope.
-func (ec *EdgeConnectSketch) MarshalBinary() ([]byte, error) {
-	return ec.MarshalBinaryFormat(wire.FormatDense)
-}
-
-// MarshalBinaryCompact emits the compact envelope.
+// MarshalBinaryCompact emits the AGE1 envelope: (n, k, seed) header, then
+// the tagged state of all k forest banks.
 func (ec *EdgeConnectSketch) MarshalBinaryCompact() ([]byte, error) {
-	return ec.MarshalBinaryFormat(wire.FormatCompact)
+	buf := appendHeader(nil, ecMagic, uint64(ec.n), uint64(ec.k), ec.seed)
+	return ec.AppendState(buf), nil
 }
 
 func decodeECHeader(data []byte) (n, k int, seed uint64, rest []byte, err error) {
@@ -208,7 +142,7 @@ func decodeECHeader(data []byte) (n, k int, seed uint64, rest []byte, err error)
 	if n < 1 || n > 1<<24 || k < 1 || k > 1<<16 {
 		return 0, 0, 0, nil, fmt.Errorf("%w: implausible shape n=%d k=%d", ErrBadEncoding, n, k)
 	}
-	if err := forestCellBudget(n, boruvkaRounds(n), k); err != nil {
+	if err := CheckForestBudget(n, k); err != nil {
 		return 0, 0, 0, nil, err
 	}
 	return n, k, seed, data[28:], nil
@@ -250,24 +184,11 @@ func (ec *EdgeConnectSketch) MergeBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinaryFormat emits the MSTSketch envelope: magic "AGT1",
-// (n, classes, seed) header, then the tagged state of every prefix class.
-func (m *MSTSketch) MarshalBinaryFormat(format byte) ([]byte, error) {
-	if !wire.ValidFormat(format) {
-		return nil, fmt.Errorf("%w: unknown wire format %d", ErrBadEncoding, format)
-	}
-	buf := appendHeader(nil, mstMagic, uint64(m.n), uint64(m.classes), m.seed)
-	return m.AppendState(buf, format), nil
-}
-
-// MarshalBinary emits the dense-tagged envelope.
-func (m *MSTSketch) MarshalBinary() ([]byte, error) {
-	return m.MarshalBinaryFormat(wire.FormatDense)
-}
-
-// MarshalBinaryCompact emits the compact envelope.
+// MarshalBinaryCompact emits the AGT1 envelope: (n, classes, seed) header,
+// then the tagged state of every prefix class.
 func (m *MSTSketch) MarshalBinaryCompact() ([]byte, error) {
-	return m.MarshalBinaryFormat(wire.FormatCompact)
+	buf := appendHeader(nil, mstMagic, uint64(m.n), uint64(m.classes), m.seed)
+	return m.AppendState(buf), nil
 }
 
 func decodeMSTHeader(data []byte) (n, classes int, seed uint64, rest []byte, err error) {
@@ -280,7 +201,7 @@ func decodeMSTHeader(data []byte) (n, classes int, seed uint64, rest []byte, err
 	if n < 1 || n > 1<<24 || classes < 1 || classes > 64 {
 		return 0, 0, 0, nil, fmt.Errorf("%w: implausible shape n=%d classes=%d", ErrBadEncoding, n, classes)
 	}
-	if err := forestCellBudget(n, boruvkaRounds(n), classes); err != nil {
+	if err := CheckForestBudget(n, classes); err != nil {
 		return 0, 0, 0, nil, err
 	}
 	return n, classes, seed, data[28:], nil

@@ -10,7 +10,7 @@ func TestForestSketchRoundTrip(t *testing.T) {
 	s := stream.GNP(20, 0.25, 3)
 	fs := NewForestSketch(20, 7)
 	fs.Ingest(s)
-	enc, err := fs.MarshalBinary()
+	enc, err := fs.MarshalBinaryCompact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestShippedSketchesMerge(t *testing.T) {
 	for _, p := range parts {
 		site := NewForestSketch(16, 11)
 		site.Ingest(p)
-		wire, err := site.MarshalBinary()
+		wire, err := site.MarshalBinaryCompact()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestForestSketchUnmarshalRejectsGarbage(t *testing.T) {
 	}
 	// Truncation.
 	good := NewForestSketch(8, 1)
-	enc, _ := good.MarshalBinary()
+	enc, _ := good.MarshalBinaryCompact()
 	if err := fs.UnmarshalBinary(enc[:len(enc)/2]); err == nil {
 		t.Fatal("truncated encoding must be rejected")
 	}
@@ -66,10 +66,9 @@ func TestForestSketchUnmarshalRejectsGarbage(t *testing.T) {
 
 func TestWireSizeReasonable(t *testing.T) {
 	fs := NewForestSketch(32, 1)
-	enc, _ := fs.MarshalBinary()
+	enc, _ := fs.MarshalBinaryCompact()
 	words := fs.Words()
-	// Wire size should be close to the in-memory word count (x8 bytes),
-	// plus per-sampler headers.
+	// Wire size should stay below the in-memory word count (x8 bytes).
 	if len(enc) > words*8*2 {
 		t.Fatalf("wire %dB vs %d words: encoding too fat", len(enc), words)
 	}

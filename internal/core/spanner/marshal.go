@@ -11,12 +11,11 @@ import (
 )
 
 // Wire format: magic "SPG1" — universe, seed, reps, buckets (u64 LE each),
-// then one format-tagged cell payload of the rep x bucket sampler grid (the
-// shared internal/wire codec: dense 24-byte cells or the compact
-// run-length form). Hashes and per-bucket l0 seeds are reconstructed from
-// the seed, so the encoding carries only state — the distributed form of a
-// spanner pass ships per-site sampler state to a coordinator that merges
-// and then decodes one construction step.
+// then the tagged run-length cell payload of the rep x bucket sampler grid
+// (the shared internal/wire codec). Hashes and per-bucket l0 seeds are
+// reconstructed from the seed, so the encoding carries only state — the
+// distributed form of a spanner pass ships per-site sampler state to a
+// coordinator that merges and then decodes one construction step.
 
 var spgMagic = [4]byte{'S', 'P', 'G', '1'}
 
@@ -61,21 +60,13 @@ func (gs *GroupSampler) appendHeader(buf []byte) []byte {
 	return append(buf, hdr[:]...)
 }
 
-// MarshalBinary serializes the sampler with the dense (fixed-size,
-// byte-stable) cell payload.
-func (gs *GroupSampler) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 4+32+1+gs.cells.StateSize())
-	buf = gs.appendHeader(buf)
-	return gs.cells.AppendStateTagged(buf, sketchcore.FormatDense), nil
-}
-
-// MarshalBinaryCompact serializes with the compact run-length payload:
-// bytes proportional to the sampler's non-zero state — the format a site
-// ships when its share of the pass left the grid sparse.
+// MarshalBinaryCompact serializes the sampler: bytes proportional to its
+// non-zero state — what a site ships when its share of the pass left the
+// grid sparse.
 func (gs *GroupSampler) MarshalBinaryCompact() ([]byte, error) {
 	buf := make([]byte, 0, 4+32+1+gs.cells.CompactStateSize())
 	buf = gs.appendHeader(buf)
-	return gs.cells.AppendStateTagged(buf, sketchcore.FormatCompact), nil
+	return gs.cells.AppendStateTagged(buf), nil
 }
 
 // decodeHeader validates an SPG1 header and returns its parameters and the
@@ -105,7 +96,7 @@ func decodeHeader(data []byte) (universe, seed uint64, buckets int, rest []byte,
 }
 
 // UnmarshalBinary reconstructs the sampler (including mergeability) from
-// either payload format.
+// its envelope.
 func (gs *GroupSampler) UnmarshalBinary(data []byte) error {
 	universe, seed, buckets, rest, err := decodeHeader(data)
 	if err != nil {
@@ -123,7 +114,7 @@ func (gs *GroupSampler) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MergeBinary folds a serialized sampler (either format, same parameters)
+// MergeBinary folds a serialized sampler (same parameters)
 // directly into gs without materializing a second sampler — bit-identical
 // to UnmarshalBinary + Add. On error the receiver may hold a partially
 // folded prefix; discard it rather than retrying the same bytes.

@@ -44,6 +44,18 @@ func (c *Config) fill() {
 	}
 }
 
+// roughConfig is the configuration of the rough (1 +/- 1/2) Simple
+// sparsifier inside a Fig 3 sketch.
+func (c Config) roughConfig() SimpleConfig {
+	return SimpleConfig{
+		N:       c.N,
+		Epsilon: 0.5,
+		K:       c.RoughK, // 0 => derived for eps=1/2
+		Levels:  c.Levels,
+		Seed:    hashing.DeriveSeed(c.Seed, 0xf0),
+	}
+}
+
 // Sketch is the Fig 3 sketch: a rough sparsifier plus per-(node, level)
 // sparse-recovery sketches of the incidence vectors x^{u,i} of Eq. 1,
 // stored as one flat sparserec.Bank per level.
@@ -65,13 +77,7 @@ type Sketch struct {
 func New(cfg Config) *Sketch {
 	cfg.fill()
 	s := &Sketch{cfg: cfg, levelMix: hashing.NewMixer(hashing.DeriveSeed(cfg.Seed, 0xbe7))}
-	s.rough = NewSimple(SimpleConfig{
-		N:       cfg.N,
-		Epsilon: 0.5,
-		K:       cfg.RoughK, // 0 => derived for eps=1/2
-		Levels:  cfg.Levels,
-		Seed:    hashing.DeriveSeed(cfg.Seed, 0xf0),
-	})
+	s.rough = NewSimple(cfg.roughConfig())
 	s.nodeRec = make([]*sparserec.Bank, cfg.Levels)
 	for i := range s.nodeRec {
 		// All node sketches at one level share a seed: summing them over a

@@ -10,7 +10,6 @@ import (
 	"graphsketch/internal/sketchcore"
 	"graphsketch/internal/sparserec"
 	"graphsketch/internal/stream"
-	"graphsketch/internal/wire"
 )
 
 // Wire envelopes: magic + the full filled config (floats as IEEE bits) +
@@ -42,9 +41,9 @@ func wrapBad(err error) error {
 // AppendState appends the tagged state of every level's k-EDGECONNECT
 // sketch (headerless; used by the envelope and by the composite sketches
 // that embed a Simple).
-func (s *Simple) AppendState(buf []byte, format byte) []byte {
+func (s *Simple) AppendState(buf []byte) []byte {
 	for _, ec := range s.ecs {
-		buf = ec.AppendState(buf, format)
+		buf = ec.AppendState(buf)
 	}
 	return buf
 }
@@ -79,14 +78,11 @@ func (s *Simple) NumBanks() int { return len(s.ecs) }
 
 // AppendBankState appends one level bank's headerless tagged state —
 // exactly the bytes AppendState writes for that level.
-func (s *Simple) AppendBankState(buf []byte, bank int, format byte) ([]byte, error) {
-	if !wire.ValidFormat(format) {
-		return nil, fmt.Errorf("%w: unknown wire format %d", ErrBadEncoding, format)
-	}
+func (s *Simple) AppendBankState(buf []byte, bank int) ([]byte, error) {
 	if bank < 0 || bank >= len(s.ecs) {
 		return nil, fmt.Errorf("%w: bank %d out of [0,%d)", ErrBadEncoding, bank, len(s.ecs))
 	}
-	return s.ecs[bank].AppendState(buf, format), nil
+	return s.ecs[bank].AppendState(buf), nil
 }
 
 // ReplaceBankState replaces one level bank's contents with tagged state
@@ -192,27 +188,25 @@ func decodeSimpleHeader(data []byte) (SimpleConfig, []byte, error) {
 		!(cfg.Epsilon > 0) {
 		return SimpleConfig{}, nil, fmt.Errorf("%w: implausible Simple config", ErrBadEncoding)
 	}
+	if err := cfg.checkBudget(); err != nil {
+		return SimpleConfig{}, nil, err
+	}
 	return cfg, data[48:], nil
 }
 
-// MarshalBinaryFormat serializes the sketch with the chosen bank format.
-func (s *Simple) MarshalBinaryFormat(format byte) ([]byte, error) {
-	if !wire.ValidFormat(format) {
-		return nil, fmt.Errorf("%w: unknown wire format %d", ErrBadEncoding, format)
-	}
+// checkBudget rejects a header-declared Simple shape, times copies, whose
+// cells would exceed the wire decode budget, before NewSimple allocates it.
+func (c SimpleConfig) checkBudget(copies ...int) error {
+	c.fill()
+	return wrapBad(agm.CheckForestBudget(c.N, append(copies, c.Levels, c.KForests)...))
+}
+
+// MarshalBinaryCompact serializes the sketch: magic, config, then every
+// level's bank state.
+func (s *Simple) MarshalBinaryCompact() ([]byte, error) {
 	buf := append([]byte(nil), simpleMagic[:]...)
 	buf = appendSimpleHeader(buf, s.cfg)
-	return s.AppendState(buf, format), nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler (dense-tagged banks).
-func (s *Simple) MarshalBinary() ([]byte, error) {
-	return s.MarshalBinaryFormat(wire.FormatDense)
-}
-
-// MarshalBinaryCompact serializes with compact bank payloads.
-func (s *Simple) MarshalBinaryCompact() ([]byte, error) {
-	return s.MarshalBinaryFormat(wire.FormatCompact)
+	return s.AppendState(buf), nil
 }
 
 // UnmarshalBinary reconstructs the sketch from its envelope.
@@ -263,12 +257,9 @@ func (s *Simple) MergeBinary(data []byte) error {
 // Sketch (Fig 3, "Better")
 // ---------------------------------------------------------------------------
 
-// MarshalBinaryFormat serializes the Fig 3 sketch: magic, config, the
+// MarshalBinaryCompact serializes the Fig 3 sketch: magic, config, the
 // rough Simple's state, then every level's recovery-bank state.
-func (s *Sketch) MarshalBinaryFormat(format byte) ([]byte, error) {
-	if !wire.ValidFormat(format) {
-		return nil, fmt.Errorf("%w: unknown wire format %d", ErrBadEncoding, format)
-	}
+func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
 	buf := append([]byte(nil), betterMagic[:]...)
 	var hdr [48]byte
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(s.cfg.N))
@@ -278,21 +269,11 @@ func (s *Sketch) MarshalBinaryFormat(format byte) ([]byte, error) {
 	binary.LittleEndian.PutUint64(hdr[32:], uint64(s.cfg.Levels))
 	binary.LittleEndian.PutUint64(hdr[40:], s.cfg.Seed)
 	buf = append(buf, hdr[:]...)
-	buf = s.rough.AppendState(buf, format)
+	buf = s.rough.AppendState(buf)
 	for _, b := range s.nodeRec {
-		buf = b.AppendStateTagged(buf, format)
+		buf = b.AppendStateTagged(buf)
 	}
 	return buf, nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler (dense-tagged banks).
-func (s *Sketch) MarshalBinary() ([]byte, error) {
-	return s.MarshalBinaryFormat(wire.FormatDense)
-}
-
-// MarshalBinaryCompact serializes with compact bank payloads.
-func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
-	return s.MarshalBinaryFormat(wire.FormatCompact)
 }
 
 func decodeBetterHeader(data []byte) (Config, []byte, error) {
@@ -310,6 +291,12 @@ func decodeBetterHeader(data []byte) (Config, []byte, error) {
 	if cfg.N < 1 || cfg.N > 1<<24 || cfg.RecoveryK < 1 || cfg.RecoveryK > 1<<20 ||
 		cfg.RoughK < 0 || cfg.Levels < 1 || cfg.Levels > 128 || !(cfg.Epsilon > 0) {
 		return Config{}, nil, fmt.Errorf("%w: implausible Fig 3 config", ErrBadEncoding)
+	}
+	if err := cfg.roughConfig().checkBudget(); err != nil {
+		return Config{}, nil, err
+	}
+	if err := sparserec.CheckBankBudget(cfg.N, cfg.RecoveryK, cfg.Levels); err != nil {
+		return Config{}, nil, wrapBad(err)
 	}
 	return cfg, data[52:], nil
 }
@@ -415,12 +402,9 @@ func (s *Sketch) Footprint() sketchcore.Footprint {
 // Weighted (Sec. 3.5)
 // ---------------------------------------------------------------------------
 
-// MarshalBinaryFormat serializes the weighted sparsifier: magic, config,
+// MarshalBinaryCompact serializes the weighted sparsifier: magic, config,
 // then every weight class's Simple state.
-func (w *Weighted) MarshalBinaryFormat(format byte) ([]byte, error) {
-	if !wire.ValidFormat(format) {
-		return nil, fmt.Errorf("%w: unknown wire format %d", ErrBadEncoding, format)
-	}
+func (w *Weighted) MarshalBinaryCompact() ([]byte, error) {
 	buf := append([]byte(nil), weightedMagic[:]...)
 	var hdr [40]byte
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(w.cfg.N))
@@ -430,19 +414,9 @@ func (w *Weighted) MarshalBinaryFormat(format byte) ([]byte, error) {
 	binary.LittleEndian.PutUint64(hdr[32:], w.cfg.Seed)
 	buf = append(buf, hdr[:]...)
 	for _, s := range w.ws {
-		buf = s.AppendState(buf, format)
+		buf = s.AppendState(buf)
 	}
 	return buf, nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler (dense-tagged banks).
-func (w *Weighted) MarshalBinary() ([]byte, error) {
-	return w.MarshalBinaryFormat(wire.FormatDense)
-}
-
-// MarshalBinaryCompact serializes with compact bank payloads.
-func (w *Weighted) MarshalBinaryCompact() ([]byte, error) {
-	return w.MarshalBinaryFormat(wire.FormatCompact)
 }
 
 func decodeWeightedHeader(data []byte) (WeightedConfig, []byte, error) {
@@ -459,6 +433,10 @@ func decodeWeightedHeader(data []byte) (WeightedConfig, []byte, error) {
 	if cfg.N < 1 || cfg.N > 1<<24 || cfg.MaxWeight < 1 || cfg.MaxWeight > 1<<40 ||
 		cfg.K < 0 || cfg.K > 1<<16 {
 		return WeightedConfig{}, nil, fmt.Errorf("%w: implausible weighted config", ErrBadEncoding)
+	}
+	// Every class shares one Levels and KForests; only its threshold differs.
+	if err := cfg.classConfig(0).checkBudget(cfg.classes()); err != nil {
+		return WeightedConfig{}, nil, err
 	}
 	return cfg, data[44:], nil
 }

@@ -59,24 +59,16 @@ func TestBetterWireRoundTripAndMerge(t *testing.T) {
 	whole := New(cfg)
 	whole.Ingest(st)
 
-	for _, compact := range []bool{false, true} {
-		var enc []byte
-		var err error
-		if compact {
-			enc, err = whole.MarshalBinaryCompact()
-		} else {
-			enc, err = whole.MarshalBinary()
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back Sketch
-		if err := back.UnmarshalBinary(enc); err != nil {
-			t.Fatalf("compact=%v: unmarshal: %v", compact, err)
-		}
-		if !back.Equal(whole) {
-			t.Fatalf("compact=%v: round-trip not bit-identical", compact)
-		}
+	enc, err := whole.MarshalBinaryCompact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Sketch
+	if err := back.UnmarshalBinary(enc); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if !back.Equal(whole) {
+		t.Fatal("round-trip not bit-identical")
 	}
 
 	sites := make([]*Sketch, 4)

@@ -51,34 +51,41 @@ func NewWeighted(cfg WeightedConfig) *Weighted {
 	if cfg.MaxWeight < 1 {
 		cfg.MaxWeight = 1
 	}
-	classes := bits.Len64(uint64(cfg.MaxWeight))
+	classes := cfg.classes()
 	w := &Weighted{n: cfg.N, classes: classes, cfg: cfg}
 	w.ws = make([]*Simple, classes)
 	for c := 0; c < classes; c++ {
-		base := SimpleConfig{
-			N:       cfg.N,
-			Epsilon: cfg.Epsilon,
-			Seed:    hashing.DeriveSeed(cfg.Seed, 0x3e0+uint64(c)),
-		}
-		base.fill()
-		if cfg.K != 0 {
-			base.K = cfg.K
-		}
-		// Lemma 3.6: weights in [2^c, 2^{c+1}) = L factor 2 above the class
-		// floor. Threshold weighted cuts at K * 2^{c+1}; peel 2K forests so
-		// up to 2K distinct crossing edges are captured.
-		kf := 2 * base.K
-		kw := base.K << uint(c+1)
-		w.ws[c] = NewSimple(SimpleConfig{
-			N:        cfg.N,
-			Epsilon:  cfg.Epsilon,
-			K:        kw,
-			KForests: kf,
-			Levels:   base.Levels,
-			Seed:     base.Seed,
-		})
+		w.ws[c] = NewSimple(cfg.classConfig(c))
 	}
 	return w
+}
+
+// classes is the number of weight classes [2^c, 2^{c+1}) covering
+// [1, MaxWeight].
+func (cfg WeightedConfig) classes() int { return bits.Len64(uint64(cfg.MaxWeight)) }
+
+// classConfig is weight class c's Simple configuration.
+func (cfg WeightedConfig) classConfig(c int) SimpleConfig {
+	base := SimpleConfig{
+		N:       cfg.N,
+		Epsilon: cfg.Epsilon,
+		Seed:    hashing.DeriveSeed(cfg.Seed, 0x3e0+uint64(c)),
+	}
+	base.fill()
+	if cfg.K != 0 {
+		base.K = cfg.K
+	}
+	// Lemma 3.6: weights in [2^c, 2^{c+1}) = L factor 2 above the class
+	// floor. Threshold weighted cuts at K * 2^{c+1}; peel 2K forests so
+	// up to 2K distinct crossing edges are captured.
+	return SimpleConfig{
+		N:        cfg.N,
+		Epsilon:  cfg.Epsilon,
+		K:        base.K << uint(c+1),
+		KForests: 2 * base.K,
+		Levels:   base.Levels,
+		Seed:     base.Seed,
+	}
 }
 
 // SetDecodeWorkers overrides each class sketch's level-parallel extraction

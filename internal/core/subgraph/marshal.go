@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"graphsketch/internal/sketchcore"
 	"graphsketch/internal/wire"
@@ -26,11 +27,9 @@ func wrapBad(err error) error {
 	return fmt.Errorf("%w: %v", ErrBadEncoding, err)
 }
 
-// MarshalBinaryFormat serializes the sketch with the chosen cell format.
-func (s *Sketch) MarshalBinaryFormat(format byte) ([]byte, error) {
-	if !wire.ValidFormat(format) {
-		return nil, fmt.Errorf("%w: unknown wire format %d", ErrBadEncoding, format)
-	}
+// MarshalBinaryCompact serializes the sketch: bytes proportional to its
+// non-zero state.
+func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
 	buf := append([]byte(nil), sgMagic[:]...)
 	var hdr [32]byte
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(s.n))
@@ -38,18 +37,8 @@ func (s *Sketch) MarshalBinaryFormat(format byte) ([]byte, error) {
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(s.samples))
 	binary.LittleEndian.PutUint64(hdr[24:], s.seed)
 	buf = append(buf, hdr[:]...)
-	buf = s.samplers.AppendStateTagged(buf, format)
-	return s.norm.AppendState(buf, format), nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler (dense-tagged cells).
-func (s *Sketch) MarshalBinary() ([]byte, error) {
-	return s.MarshalBinaryFormat(wire.FormatDense)
-}
-
-// MarshalBinaryCompact serializes with compact cell payloads.
-func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
-	return s.MarshalBinaryFormat(wire.FormatCompact)
+	buf = s.samplers.AppendStateTagged(buf)
+	return s.norm.AppendState(buf), nil
 }
 
 func decodeHeader(data []byte) (n, k, samples int, seed uint64, rest []byte, err error) {
@@ -62,6 +51,12 @@ func decodeHeader(data []byte) (n, k, samples int, seed uint64, rest []byte, err
 	seed = binary.LittleEndian.Uint64(data[28:])
 	if n < 1 || n > 1<<20 || k < 2 || k > 5 || samples < 1 || samples > 1<<20 {
 		return 0, 0, 0, 0, nil, fmt.Errorf("%w: implausible shape n=%d k=%d samples=%d", ErrBadEncoding, n, k, samples)
+	}
+	// The sampler universe C(n, k) is below n^k (or wraps in 64 bits), which
+	// bounds its level count without building New's binomial table.
+	levels := min(k*bits.Len(uint(n))+1, 65)
+	if err := wire.CheckCellBudget(int64(samples), samplerRepsSubgraph, int64(levels)); err != nil {
+		return 0, 0, 0, 0, nil, fmt.Errorf("%w: declared shape exceeds decode budget", ErrBadEncoding)
 	}
 	return n, k, samples, seed, data[36:], nil
 }

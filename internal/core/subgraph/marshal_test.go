@@ -16,29 +16,21 @@ func TestWireRoundTripAndMerge(t *testing.T) {
 	whole := New(n, k, samples, 21)
 	whole.Ingest(st)
 
-	for _, compact := range []bool{false, true} {
-		var enc []byte
-		var err error
-		if compact {
-			enc, err = whole.MarshalBinaryCompact()
-		} else {
-			enc, err = whole.MarshalBinary()
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back Sketch
-		if err := back.UnmarshalBinary(enc); err != nil {
-			t.Fatalf("compact=%v: unmarshal: %v", compact, err)
-		}
-		if !back.Equal(whole) {
-			t.Fatalf("compact=%v: round-trip not bit-identical", compact)
-		}
-		wantG, wantEff := whole.GammaEstimate(Triangle)
-		gotG, gotEff := back.GammaEstimate(Triangle)
-		if wantG != gotG || wantEff != gotEff {
-			t.Fatalf("compact=%v: decoded gamma differs", compact)
-		}
+	enc, err := whole.MarshalBinaryCompact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Sketch
+	if err := back.UnmarshalBinary(enc); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if !back.Equal(whole) {
+		t.Fatal("round-trip not bit-identical")
+	}
+	wantG, wantEff := whole.GammaEstimate(Triangle)
+	gotG, gotEff := back.GammaEstimate(Triangle)
+	if wantG != gotG || wantEff != gotEff {
+		t.Fatal("decoded gamma differs")
 	}
 
 	sites := make([]*Sketch, 3)

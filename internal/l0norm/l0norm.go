@@ -127,10 +127,10 @@ func (e *Estimator) Estimate() float64 {
 // AppendState appends the tagged cell state of every (rep, level) recovery
 // sketch — headerless; the owning sketch's envelope carries the
 // construction parameters.
-func (e *Estimator) AppendState(buf []byte, format byte) []byte {
+func (e *Estimator) AppendState(buf []byte) []byte {
 	for r := 0; r < e.reps; r++ {
 		for j := 0; j < e.levels; j++ {
-			buf = e.recs[r][j].AppendCells(buf, format)
+			buf = e.recs[r][j].AppendCells(buf)
 		}
 	}
 	return buf

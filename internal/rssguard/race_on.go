@@ -1,5 +1,5 @@
 //go:build race
 
-package service
+package rssguard
 
 const raceEnabled = true

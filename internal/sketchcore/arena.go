@@ -107,9 +107,8 @@ type Arena struct {
 // The nested values Theorem 2.1 reasons about, N(j) = sum_{j' >= j} D(j'),
 // are reconstructed by suffix-summation on the cold paths only: decode
 // scans top-down keeping a running sum (bit-identical to reading stored
-// nested cells, since every aggregate is an exact commutative sum), and
-// the wire codec converts to/from the nested AGM2 cell encoding so
-// serialized state is unchanged.
+// nested cells, since every aggregate is an exact commutative sum). The
+// wire encoding carries the exact-level cells as stored.
 type acell struct {
 	w int64  // weight sum
 	s int64  // index-weighted sum
@@ -306,25 +305,6 @@ func (a *Arena) markAllSlots() {
 	}
 	if tail := uint(a.slots) & 63; tail != 0 {
 		a.occ[len(a.occ)-1] = (1 << tail) - 1
-	}
-}
-
-// rebuildOcc recomputes the occupancy bitmap from the cell state (wire
-// decode replaces state wholesale, so marks from prior updates are stale).
-func (a *Arena) rebuildOcc() {
-	for i := range a.occ {
-		a.occ[i] = 0
-	}
-	rowCells := a.reps * a.levels
-	for slot := 0; slot < a.slots; slot++ {
-		base := slot * rowCells
-		for j := 0; j < rowCells; j++ {
-			c := &a.cells[base+j]
-			if c.w != 0 || c.s != 0 || c.f != 0 {
-				a.markSlot(slot)
-				break
-			}
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sketchcore
 
 import (
+	"errors"
 	"testing"
 
 	"graphsketch/internal/hashing"
@@ -309,7 +310,9 @@ func TestShardedIngestShortStreams(t *testing.T) {
 	}
 }
 
-// TestStateRoundTrip: AppendState/DecodeState must round-trip cell state.
+// TestStateRoundTrip: AppendStateTagged/DecodeStateTagged must round-trip
+// cell state, and reject truncated state and any tag byte but the current
+// one (0x00 was the retired fixed-size format).
 func TestStateRoundTrip(t *testing.T) {
 	cfg := Config{Slots: 5, Universe: 200, Reps: 3, Seed: 13}
 	a := New(cfg)
@@ -317,12 +320,9 @@ func TestStateRoundTrip(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		a.Update(r.Intn(5), uint64(r.Intn(200)), int64(r.Intn(5)-2))
 	}
-	enc := a.AppendState(nil)
-	if len(enc) != a.StateSize() {
-		t.Fatalf("encoded %d bytes, StateSize says %d", len(enc), a.StateSize())
-	}
+	enc := a.AppendStateTagged(nil)
 	b := New(cfg)
-	rest, err := b.DecodeState(enc)
+	rest, err := b.DecodeStateTagged(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,16 @@ func TestStateRoundTrip(t *testing.T) {
 	if !b.Equal(a) {
 		t.Fatal("decoded arena differs from original")
 	}
-	if _, err := b.DecodeState(enc[:10]); err == nil {
+	if _, err := b.DecodeStateTagged(enc[:10]); err == nil {
 		t.Fatal("truncated state must be rejected")
+	}
+	for _, tag := range []byte{0x00, 0x02} {
+		mut := append([]byte{tag}, enc[1:]...)
+		if _, err := b.DecodeStateTagged(mut); !errors.Is(err, ErrBadEncoding) {
+			t.Fatalf("tag %#x: decode = %v, want ErrBadEncoding", tag, err)
+		}
+		if _, err := b.MergeStateTagged(mut); !errors.Is(err, ErrBadEncoding) {
+			t.Fatalf("tag %#x: merge = %v, want ErrBadEncoding", tag, err)
+		}
 	}
 }

@@ -28,7 +28,7 @@ func newEdgeArena(slots int, seed uint64) *Arena {
 	return New(Config{Slots: slots, Universe: uint64(slots) * uint64(slots), Reps: 3, Seed: seed})
 }
 
-// TestTaggedRoundTrip: both tagged formats must reproduce cell state bit
+// TestTaggedRoundTrip: the tagged encoding must reproduce cell state bit
 // for bit, for sparse, empty, and saturated occupancy, in both seeding
 // modes.
 func TestTaggedRoundTrip(t *testing.T) {
@@ -66,50 +66,40 @@ func TestTaggedRoundTrip(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		for _, format := range []byte{FormatDense, FormatCompact} {
-			a := tc.prep()
-			enc := a.AppendStateTagged(nil, format)
-			var b *Arena
-			if tc.name == "per-slot" {
-				b = New(Config{Slots: 10, Universe: 1 << 16, Reps: 2, SlotSeeds: slotSeeds})
-			} else {
-				b = newEdgeArena(20, 7)
-			}
-			// Pre-pollute the destination: decode must replace, not merge.
-			if b.Shared() {
-				b.Update(0, 1, 5)
-			} else {
-				b.Update(0, 1, 5)
-			}
-			rest, err := b.DecodeStateTagged(enc)
-			if err != nil {
-				t.Fatalf("%s/format %d: decode: %v", tc.name, format, err)
-			}
-			if len(rest) != 0 {
-				t.Fatalf("%s/format %d: %d trailing bytes", tc.name, format, len(rest))
-			}
-			if !a.Equal(b) {
-				t.Fatalf("%s/format %d: round-trip not bit-identical", tc.name, format)
-			}
-			// Canonical encoding: re-encoding the decoded state reproduces
-			// the bytes, and the occupancy-guided dry sizer agrees with the
-			// real encoder byte for byte.
-			if format == FormatCompact {
-				enc2 := b.AppendStateTagged(nil, FormatCompact)
-				if string(enc) != string(enc2) {
-					t.Fatalf("%s: compact encoding not canonical", tc.name)
-				}
-				if got := 1 + a.CompactStateSize(); got != len(enc) {
-					t.Fatalf("%s: CompactStateSize %d != encoded %d", tc.name, got, len(enc))
-				}
-			}
+		a := tc.prep()
+		enc := a.AppendStateTagged(nil)
+		var b *Arena
+		if tc.name == "per-slot" {
+			b = New(Config{Slots: 10, Universe: 1 << 16, Reps: 2, SlotSeeds: slotSeeds})
+		} else {
+			b = newEdgeArena(20, 7)
+		}
+		// Pre-pollute the destination: decode must replace, not merge.
+		b.Update(0, 1, 5)
+		rest, err := b.DecodeStateTagged(enc)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		if len(rest) != 0 {
+			t.Fatalf("%s: %d trailing bytes", tc.name, len(rest))
+		}
+		if !a.Equal(b) {
+			t.Fatalf("%s: round-trip not bit-identical", tc.name)
+		}
+		// Canonical encoding: re-encoding the decoded state reproduces the
+		// bytes, and the occupancy-guided dry sizer agrees with the real
+		// encoder byte for byte.
+		if enc2 := b.AppendStateTagged(nil); string(enc) != string(enc2) {
+			t.Fatalf("%s: compact encoding not canonical", tc.name)
+		}
+		if got := 1 + a.CompactStateSize(); got != len(enc) {
+			t.Fatalf("%s: CompactStateSize %d != encoded %d", tc.name, got, len(enc))
 		}
 	}
 }
 
 // TestMergeStateTaggedEqualsAdd: folding serialized state must equal
-// decoding into a scratch arena and Add-ing it, for both formats and for
-// the legacy untagged dense payload.
+// decoding into a scratch arena and Add-ing it.
 func TestMergeStateTaggedEqualsAdd(t *testing.T) {
 	a := newEdgeArena(24, 3)
 	fillArena(a, 1, 300)
@@ -119,23 +109,13 @@ func TestMergeStateTaggedEqualsAdd(t *testing.T) {
 	want := a.Clone()
 	want.Add(b)
 
-	for _, format := range []byte{FormatDense, FormatCompact} {
-		got := a.Clone()
-		rest, err := got.MergeStateTagged(b.AppendStateTagged(nil, format))
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("format %d: merge: %v (%d rest)", format, err, len(rest))
-		}
-		if !got.Equal(want) {
-			t.Fatalf("format %d: wire merge differs from Add", format)
-		}
-	}
 	got := a.Clone()
-	rest, err := got.MergeStateDense(b.AppendState(nil))
+	rest, err := got.MergeStateTagged(b.AppendStateTagged(nil))
 	if err != nil || len(rest) != 0 {
-		t.Fatalf("legacy dense merge: %v (%d rest)", err, len(rest))
+		t.Fatalf("merge: %v (%d rest)", err, len(rest))
 	}
 	if !got.Equal(want) {
-		t.Fatal("legacy dense wire merge differs from Add")
+		t.Fatal("wire merge differs from Add")
 	}
 }
 
@@ -208,7 +188,7 @@ func TestOccupancyConservative(t *testing.T) {
 
 // FuzzCompactRoundTrip: for arbitrary update mixes (including all-zero and
 // fully dense rows via the seed corpus), the compact encoding must
-// round-trip bit-identically and agree with the dense encoding's decode.
+// round-trip bit-identically.
 func FuzzCompactRoundTrip(f *testing.F) {
 	f.Add(uint64(0), uint16(0))      // all-zero arena
 	f.Add(uint64(1), uint16(5000))   // dense rows
@@ -217,7 +197,7 @@ func FuzzCompactRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, nups uint16) {
 		a := newEdgeArena(16, 21)
 		fillArena(a, seed, int(nups)%6000)
-		enc := a.AppendStateTagged(nil, FormatCompact)
+		enc := a.AppendStateTagged(nil)
 		b := newEdgeArena(16, 21)
 		rest, err := b.DecodeStateTagged(enc)
 		if err != nil {
@@ -229,20 +209,12 @@ func FuzzCompactRoundTrip(f *testing.F) {
 		if !a.Equal(b) {
 			t.Fatal("compact round-trip not bit-identical")
 		}
-		enc2 := b.AppendStateTagged(nil, FormatCompact)
+		enc2 := b.AppendStateTagged(nil)
 		if string(enc) != string(enc2) {
 			t.Fatal("compact encoding not canonical")
 		}
 		if got := 1 + a.CompactStateSize(); got != len(enc) {
 			t.Fatalf("CompactStateSize %d != encoded %d", got, len(enc))
-		}
-		// Cross-check against the dense format.
-		c := newEdgeArena(16, 21)
-		if _, err := c.DecodeStateTagged(a.AppendStateTagged(nil, wire.FormatDense)); err != nil {
-			t.Fatalf("dense decode: %v", err)
-		}
-		if !a.Equal(c) {
-			t.Fatal("dense round-trip not bit-identical")
 		}
 	})
 }
@@ -250,7 +222,7 @@ func FuzzCompactRoundTrip(f *testing.F) {
 // appendRunsReference is the accessor-driven compact encoding every other
 // layer still uses; the arena's direct-walk arm must emit its bytes exactly.
 func appendRunsReference(buf []byte, a *Arena) []byte {
-	return wire.AppendRuns(append(buf, FormatCompact), len(a.cells), func(i int) (int64, int64, uint64) {
+	return wire.AppendRuns(wire.AppendTag(buf), len(a.cells), func(i int) (int64, int64, uint64) {
 		c := &a.cells[i]
 		return c.w, c.s, c.f
 	})
@@ -264,7 +236,7 @@ func checkCompactArm(t *testing.T, a *Arena) {
 	prefix := []byte("prefix")
 	for _, buf := range [][]byte{nil, prefix[:len(prefix):len(prefix)], append(make([]byte, 0, len(prefix)+wire.MaxCellBytes+3), prefix...)} {
 		want := appendRunsReference(append([]byte(nil), buf...), a)
-		got := a.AppendStateTagged(buf, FormatCompact)
+		got := a.AppendStateTagged(buf)
 		if string(got) != string(want) {
 			t.Fatalf("direct-walk compact encoding differs from wire.AppendRuns (prefix %d, cap %d)", len(buf), cap(buf))
 		}

@@ -107,25 +107,6 @@ func (b *Bank) Reset() {
 	}
 }
 
-// rebuildOcc recomputes the occupancy bitmap from cell state (after a wire
-// decode replaced the state wholesale).
-func (b *Bank) rebuildOcc() {
-	for i := range b.occ {
-		b.occ[i] = 0
-	}
-	rowCells := b.rows * b.m
-	for node := 0; node < b.n; node++ {
-		base := node * rowCells
-		for j := 0; j < rowCells; j++ {
-			c := &b.cells[base+j]
-			if c.w != 0 || c.s != 0 || c.f != 0 {
-				b.markNode(node)
-				break
-			}
-		}
-	}
-}
-
 // N returns the number of node sketches in the bank.
 func (b *Bank) N() int { return b.n }
 

@@ -6,23 +6,19 @@ import (
 	"graphsketch/internal/wire"
 )
 
-// FuzzUnmarshalBinary pins that SRK1/SRK2 payloads — truncated,
-// bit-flipped, or arbitrary — error instead of panicking or allocating
-// past the decode cell budget.
+// FuzzUnmarshalBinary pins that SRK2 payloads — truncated, bit-flipped,
+// re-labelled with the retired SRK1 magic, or arbitrary — error instead of
+// panicking or allocating past the decode cell budget.
 func FuzzUnmarshalBinary(f *testing.F) {
 	s := New(8, 42)
 	for i := uint64(0); i < 200; i++ {
 		s.Update(i*i+3, int64(i%5)-2)
 	}
-	legacy, err := s.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
 	compact, err := s.MarshalBinaryCompact()
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(legacy)
+	f.Add(append([]byte("SRK1"), compact[4:]...))
 	f.Add(compact)
 	f.Add(compact[:len(compact)-3])
 	mut := append([]byte(nil), compact...)

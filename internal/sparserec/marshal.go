@@ -10,15 +10,10 @@ import (
 	"graphsketch/internal/wire"
 )
 
-// srMagic is the legacy fixed-size encoding (32-byte onesparse cells,
-// fingerprint base included per cell); srMagic2 is the tagged encoding
-// whose cell payload carries a format byte — dense 24-byte (w, s, f)
-// records or the compact run-length form — with the base reconstructed
+// srkMagic opens the sketch envelope: (k, seed, rows, m) u64 LE, then the
+// tagged run-length cell payload, with the fingerprint base reconstructed
 // from the seed.
-var (
-	srMagic  = [4]byte{'S', 'R', 'K', '1'}
-	srMagic2 = [4]byte{'S', 'R', 'K', '2'}
-)
+var srkMagic = [4]byte{'S', 'R', 'K', '2'}
 
 // ErrBadEncoding is returned for corrupt or incompatible encodings.
 var ErrBadEncoding = errors.New("sparserec: bad encoding")
@@ -30,63 +25,35 @@ func (s *Sketch) cellAt(i int) (int64, int64, uint64) {
 	return w, sv, f
 }
 
-// AppendCells appends one tagged encoding of the sketch's cell state
-// (headerless — the envelope, or a parent sketch like l0norm, carries the
-// construction parameters). format must be pre-validated with
-// wire.ValidFormat at the exported marshal boundary; the default branch is
-// a programmer-error assertion, not an input condition.
-func (s *Sketch) AppendCells(buf []byte, format byte) []byte {
-	n := s.rows * s.m
-	buf = append(buf, format)
-	switch format {
-	case wire.FormatDense:
-		return wire.AppendDenseCells(buf, n, s.cellAt)
-	case wire.FormatCompact:
-		return wire.AppendRuns(buf, n, s.cellAt)
-	default:
-		panic(fmt.Sprintf("sparserec: unknown wire format %d", format))
-	}
+// AppendCells appends the tagged run-length encoding of the sketch's cell
+// state (headerless — the envelope, or a parent sketch like l0norm, carries
+// the construction parameters).
+func (s *Sketch) AppendCells(buf []byte) []byte {
+	return wire.AppendRuns(wire.AppendTag(buf), s.rows*s.m, s.cellAt)
 }
 
 // decodeCells reads one tagged cell payload. merge adds into the existing
 // cells instead of replacing them.
 func (s *Sketch) decodeCells(data []byte, merge bool) ([]byte, error) {
-	if len(data) < 1 {
-		return nil, ErrBadEncoding
+	if !merge {
+		for r := range s.cells {
+			for b := range s.cells[r] {
+				s.cells[r][b].Reset()
+			}
+		}
 	}
-	format, data := data[0], data[1:]
-	n := s.rows * s.m
-	apply := func(i int, w, sv int64, f uint64) {
+	rest, err := wire.DecodeCells(data, s.rows*s.m, func(i int, w, sv int64, f uint64) {
 		c := &s.cells[i/s.m][i%s.m]
 		if merge {
 			c.AddState(w, sv, f)
 		} else {
 			c.SetState(w, sv, f)
 		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadEncoding, err)
 	}
-	switch format {
-	case wire.FormatDense:
-		rest, err := wire.DecodeDenseCells(data, n, apply)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadEncoding, err)
-		}
-		return rest, nil
-	case wire.FormatCompact:
-		if !merge {
-			for r := range s.cells {
-				for b := range s.cells[r] {
-					s.cells[r][b].Reset()
-				}
-			}
-		}
-		rest, err := wire.DecodeRuns(data, n, apply)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadEncoding, err)
-		}
-		return rest, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown format tag %d", ErrBadEncoding, format)
-	}
+	return rest, nil
 }
 
 // DecodeCells reads one tagged cell payload produced by AppendCells,
@@ -119,31 +86,16 @@ func (s *Sketch) Footprint() Footprint {
 		ResidentBytes:    int64(s.Words()) * 8,
 		TotalCells:       int64(n),
 		NonzeroCells:     int64(nonzero),
-		WireDenseBytes:   int64(1 + n*24),
 		WireCompactBytes: int64(1 + rs.Size()),
 	}
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler in the legacy SRK1
-// format: magic, (k, seed, rows, m) u64 LE, then rows*m fixed-size cells.
-func (s *Sketch) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 4+4*8+s.rows*s.m*32)
-	buf = append(buf, srMagic[:]...)
-	buf = s.appendHeader(buf)
-	for r := 0; r < s.rows; r++ {
-		for b := 0; b < s.m; b++ {
-			buf = s.cells[r][b].AppendBinary(buf)
-		}
-	}
-	return buf, nil
 }
 
 // MarshalBinaryCompact emits the SRK2 envelope with the compact cell
 // payload: bytes proportional to the non-zero state.
 func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
-	buf := append([]byte(nil), srMagic2[:]...)
+	buf := append([]byte(nil), srkMagic[:]...)
 	buf = s.appendHeader(buf)
-	return s.AppendCells(buf, wire.FormatCompact), nil
+	return s.AppendCells(buf), nil
 }
 
 func (s *Sketch) appendHeader(buf []byte) []byte {
@@ -155,14 +107,10 @@ func (s *Sketch) appendHeader(buf []byte) []byte {
 	return append(buf, hdr[:]...)
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler, accepting both the
-// legacy SRK1 and the tagged SRK2 envelopes.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler for the SRK2
+// envelope.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
-	if len(data) < 36 {
-		return ErrBadEncoding
-	}
-	magic := [4]byte(data[0:4])
-	if magic != srMagic && magic != srMagic2 {
+	if len(data) < 36 || [4]byte(data[0:4]) != srkMagic {
 		return ErrBadEncoding
 	}
 	k := int(binary.LittleEndian.Uint64(data[4:]))
@@ -172,31 +120,32 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if k < 1 || k > 1<<20 || rows < 1 || rows > 64 || m < 1 || m > 1<<24 {
 		return fmt.Errorf("%w: implausible shape k=%d rows=%d m=%d", ErrBadEncoding, k, rows, m)
 	}
-	wantRows, wantM := tableShape(k)
-	if err := wire.CheckCellBudget(int64(wantRows), int64(wantM)); err != nil {
-		return fmt.Errorf("%w: declared shape exceeds decode budget", ErrBadEncoding)
+	if err := CheckBankBudget(1, k, 1); err != nil {
+		return err
 	}
 	fresh := New(k, seed)
 	if fresh.rows != rows || fresh.m != m {
 		return fmt.Errorf("%w: shape mismatch for k=%d", ErrBadEncoding, k)
 	}
-	rest := data[36:]
-	var err error
-	if magic == srMagic {
-		for r := 0; r < rows; r++ {
-			for b := 0; b < m; b++ {
-				if rest, err = fresh.cells[r][b].DecodeBinary(rest); err != nil {
-					return err
-				}
-			}
-		}
-	} else if rest, err = fresh.DecodeCells(rest); err != nil {
+	rest, err := fresh.DecodeCells(data[36:])
+	if err != nil {
 		return err
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
 	}
 	*s = *fresh
+	return nil
+}
+
+// CheckBankBudget reports ErrBadEncoding when copies banks of n sketches
+// with budget k would exceed the wire decode cell budget: the check an
+// envelope decoder makes on header-declared shapes before building them.
+func CheckBankBudget(n, k, copies int) error {
+	rows, m := tableShape(k)
+	if err := wire.CheckCellBudget(int64(copies), int64(n), int64(rows), int64(m)); err != nil {
+		return fmt.Errorf("%w: declared shape exceeds decode budget", ErrBadEncoding)
+	}
 	return nil
 }
 
@@ -210,73 +159,34 @@ func (b *Bank) bankCellAt(i int) (int64, int64, uint64) {
 	return c.w, c.s, c.f
 }
 
-// AppendStateTagged appends one tagged encoding of the bank's cell state
-// (headerless; the owning sketch's envelope carries n, k, seed). As with
-// AppendCells, format must be pre-validated at the exported boundary.
-func (b *Bank) AppendStateTagged(buf []byte, format byte) []byte {
-	buf = append(buf, format)
-	switch format {
-	case wire.FormatDense:
-		return wire.AppendDenseCells(buf, len(b.cells), b.bankCellAt)
-	case wire.FormatCompact:
-		return wire.AppendRuns(buf, len(b.cells), b.bankCellAt)
-	default:
-		panic(fmt.Sprintf("sparserec: unknown wire format %d", format))
-	}
+// AppendStateTagged appends the tagged run-length encoding of the bank's
+// cell state (headerless; the owning sketch's envelope carries n, k, seed).
+func (b *Bank) AppendStateTagged(buf []byte) []byte {
+	return wire.AppendRuns(wire.AppendTag(buf), len(b.cells), b.bankCellAt)
 }
 
 // decodeState reads one tagged bank payload; merge folds instead of
 // replacing.
 func (b *Bank) decodeState(data []byte, merge bool) ([]byte, error) {
-	if len(data) < 1 {
-		return nil, ErrBadEncoding
+	if !merge {
+		b.Reset() // occupancy-guided zeroing
 	}
-	format, data := data[0], data[1:]
 	rowCells := b.rows * b.m
-	switch format {
-	case wire.FormatDense:
-		rest, err := wire.DecodeDenseCells(data, len(b.cells), func(i int, w, s int64, f uint64) {
-			if merge {
-				c := &b.cells[i]
-				c.w += w
-				c.s += s
-				c.f = hashing.AddMod61(c.f, f)
-				if w != 0 || s != 0 || f != 0 {
-					b.markNode(i / rowCells)
-				}
-			} else {
-				b.cells[i] = bcell{w: w, s: s, f: f}
-			}
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadEncoding, err)
+	rest, err := wire.DecodeCells(data, len(b.cells), func(i int, w, s int64, f uint64) {
+		if merge {
+			c := &b.cells[i]
+			c.w += w
+			c.s += s
+			c.f = hashing.AddMod61(c.f, f)
+		} else {
+			b.cells[i] = bcell{w: w, s: s, f: f}
 		}
-		if !merge {
-			b.rebuildOcc()
-		}
-		return rest, nil
-	case wire.FormatCompact:
-		if !merge {
-			b.Reset() // occupancy-guided zeroing
-		}
-		rest, err := wire.DecodeRuns(data, len(b.cells), func(i int, w, s int64, f uint64) {
-			if merge {
-				c := &b.cells[i]
-				c.w += w
-				c.s += s
-				c.f = hashing.AddMod61(c.f, f)
-			} else {
-				b.cells[i] = bcell{w: w, s: s, f: f}
-			}
-			b.markNode(i / rowCells)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadEncoding, err)
-		}
-		return rest, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown format tag %d", ErrBadEncoding, format)
+		b.markNode(i / rowCells)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadEncoding, err)
 	}
+	return rest, nil
 }
 
 // DecodeStateTagged reads one tagged bank payload produced by
@@ -326,7 +236,6 @@ func (b *Bank) Footprint() Footprint {
 		ResidentBytes:    int64(b.Words()) * 8,
 		TotalCells:       int64(len(b.cells)),
 		NonzeroCells:     int64(nonzero),
-		WireDenseBytes:   int64(1 + len(b.cells)*24),
 		WireCompactBytes: int64(1 + rs.Size()),
 	}
 }

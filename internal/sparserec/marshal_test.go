@@ -1,13 +1,16 @@
 package sparserec
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 func TestMarshalRoundTrip(t *testing.T) {
 	s := New(8, 3)
 	for i := uint64(0); i < 6; i++ {
 		s.Update(i*101, int64(i)+1)
 	}
-	enc, err := s.MarshalBinary()
+	enc, err := s.MarshalBinaryCompact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,15 +30,20 @@ func TestMarshalRoundTrip(t *testing.T) {
 
 func TestUnmarshalRejectsCorruption(t *testing.T) {
 	s := New(4, 1)
-	enc, _ := s.MarshalBinary()
+	s.Update(9, 2)
+	enc, _ := s.MarshalBinaryCompact()
 	var back Sketch
-	if err := back.UnmarshalBinary(enc[:8]); err == nil {
-		t.Fatal("short accepted")
-	}
-	bad := append([]byte{}, enc...)
-	bad[1] ^= 0x55
-	if err := back.UnmarshalBinary(bad); err == nil {
-		t.Fatal("bad magic accepted")
+	for name, bad := range map[string][]byte{
+		"short":         enc[:8],
+		"truncated":     enc[:len(enc)-3],
+		"trailing":      append(append([]byte{}, enc...), 0),
+		"bad magic":     append([]byte("SRK1"), enc[4:]...),
+		"retired tag":   append(append(append([]byte{}, enc[:36]...), 0x00), enc[37:]...),
+		"implausible k": append(append([]byte{}, enc[:4]...), make([]byte, 32)...),
+	} {
+		if err := back.UnmarshalBinary(bad); !errors.Is(err, ErrBadEncoding) {
+			t.Fatalf("%s: UnmarshalBinary = %v, want ErrBadEncoding", name, err)
+		}
 	}
 }
 
@@ -44,7 +52,7 @@ func TestShipAndMergeSparseRecovery(t *testing.T) {
 	b := New(8, 7)
 	a.Update(10, 1)
 	b.Update(20, 2)
-	wire, _ := a.MarshalBinary()
+	wire, _ := a.MarshalBinaryCompact()
 	var shipped Sketch
 	if err := shipped.UnmarshalBinary(wire); err != nil {
 		t.Fatal(err)

@@ -1,17 +1,14 @@
 // Package wire holds the shared cell-state wire codec under every sketch
-// layer's marshal surface: format tags, zigzag varints, and a run-length
-// encoding for flat arrays of (w, s, f) recovery-cell aggregates.
+// layer's marshal surface: the version tag, zigzag varints, and a
+// run-length encoding for flat arrays of (w, s, f) recovery-cell aggregates.
 //
-// Two formats cover the space/occupancy trade-off:
-//
-//   - FormatDense: fixed 24 bytes per cell (w, s, f as u64 LE). Size is
-//     independent of content; right for sketches near full occupancy and
-//     for bit-stable golden encodings.
-//   - FormatCompact: runs of zero cells collapse to one varint, non-zero
-//     cells encode as zigzag-varint w and s plus the 8-byte fingerprint.
-//     Size is proportional to the non-zero state — the wire format for the
-//     paper's distributed/MapReduce deployment, where per-site sketches are
-//     sparse and bytes shipped to the coordinator are the scarce resource.
+// Every cell-state payload is one tag byte followed by the run-length
+// encoding: runs of zero cells collapse to one varint, non-zero cells encode
+// as zigzag-varint w and s plus the 8-byte fingerprint. Size is
+// proportional to the non-zero state — the wire format for the paper's
+// distributed/MapReduce deployment, where per-site sketches are sparse and
+// bytes shipped to the coordinator are the scarce resource. The tag is a
+// version check only: decoders reject any other value.
 //
 // The ENCODER is canonical for a given cell state (maximal runs, minimal
 // varints): encoding any state, decoding it, and re-encoding reproduces
@@ -28,24 +25,17 @@ import (
 	"sync/atomic"
 )
 
-// Format tags, carried as the leading byte of every tagged cell-state
-// encoding so decoders can dispatch and future formats can slot in.
-const (
-	// FormatDense is the fixed-size 24-byte-per-cell encoding.
-	FormatDense byte = 0
-	// FormatCompact is the zero-run-length + varint-cell encoding.
-	FormatCompact byte = 1
-)
+// cellsTag leads every cell-state payload. It is 0x01 because it once
+// selected between two cell formats; only that one remains.
+const cellsTag byte = 1
 
 // ErrBadEncoding is returned for corrupt, truncated, or non-canonical
 // cell-state bytes.
 var ErrBadEncoding = errors.New("wire: bad encoding")
 
-// ValidFormat reports whether b names a known cell-state format tag.
-// Exported marshal entry points validate caller-supplied format bytes here
-// and return an error, keeping panics for the internal (programmer-error)
-// dispatch paths only.
-func ValidFormat(b byte) bool { return b == FormatDense || b == FormatCompact }
+// AppendTag appends the tag byte that opens a cell-state payload; the
+// run-length cells (AppendRuns, RunsWriter) follow it.
+func AppendTag(buf []byte) []byte { return append(buf, cellsTag) }
 
 // decodeCellBudget caps the total number of recovery cells any single
 // decode is allowed to materialize from header-declared dimensions. A
@@ -53,7 +43,7 @@ func ValidFormat(b byte) bool { return b == FormatDense || b == FormatCompact }
 // per-field values whose product allocates tens of GiB before the first
 // payload byte is validated — compact payloads for near-empty sketches are
 // legitimately tiny, so payload length alone cannot bound the allocation.
-// The default (2^30 cells, ~24 GiB dense) admits every shape the library
+// The default (2^30 cells, ~24 GiB resident) admits every shape the library
 // constructs in practice while refusing absurd products; servers decoding
 // payloads from untrusted peers should lower it to their real ceiling.
 //
@@ -229,42 +219,6 @@ func AppendRuns(buf []byte, n int, get func(i int) (w, s int64, f uint64)) []byt
 	return rw.Bytes()
 }
 
-// AppendDenseCells appends n cells in the fixed dense layout: w, s, f as
-// u64 LE, 24 bytes per cell — the shared dense arm under the tagged cell
-// codecs (the arena's dense arm is the separate nested AGM2 encoding).
-func AppendDenseCells(buf []byte, n int, get func(i int) (w, s int64, f uint64)) []byte {
-	var tmp [8]byte
-	for i := 0; i < n; i++ {
-		w, s, f := get(i)
-		binary.LittleEndian.PutUint64(tmp[:], uint64(w))
-		buf = append(buf, tmp[:]...)
-		binary.LittleEndian.PutUint64(tmp[:], uint64(s))
-		buf = append(buf, tmp[:]...)
-		binary.LittleEndian.PutUint64(tmp[:], f)
-		buf = append(buf, tmp[:]...)
-	}
-	return buf
-}
-
-// DecodeDenseCells reads n cells written by AppendDenseCells, calling set
-// for every cell, and returns the remaining bytes. The cell count is
-// validated against the remaining payload BEFORE any work (overflow-safe:
-// n*24 is never formed), so a corrupted length field fails with
-// ErrBadEncoding instead of driving a huge read.
-func DecodeDenseCells(data []byte, n int, set func(i int, w, s int64, f uint64)) ([]byte, error) {
-	if n < 0 || n > len(data)/24 {
-		return nil, ErrBadEncoding
-	}
-	for i := 0; i < n; i++ {
-		off := i * 24
-		set(i,
-			int64(binary.LittleEndian.Uint64(data[off:])),
-			int64(binary.LittleEndian.Uint64(data[off+8:])),
-			binary.LittleEndian.Uint64(data[off+16:]))
-	}
-	return data[n*24:], nil
-}
-
 // RunsSizer computes AppendRuns' encoded size incrementally, letting a
 // caller that can PROVE whole regions are zero (an occupancy bitmap) skip
 // them arithmetically with Zeros(k) instead of touching k cells. Feeding
@@ -326,6 +280,16 @@ func (rs *RunsSizer) Size() int {
 		rs.zrun = 0
 	}
 	return rs.size
+}
+
+// DecodeCells reads one cell-state payload — the tag byte, then the
+// run-length encoding of exactly n cells (see DecodeRuns) — and returns the
+// remaining bytes. Any tag byte but the current one is ErrBadEncoding.
+func DecodeCells(data []byte, n int, set func(i int, w, s int64, f uint64)) ([]byte, error) {
+	if len(data) < 1 || data[0] != cellsTag {
+		return nil, ErrBadEncoding
+	}
+	return DecodeRuns(data[1:], n, set)
 }
 
 // DecodeRuns reads a compact encoding of exactly n cells, calling set for

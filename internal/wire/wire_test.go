@@ -73,33 +73,6 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestDecodeDenseCellsBounds(t *testing.T) {
-	cells := sampleCells(16)
-	buf := AppendDenseCells(nil, len(cells), func(i int) (int64, int64, uint64) {
-		return cells[i].w, cells[i].s, cells[i].f
-	})
-	if _, err := DecodeDenseCells(buf, -1, nil); err == nil {
-		t.Fatal("negative n: want error")
-	}
-	if _, err := DecodeDenseCells(buf, len(cells)+1, nil); err == nil {
-		t.Fatal("n beyond payload: want error")
-	}
-	// A count that would overflow n*24 must be caught, not wrap around.
-	if _, err := DecodeDenseCells(buf, int(^uint(0)>>1)/8, nil); err == nil {
-		t.Fatal("overflowing n: want error")
-	}
-	got := 0
-	rest, err := DecodeDenseCells(buf, len(cells), func(i int, w, s int64, f uint64) {
-		if w != cells[i].w || s != cells[i].s || f != cells[i].f {
-			t.Fatalf("cell %d mismatch", i)
-		}
-		got++
-	})
-	if err != nil || len(rest) != 0 || got != len(cells) {
-		t.Fatalf("dense round trip: err=%v rest=%d got=%d", err, len(rest), got)
-	}
-}
-
 func TestDecodeRunsBounds(t *testing.T) {
 	cells := sampleCells(64)
 	buf := AppendRuns(nil, len(cells), func(i int) (int64, int64, uint64) {
@@ -184,12 +157,27 @@ func TestCellBudgetConcurrent(t *testing.T) {
 	<-done
 }
 
-func TestValidFormat(t *testing.T) {
-	if !ValidFormat(FormatDense) || !ValidFormat(FormatCompact) {
-		t.Fatal("known formats rejected")
+// TestDecodeCellsTag: the tag byte is a version check — a payload opened
+// by AppendTag decodes, and any other leading byte (0x00 was the retired
+// fixed-size format) is ErrBadEncoding before a cell is read.
+func TestDecodeCellsTag(t *testing.T) {
+	cells := sampleCells(8)
+	payload := AppendRuns(AppendTag(nil), len(cells), func(i int) (int64, int64, uint64) {
+		return cells[i].w, cells[i].s, cells[i].f
+	})
+	seen := 0
+	rest, err := DecodeCells(append(payload, 7), len(cells), func(int, int64, int64, uint64) { seen++ })
+	if err != nil || !bytes.Equal(rest, []byte{7}) || seen == 0 {
+		t.Fatalf("own tag: rest=%x err=%v cells=%d", rest, err, seen)
 	}
-	if ValidFormat(2) || ValidFormat(0xFF) {
-		t.Fatal("unknown formats accepted")
+	for _, tag := range []byte{0x00, 0x02, 0xFF} {
+		bad := append([]byte{tag}, payload[1:]...)
+		if _, err := DecodeCells(bad, len(cells), func(int, int64, int64, uint64) { t.Fatal("cell read past a bad tag") }); err != ErrBadEncoding {
+			t.Fatalf("tag %#x: %v, want ErrBadEncoding", tag, err)
+		}
+	}
+	if _, err := DecodeCells(nil, 0, nil); err != ErrBadEncoding {
+		t.Fatalf("empty payload: %v, want ErrBadEncoding", err)
 	}
 }
 

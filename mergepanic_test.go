@@ -3,12 +3,13 @@ package graphsketch
 import (
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
-	"graphsketch/internal/agm"
 	"graphsketch/internal/l0"
 	"graphsketch/internal/sketchcore"
 	"graphsketch/internal/sparserec"
+	"graphsketch/internal/wire"
 )
 
 // TestIncompatibleMergePanicMessages pins the shared convention for
@@ -114,10 +115,10 @@ func TestIncompatibleMergePanicMessages(t *testing.T) {
 
 // TestWireErrorSurface pins the other side of the convention: everything
 // reachable through wire bytes — truncation, corruption, parameter
-// mismatch, unknown format tags, absurd header dimensions — is an ERROR
-// satisfying errors.Is(err, ErrBadEncoding), never a panic. Panics are
-// reserved for in-process programmer errors (the table above); bytes are
-// input.
+// mismatch, unknown tag bytes, retired envelopes, absurd header dimensions
+// — is an ERROR satisfying errors.Is(err, ErrBadEncoding), never a panic.
+// Panics are reserved for in-process programmer errors (the table above);
+// bytes are input.
 func TestWireErrorSurface(t *testing.T) {
 	sk := NewConnectivitySketch(32, 7)
 	sk.Update(1, 2, 1)
@@ -170,14 +171,39 @@ func TestWireErrorSurface(t *testing.T) {
 		}
 	})
 	t.Run("unknown format tag", func(t *testing.T) {
-		if _, err := agm.NewForestSketch(16, 1).MarshalBinaryFormat(7); !errors.Is(err, agm.ErrBadEncoding) {
-			t.Fatalf("MarshalBinaryFormat(7) = %v, want ErrBadEncoding", err)
+		// A payload whose per-bank tag byte is not 0x01 must error on
+		// decode and merge; 0x00 is the retired fixed-size cell format.
+		for _, tag := range []byte{0x00, 0xEE} {
+			mut := append([]byte(nil), payload...)
+			mut[28] = tag // first bank's tag (after the 28-byte header)
+			var got ConnectivitySketch
+			mustBad(t, got.UnmarshalBinary(mut))
+			mustBad(t, NewConnectivitySketch(32, 7).MergeBytes(mut))
 		}
-		// A payload whose per-bank tag byte is unknown must error on decode.
-		mut := append([]byte(nil), payload...)
-		mut[28] = 0xEE // first bank's format tag (after the 28-byte header)
-		var got ConnectivitySketch
-		mustBad(t, got.UnmarshalBinary(mut))
+	})
+	t.Run("retired envelopes", func(t *testing.T) {
+		// The AGM2, L0S1 and SRK1 envelopes are no longer decoded: every
+		// decoder must reject them as bad encodings.
+		rec := sparserec.New(4, 1)
+		rec.Update(3, 1)
+		srk, err := rec.MarshalBinaryCompact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		srk1 := append([]byte("SRK1"), srk[4:]...)
+		var back sparserec.Sketch
+		if err := back.UnmarshalBinary(srk1); !errors.Is(err, sparserec.ErrBadEncoding) {
+			t.Fatalf("SRK1: %v, want sparserec.ErrBadEncoding", err)
+		}
+		for _, legacy := range [][]byte{
+			append([]byte("AGM2"), payload[4:]...),
+			append(envelopeHeader("L0S1", 1<<10, 1, 4, 12), make([]byte, 4*12*32)...),
+			srk1,
+		} {
+			for _, fw := range facadeWire {
+				mustBad(t, fw.decode(legacy))
+			}
+		}
 	})
 	t.Run("oversized header rejected before allocation", func(t *testing.T) {
 		// Patch the header to declare n = 2^24 (plausible per-field, an
@@ -187,5 +213,21 @@ func TestWireErrorSurface(t *testing.T) {
 		binary.LittleEndian.PutUint64(mut[4:], 1<<24)
 		var got ConnectivitySketch
 		mustBad(t, got.UnmarshalBinary(mut))
+	})
+	t.Run("over-budget envelope headers", func(t *testing.T) {
+		// Each header declares 150-350 MB of cells; under a 1<<22-cell budget
+		// the decoder must refuse it before allocating any of them.
+		prev := wire.SetDecodeCellBudget(1 << 22)
+		defer wire.SetDecodeCellBudget(prev)
+		for _, fw := range facadeWire {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := fw.decode(fw.overBudget)
+			runtime.ReadMemStats(&after)
+			mustBad(t, err)
+			if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+				t.Fatalf("%s: rejecting the header allocated %d bytes", fw.name, d)
+			}
+		}
 	})
 }
