@@ -50,6 +50,13 @@ import (
 // distributed site actually ships (Sec. 1.1).
 type Footprint = sketchcore.Footprint
 
+// Digest is a bank's linear integrity digest: one part over the cells'
+// int64 counts mod 2^64, one over their fingerprints mod 2^61-1. Every
+// write path keeps it current by adding the digest of what it writes, so
+// reading it costs O(arenas), and the digest of a sum of states is the sum
+// of their digests.
+type Digest = sketchcore.Digest
+
 // Each sketch serializes with MarshalBinaryCompact (zero-run-length +
 // varint cells, size proportional to non-zero state); UnmarshalBinary and
 // MergeBytes read that encoding.
@@ -398,10 +405,37 @@ func (m *MinCutSketch) MergeBank(bank int, data []byte) error {
 	return wrapBadEncoding(m.sk.MergeBankState(bank, data))
 }
 
-// BatchMaxLevel reports the highest subsampling level any update in ups
-// lands on (-1 for an empty batch); a batch can only change banks
-// 0..BatchMaxLevel, the bound incremental digest tracking relies on.
-func (m *MinCutSketch) BatchMaxLevel(ups []Update) int { return m.sk.BatchMaxLevel(ups) }
+// BankDigest returns one level bank's maintained digest; bank must be in
+// [0, NumBanks()). It covers exactly the cells AppendBank encodes.
+func (m *MinCutSketch) BankDigest(bank int) Digest {
+	return sketchcore.SumDigests(m.sk.BankArenas(bank))
+}
+
+// ScanBankDigest recomputes one level bank's digest from its cells, leaving
+// the maintained one alone: the two differ only if the cells changed
+// behind the sketch's back.
+func (m *MinCutSketch) ScanBankDigest(bank int) Digest {
+	return sketchcore.ScanDigests(m.sk.BankArenas(bank))
+}
+
+// RescanDigests resets every maintained digest to the one scanned from the
+// cells.
+func (m *MinCutSketch) RescanDigests() { rescanBanks(m.sk.NumBanks(), m.sk.BankArenas) }
+
+// RotBank folds compact bank bytes into one level bank WITHOUT moving its
+// maintained digest: silent memory rot, for integrity tests only.
+func (m *MinCutSketch) RotBank(bank int, data []byte) error {
+	return sketchcore.WithoutDigest(m.sk.BankArenas(bank), func() error { return m.MergeBank(bank, data) })
+}
+
+// rescanBanks resets the maintained digest of every arena of every bank.
+func rescanBanks(banks int, arenas func(int) []*sketchcore.Arena) {
+	for bank := 0; bank < banks; bank++ {
+		for _, a := range arenas(bank) {
+			a.RescanDigest()
+		}
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Sparsification (Figs 2-3, Sec. 3.5)
@@ -496,9 +530,27 @@ func (s *SimpleSparsifier) MergeBank(bank int, data []byte) error {
 	return wrapBadEncoding(s.sk.MergeBankState(bank, data))
 }
 
-// BatchMaxLevel reports the highest sampling level any update in ups lands
-// on (-1 for an empty batch); see MinCutSketch.BatchMaxLevel.
-func (s *SimpleSparsifier) BatchMaxLevel(ups []Update) int { return s.sk.BatchMaxLevel(ups) }
+// BankDigest returns one level bank's maintained digest; see
+// MinCutSketch.BankDigest.
+func (s *SimpleSparsifier) BankDigest(bank int) Digest {
+	return sketchcore.SumDigests(s.sk.BankArenas(bank))
+}
+
+// ScanBankDigest recomputes one level bank's digest from its cells; see
+// MinCutSketch.ScanBankDigest.
+func (s *SimpleSparsifier) ScanBankDigest(bank int) Digest {
+	return sketchcore.ScanDigests(s.sk.BankArenas(bank))
+}
+
+// RescanDigests resets every maintained digest to the one scanned from the
+// cells.
+func (s *SimpleSparsifier) RescanDigests() { rescanBanks(s.sk.NumBanks(), s.sk.BankArenas) }
+
+// RotBank folds compact bank bytes into one level bank without moving its
+// maintained digest; see MinCutSketch.RotBank.
+func (s *SimpleSparsifier) RotBank(bank int, data []byte) error {
+	return sketchcore.WithoutDigest(s.sk.BankArenas(bank), func() error { return s.MergeBank(bank, data) })
+}
 
 // Footprint reports resident bytes, cell occupancy, and wire bytes.
 func (s *SimpleSparsifier) Footprint() Footprint { return s.sk.Footprint() }

@@ -183,6 +183,12 @@ func (fs *ForestSketch) MergeMany(others []*ForestSketch) {
 	}
 }
 
+// AppendArenas appends the round banks, in wire order, to dst: the cells
+// (and the maintained digests, sketchcore.Digest) behind AppendState.
+func (fs *ForestSketch) AppendArenas(dst []*sketchcore.Arena) []*sketchcore.Arena {
+	return append(dst, fs.banks...)
+}
+
 // Reset zeroes the sketch's sampler state for reuse, touching only
 // occupied arena regions.
 func (fs *ForestSketch) Reset() {

@@ -124,6 +124,15 @@ func (ec *EdgeConnectSketch) MergeMany(others []*EdgeConnectSketch) {
 	}
 }
 
+// AppendArenas appends every forest bank's round arenas, in wire order, to
+// dst.
+func (ec *EdgeConnectSketch) AppendArenas(dst []*sketchcore.Arena) []*sketchcore.Arena {
+	for _, b := range ec.banks {
+		dst = b.AppendArenas(dst)
+	}
+	return dst
+}
+
 // AppendState appends the tagged state of all k forest banks (headerless).
 func (ec *EdgeConnectSketch) AppendState(buf []byte) []byte {
 	for _, b := range ec.banks {

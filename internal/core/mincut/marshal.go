@@ -8,7 +8,6 @@ import (
 
 	"graphsketch/internal/agm"
 	"graphsketch/internal/sketchcore"
-	"graphsketch/internal/stream"
 )
 
 // Wire envelope: magic "MCS1", the full filled Config (N, Epsilon bits, K,
@@ -163,20 +162,10 @@ func (s *Sketch) MergeBankState(bank int, data []byte) error {
 	return nil
 }
 
-// BatchMaxLevel reports the highest subsampling level any update in ups
-// lands on (-1 for an empty batch). An update at level l mutates levels
-// 0..l (the nested-subsample invariant), so exactly banks 0..BatchMaxLevel
-// can change — the bound incremental digest tracking uses to limit
-// recomputation.
-func (s *Sketch) BatchMaxLevel(ups []stream.Update) int {
-	maxL := -1
-	for _, up := range ups {
-		if l := s.subLevel(up.U, up.V); l > maxL {
-			maxL = l
-		}
-	}
-	return maxL
-}
+// BankArenas returns one level bank's arenas in wire order: the cells
+// AppendBankState encodes, whose maintained digests (sketchcore.Digest)
+// sum to the bank's. bank must be in [0, NumBanks()).
+func (s *Sketch) BankArenas(bank int) []*sketchcore.Arena { return s.ecs[bank].AppendArenas(nil) }
 
 // MergeMany folds k sketches into s level by level in one occupancy-guided
 // pass each; bit-identical to sequential pairwise Add.

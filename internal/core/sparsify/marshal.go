@@ -9,7 +9,6 @@ import (
 	"graphsketch/internal/agm"
 	"graphsketch/internal/sketchcore"
 	"graphsketch/internal/sparserec"
-	"graphsketch/internal/stream"
 )
 
 // Wire envelopes: magic + the full filled config (floats as IEEE bits) +
@@ -120,18 +119,9 @@ func (s *Simple) MergeBankState(bank int, data []byte) error {
 	return nil
 }
 
-// BatchMaxLevel reports the highest sampling level any update in ups lands
-// on (-1 for an empty batch); an update at level l mutates levels 0..l, so
-// exactly banks 0..BatchMaxLevel can change.
-func (s *Simple) BatchMaxLevel(ups []stream.Update) int {
-	maxL := -1
-	for _, up := range ups {
-		if l := s.subLevel(up.U, up.V); l > maxL {
-			maxL = l
-		}
-	}
-	return maxL
-}
+// BankArenas returns one level bank's arenas in wire order; see
+// mincut.Sketch.BankArenas.
+func (s *Simple) BankArenas(bank int) []*sketchcore.Arena { return s.ecs[bank].AppendArenas(nil) }
 
 // MergeMany folds k Simple sketches level by level in one occupancy-guided
 // pass each; bit-identical to sequential pairwise Add.

@@ -3,6 +3,7 @@ package runtime
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -253,6 +254,13 @@ func (w *DiskWAL) logHeader(gen uint64) []byte {
 
 // resetLogFile atomically replaces wal.log with an empty generation-gen
 // log (plus optional records) and repoints the append handle at it.
+//
+// A failed rename changes nothing. Once the rename has happened the old
+// handle names a replaced file, so it is closed before anything else can
+// fail; if the new file cannot be opened the handle is left nil, and the
+// next Append rewrites the log from the mirror. A failed directory fsync
+// is returned last, wrapped in ErrTookEffect, with the handle already on
+// the new file.
 func (w *DiskWAL) resetLogFile(gen uint64, records ...[]byte) error {
 	content := w.logHeader(gen)
 	for _, r := range records {
@@ -261,46 +269,66 @@ func (w *DiskWAL) resetLogFile(gen uint64, records ...[]byte) error {
 	if err := writeFileAtomic(LogPath(w.dir), content); err != nil {
 		return fmt.Errorf("wal: reset log: %w", err)
 	}
-	syncDir(w.dir)
-	if w.logF != nil {
-		w.logF.Close()
-	}
+	w.dropLog()
 	f, err := os.OpenFile(LogPath(w.dir), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: reset log: %w", err)
 	}
 	w.logF = f
 	w.unsynced = 0
+	if err := syncDir(w.dir); err != nil {
+		return fmt.Errorf("wal: reset log: %w: %w", ErrTookEffect, err)
+	}
 	return nil
 }
 
-// Append frames one update batch, mirrors it in memory, writes it to the
-// log file, and applies the fsync policy. The write(2) completing is what
+// dropLog closes the append handle and forgets it.
+func (w *DiskWAL) dropLog() {
+	if w.logF != nil {
+		w.logF.Close()
+		w.logF = nil
+	}
+}
+
+// Append frames one update batch, writes it to the log file, applies the
+// fsync policy, and only then moves the in-memory mirror, so the position
+// it reports never runs ahead of the file. The write(2) completing is what
 // makes the batch survive a SIGKILL; the fsync (policy permitting) is what
 // makes it survive power loss.
+//
+// A failed write or fsync changes nothing: the file is cut back to its last
+// whole record (a short write must not leave a torn frame for later
+// records to land behind), the mirror and DurableUpdates stay where they
+// were, and the error is returned.
+//
+// With no append handle (a log reset did not finish, see resetLogFile and
+// publishSnapshot) Append first rewrites wal.log from the mirror, so the
+// batch lands in the file a reopen reads, and fails if it cannot.
 func (w *DiskWAL) Append(ups []stream.Update) error {
 	if len(ups) == 0 {
 		return nil
 	}
-	before := len(w.mem.log)
-	w.mem.Append(ups)
-	if _, err := w.logF.Write(w.mem.log[before:]); err != nil {
+	if w.logF == nil {
+		if err := w.resetLogFile(w.gen, w.mem.log); err != nil {
+			return fmt.Errorf("wal: append: %w", err)
+		}
+	}
+	rec := w.mem.frame(ups, w.mem.pos+len(ups))
+	sync := w.cfg.Policy == FsyncAlways || (w.cfg.Policy == FsyncInterval && w.unsynced+1 >= w.cfg.Every)
+	_, err := w.logF.Write(rec)
+	if err == nil && sync {
+		err = w.logF.Sync()
+	}
+	if err != nil {
+		if terr := os.Truncate(LogPath(w.dir), int64(logHeaderSize+len(w.mem.log))); terr != nil {
+			err = errors.Join(err, terr)
+		}
 		return fmt.Errorf("wal: append: %w", err)
 	}
+	w.mem.pushRecord(rec, len(ups))
 	w.unsynced++
-	switch w.cfg.Policy {
-	case FsyncAlways:
+	if sync {
 		w.unsynced = 0
-		if err := w.logF.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync: %w", err)
-		}
-	case FsyncInterval:
-		if w.unsynced >= w.cfg.Every {
-			w.unsynced = 0
-			if err := w.logF.Sync(); err != nil {
-				return fmt.Errorf("wal: fsync: %w", err)
-			}
-		}
 	}
 	return nil
 }
@@ -314,64 +342,80 @@ func (w *DiskWAL) Snapshot(sk Sketch) error {
 	if err != nil {
 		return fmt.Errorf("wal: snapshot marshal: %w", err)
 	}
-	sealed := wire.Seal(payload)
-	gen := w.gen + 1
-	covered := w.mem.pos
+	if err := w.publishSnapshot(wire.Seal(payload), w.mem.pos); err != nil {
+		return fmt.Errorf("wal: snapshot: %w", err)
+	}
+	return nil
+}
 
+// publishSnapshot writes sealed as the generation gen+1 snapshot covering
+// stream position covered, resets the log to an empty generation gen+1
+// log, and moves gen and the mirror to match. The mirror keeps sealed.
+//
+// The snapshot's rename is the commit point. If it fails nothing has
+// changed. Once it has happened the snapshot is the WAL's state, so the
+// step is carried through whatever fails next: gen and the mirror move at
+// once, the log reset runs even if the directory fsync failed (an append
+// handle left on the superseded log would write batches that Open
+// discards), and a later failure is returned wrapped in ErrTookEffect. If
+// the log reset itself fails, the handle is dropped and the next Append
+// retries the reset before it writes.
+func (w *DiskWAL) publishSnapshot(sealed []byte, covered int) error {
+	gen := w.gen + 1
 	hdr := make([]byte, snapHeaderSize, snapHeaderSize+len(sealed))
 	copy(hdr, snapMagic[:])
 	binary.LittleEndian.PutUint64(hdr[8:], gen)
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(w.mem.n))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(covered))
 	if err := writeFileAtomic(SnapshotPath(w.dir), append(hdr, sealed...)); err != nil {
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	syncDir(w.dir)
-	// Crash boundary: snapshot (gen+1) published, log still at gen. Open
-	// resolves it by discarding the superseded log — no double replay.
-	if err := w.resetLogFile(gen); err != nil {
 		return err
 	}
 	w.gen = gen
-	w.mem.snapshot = sealed
-	w.mem.snapPos = covered
-	w.mem.log = w.mem.log[:0]
-	w.mem.logUpdates = 0
+	w.mem.installSnapshot(sealed, covered)
+	dirErr := syncDir(w.dir)
+	// Crash boundary: snapshot (gen+1) published, log still at gen. Open
+	// resolves it by discarding the superseded log — no double replay.
+	resetErr := w.resetLogFile(gen)
+	if resetErr != nil && !errors.Is(resetErr, ErrTookEffect) {
+		w.dropLog()
+	}
+	if dirErr != nil || resetErr != nil {
+		return fmt.Errorf("%w: %w", ErrTookEffect, errors.Join(dirErr, resetErr))
+	}
 	return nil
 }
 
 // InstallSnapshot durably replaces the WAL's state with a sealed compact
 // payload pulled from a replica peer, covering stream position pos (see
-// WAL.InstallSnapshot for why the local log is discarded). The snapshot
-// file is published at generation gen+1 before the log is reset, so a
-// crash between the two is resolved by Open exactly like the ordinary
-// snapshot crash window.
+// WAL.InstallSnapshot for why the local log is discarded). The envelope is
+// validated before anything is written, and the mirror moves only after
+// the files have: the snapshot is published at generation gen+1 before the
+// log is reset, so a crash between the two is resolved by Open exactly
+// like the ordinary snapshot crash window.
 func (w *DiskWAL) InstallSnapshot(sealed []byte, pos int) error {
-	if err := w.mem.InstallSnapshot(sealed, pos); err != nil {
-		return err
+	if _, _, err := wire.Open(sealed); err != nil {
+		return fmt.Errorf("wal: install snapshot envelope: %w", err)
 	}
-	gen := w.gen + 1
-	hdr := make([]byte, snapHeaderSize, snapHeaderSize+len(sealed))
-	copy(hdr, snapMagic[:])
-	binary.LittleEndian.PutUint64(hdr[8:], gen)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(w.mem.n))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(pos))
-	if err := writeFileAtomic(SnapshotPath(w.dir), append(hdr, sealed...)); err != nil {
+	if err := w.publishSnapshot(bytes.Clone(sealed), pos); err != nil {
 		return fmt.Errorf("wal: install snapshot: %w", err)
 	}
-	syncDir(w.dir)
-	if err := w.resetLogFile(gen); err != nil {
-		return err
-	}
-	w.gen = gen
 	return nil
 }
 
 // Compact rewrites the log as one coalesced batch (bit-neutral by
 // linearity) and atomically replaces the file, keeping the generation.
+// The file is written first and the mirror follows once it is in place,
+// so a failed rewrite leaves both as they were.
 func (w *DiskWAL) Compact() error {
-	w.mem.Compact()
-	return w.resetLogFile(w.gen, w.mem.log)
+	rec, n, endPos, ok := w.mem.compaction()
+	if !ok {
+		return nil
+	}
+	err := w.resetLogFile(w.gen, rec)
+	if err == nil || errors.Is(err, ErrTookEffect) {
+		w.mem.setLog(rec, n, endPos)
+	}
+	return err
 }
 
 // Recover rebuilds a sketch from the mirrored durable state (see
@@ -498,15 +542,25 @@ func writeFileAtomic(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file's directory entry is
-// durable. Best-effort: some filesystems refuse directory syncs; a failure
-// narrows the power-loss window, it does not affect crash recovery.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+// durable. Its error is returned: a rename whose entry may not survive
+// power loss is not a durable write. It is a variable so tests can make it
+// fail.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

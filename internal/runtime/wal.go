@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,6 +20,15 @@ import (
 // durable state is gone and the tenant must be quarantined and repaired
 // from a peer rather than served.
 var ErrWALCorrupt = errors.New("wal: corrupt record (bit-rot, not torn tail)")
+
+// ErrTookEffect marks a DiskWAL error from a step whose file was already
+// renamed into place. The step has been carried through: the mirror, the
+// position and the append handle all reflect the new state, and the caller
+// must treat it as done. What failed came after the rename and is
+// reported so it is not lost: a directory fsync (the rename may not
+// survive power loss), or the log reset that follows a published snapshot
+// (the next Append retries it before it writes).
+var ErrTookEffect = errors.New("wal: took effect, but did not finish")
 
 // recStatus classifies one framed-record decode.
 type recStatus int
@@ -92,19 +102,25 @@ func (w *WAL) Append(ups []stream.Update) {
 	if len(ups) == 0 {
 		return
 	}
-	w.pos += len(ups)
-	w.appendRecord(ups, w.pos)
+	w.pushRecord(w.frame(ups, w.pos+len(ups)), len(ups))
 }
 
-// appendRecord frames ups as one record whose replay lands on posAfter.
+// frame encodes ups as one log record whose replay lands on posAfter.
 // Compaction uses it to rewrite history without moving the position; a
 // zero-length ups is legal and encodes a pure position marker.
-func (w *WAL) appendRecord(ups []stream.Update, posAfter int) {
+func (w *WAL) frame(ups []stream.Update, posAfter int) []byte {
 	payload := stream.AppendBatch(wire.AppendUvarint(nil, uint64(posAfter)), ups)
-	w.log = binary.LittleEndian.AppendUint32(w.log, uint32(len(payload)))
-	w.log = binary.LittleEndian.AppendUint32(w.log, wire.Checksum(payload))
-	w.log = append(w.log, payload...)
-	w.logUpdates += len(ups)
+	rec := binary.LittleEndian.AppendUint32(make([]byte, 0, 8+len(payload)), uint32(len(payload)))
+	rec = binary.LittleEndian.AppendUint32(rec, wire.Checksum(payload))
+	return append(rec, payload...)
+}
+
+// pushRecord appends a framed record carrying n updates to the log tail
+// and advances the position past them.
+func (w *WAL) pushRecord(rec []byte, n int) {
+	w.log = append(w.log, rec...)
+	w.logUpdates += n
+	w.pos += n
 }
 
 // TearTail simulates a crash mid-append by truncating the last n bytes of
@@ -196,12 +212,18 @@ func (w *WAL) InstallSnapshot(sealed []byte, pos int) error {
 	if _, _, err := wire.Open(sealed); err != nil {
 		return fmt.Errorf("wal: install snapshot envelope: %w", err)
 	}
-	w.snapshot = append([]byte(nil), sealed...)
+	w.installSnapshot(bytes.Clone(sealed), pos)
+	return nil
+}
+
+// installSnapshot is InstallSnapshot for an envelope already validated;
+// the mirror keeps sealed itself.
+func (w *WAL) installSnapshot(sealed []byte, pos int) {
+	w.snapshot = sealed
 	w.snapPos = pos
 	w.pos = pos
 	w.log = w.log[:0]
 	w.logUpdates = 0
-	return nil
 }
 
 // Compact rewrites the log as one coalesced batch: one surviving update
@@ -211,23 +233,37 @@ func (w *WAL) InstallSnapshot(sealed []byte, pos int) error {
 // length. The rewritten record keeps the original end position, so re-feed
 // contracts survive compaction exactly.
 func (w *WAL) Compact() {
+	if rec, n, endPos, ok := w.compaction(); ok {
+		w.setLog(rec, n, endPos)
+	}
+}
+
+// compaction builds the record Compact rewrites the log to, without
+// touching the log: the coalesced updates framed to replay onto endPos,
+// and how many there are. ok is false when there is nothing to rewrite.
+func (w *WAL) compaction() (rec []byte, n, endPos int, ok bool) {
 	ups, endPos, _, corrupt := w.replayLog()
 	if corrupt {
 		// Rewriting a corrupt log would destroy the evidence the scrubber
 		// needs to quarantine the tenant; leave the bytes for it to find.
-		return
+		return nil, 0, 0, false
 	}
 	if len(ups) == 0 {
-		return
+		return nil, 0, 0, false
 	}
 	co := (&stream.Stream{N: w.n, Updates: ups}).Coalesce()
-	w.log = w.log[:0]
-	w.logUpdates = 0
-	w.pos = endPos
 	// A fully cancelled log still needs a position marker, or replay would
 	// report the snapshot position and the driver would re-feed acked
-	// updates (double-count). appendRecord accepts zero updates for this.
-	w.appendRecord(co.Updates, endPos)
+	// updates (double-count). frame accepts zero updates for this.
+	return w.frame(co.Updates, endPos), len(co.Updates), endPos, true
+}
+
+// setLog replaces the log tail with the single record rec carrying n
+// updates and replaying onto endPos.
+func (w *WAL) setLog(rec []byte, n, endPos int) {
+	w.log = append(w.log[:0], rec...)
+	w.logUpdates = n
+	w.pos = endPos
 }
 
 // Recover rebuilds the site's sketch from durable state: a factory-fresh

@@ -13,6 +13,7 @@ import (
 	"math"
 
 	"graphsketch"
+	"graphsketch/internal/hashing"
 	"graphsketch/internal/stream"
 	"graphsketch/internal/wire"
 )
@@ -54,6 +55,10 @@ type Bundle struct {
 	// the log doubles, keeping it O(live edges), not O(stream length).
 	spLog     []stream.Update
 	coalesced int // prefix length known coalesced
+	// logDig is each log chunk's maintained linear digest (see
+	// logDigests). Coalescing only regroups an edge's deltas, so it leaves
+	// the digest unchanged and Manifest reads it as is.
+	logDig [logBankCount]uint64
 
 	// sketchBytes is the resident size of mc and sp together. The config
 	// fixes it: their arenas are shared-mode (cell arrays, hash state and
@@ -64,17 +69,6 @@ type Bundle struct {
 	// a failed MergeBytes can be undone by re-creating it instead of being
 	// staged on a clone. Clones never carry it.
 	pristine bool
-
-	// Digest cache: one manifest leaf per bank plus a dirty flag, so epoch
-	// publication recomputes only the banks a batch touched. Sketch banks
-	// use the conservative BatchMaxLevel bound (an update at level l dirties
-	// levels 0..l); log chunks are dirtied exactly by edge-index keying.
-	// Lazily allocated on first Manifest call.
-	dig      []wire.BankRef
-	digDirty []bool
-	// bankBuf is the digest passes' bank-encode buffer, kept across calls so
-	// a publish does not regrow it from nothing; never cloned.
-	bankBuf []byte
 }
 
 // NewBundle creates an empty bundle with the given shape.
@@ -98,10 +92,15 @@ func (b *Bundle) UpdateBatch(ups []stream.Update) {
 	if len(ups) == 0 {
 		return
 	}
-	b.pristine = false
-	b.markBatchDirty(ups)
 	b.mc.UpdateBatch(ups)
 	b.sp.UpdateBatch(ups)
+	b.appendLog(ups)
+}
+
+// appendLog appends a batch to the spanner log, moving its chunks' digests.
+func (b *Bundle) appendLog(ups []stream.Update) {
+	b.pristine = false
+	b.logDig = addDigests(b.logDig, b.logDigests(ups))
 	b.spLog = append(b.spLog, ups...)
 	if len(b.spLog) >= 64 && len(b.spLog) >= 2*b.coalesced {
 		b.coalesceLog()
@@ -120,8 +119,8 @@ func (b *Bundle) coalesceLog() {
 
 // Clone deep-copies the bundle — the epoch-snapshot primitive. The clone
 // shares nothing mutable with the original, so queries against it never
-// block (or observe) ingest. The digest cache is carried over (it describes
-// the same state).
+// block (or observe) ingest. The maintained digests travel with the cells
+// they describe.
 func (b *Bundle) Clone() *Bundle {
 	return &Bundle{
 		cfg:         b.cfg,
@@ -129,9 +128,8 @@ func (b *Bundle) Clone() *Bundle {
 		sp:          b.sp.Clone(),
 		spLog:       append([]stream.Update(nil), b.spLog...),
 		coalesced:   b.coalesced,
+		logDig:      b.logDig,
 		sketchBytes: b.sketchBytes,
-		dig:         append([]wire.BankRef(nil), b.dig...),
-		digDirty:    append([]bool(nil), b.digDirty...),
 	}
 }
 
@@ -193,13 +191,19 @@ func (b *Bundle) ResidentBytes() int64 { return b.sketchBytes + int64(len(b.spLo
 //	totalBanks     uvarint
 //	presentCount   uvarint
 //	present        presentCount × { id uvarint, len uvarint, bytes }
-//	manifest       GSD1 over ALL totalBanks banks
+//	manifest       GSD2 over ALL totalBanks banks
 //
 // A full payload carries every bank (snapshots, /payload, sync installs); a
 // delta payload carries only the banks a peer asked for, but always the
 // full manifest — the receiver verifies every present bank against its
-// leaf, and every absent bank against its own local bytes, before trusting
-// a bank-granular install.
+// leaf, and every absent bank against its own leaf, before trusting a
+// bank-granular install.
+//
+// A leaf is linear in its bank's state, not a hash of its bytes: a sketch
+// bank's is the fold of its arenas' graphsketch.Digest, a log chunk's the
+// sum over its entries of delta * R(edge) mod 2^64. Every write keeps them
+// current, so Manifest sums about 1,440 per-arena accumulators and reads
+// eight chunk sums — it never encodes a bank.
 
 // ErrDigestMismatch reports state bytes that contradict a digest-tree
 // leaf — silent corruption, never a crash artifact (those are torn tails).
@@ -220,53 +224,77 @@ func logChunk(u stream.Update, n int) int {
 	return int(stream.EdgeIndex(u.U, u.V, n) % logBankCount)
 }
 
+// logDigestKey separates the log multipliers from every other seed
+// derivation.
+const logDigestKey = 0x10c
+
+// logDigests returns the digest terms of ups summed per log chunk: delta *
+// R(edge) mod 2^64, with R odd and derived from the config seed and the
+// canonical edge index. Self-loops are skipped, as coalescing drops them.
+// Summed deltas wrap in int64 exactly as these terms wrap in uint64, so a
+// chunk's digest is the same before and after coalescing.
+func (b *Bundle) logDigests(ups []stream.Update) (dig [logBankCount]uint64) {
+	seed := hashing.DeriveSeed(b.cfg.Seed, logDigestKey)
+	for _, u := range ups {
+		if u.U == u.V {
+			continue
+		}
+		idx := stream.EdgeIndex(u.U, u.V, b.cfg.N)
+		dig[idx%logBankCount] += uint64(u.Delta) * (hashing.DeriveSeed(seed, idx) | 1)
+	}
+	return dig
+}
+
+// addDigests adds chunk digests elementwise.
+func addDigests(a, b [logBankCount]uint64) [logBankCount]uint64 {
+	for i := range a {
+		a[i] += b[i]
+	}
+	return a
+}
+
 // NumBanks reports the bundle's digest-tree width.
 func (b *Bundle) NumBanks() int {
 	return b.mc.NumBanks() + b.sp.NumBanks() + logBankCount
 }
 
-// markBatchDirty invalidates the digest-cache leaves a batch can touch.
-// No-op until the cache exists (first Manifest call pays full price).
-func (b *Bundle) markBatchDirty(ups []stream.Update) {
-	if b.digDirty == nil {
-		return
-	}
-	mcN, spN := b.mc.NumBanks(), b.sp.NumBanks()
-	for l := b.mc.BatchMaxLevel(ups); l >= 0; l-- {
-		b.digDirty[l] = true
-	}
-	for l := b.sp.BatchMaxLevel(ups); l >= 0; l-- {
-		b.digDirty[mcN+l] = true
-	}
-	for _, u := range ups {
-		b.digDirty[mcN+spN+logChunk(u, b.cfg.N)] = true
-	}
+// sketchBanks is the bank surface the bundle uses on each of its two
+// sketches.
+type sketchBanks interface {
+	AppendBank(buf []byte, bank int) ([]byte, error)
+	MergeBank(bank int, data []byte) error
+	ReplaceBank(bank int, data []byte) error
+	BankDigest(bank int) graphsketch.Digest
+	ScanBankDigest(bank int) graphsketch.Digest
+	RotBank(bank int, data []byte) error
 }
 
-// markAllDirty drops every cached leaf (wholesale state changes: merge,
-// bank install, unmarshal).
-func (b *Bundle) markAllDirty() {
-	for i := range b.digDirty {
-		b.digDirty[i] = true
+// sketchBank resolves bundle bank id to the sketch holding it and the
+// bank's index there; for a log chunk ok is false and idx is the chunk.
+func (b *Bundle) sketchBank(id int) (sk sketchBanks, idx int, ok bool) {
+	mcN, spN := b.mc.NumBanks(), b.sp.NumBanks()
+	switch {
+	case id < mcN:
+		return b.mc, id, true
+	case id < mcN+spN:
+		return b.sp, id - mcN, true
 	}
+	return nil, id - mcN - spN, false
 }
 
 // appendBank appends bank id's canonical bytes. The spanner log must
 // already be coalesced when a log bank is encoded.
 func (b *Bundle) appendBank(buf []byte, id int) ([]byte, error) {
-	mcN, spN := b.mc.NumBanks(), b.sp.NumBanks()
-	switch {
-	case id < 0 || id >= mcN+spN+logBankCount:
+	if id < 0 || id >= b.NumBanks() {
 		return nil, fmt.Errorf("service: bank %d out of [0,%d): %w", id, b.NumBanks(), graphsketch.ErrBadEncoding)
-	case id < mcN:
-		return b.mc.AppendBank(buf, id)
-	case id < mcN+spN:
-		return b.sp.AppendBank(buf, id-mcN)
 	}
-	chunk := id - mcN - spN
+	sk, idx, ok := b.sketchBank(id)
+	if ok {
+		return sk.AppendBank(buf, idx)
+	}
 	ups := make([]stream.Update, 0, len(b.spLog)/logBankCount+1)
 	for _, u := range b.spLog {
-		if logChunk(u, b.cfg.N) == chunk {
+		if logChunk(u, b.cfg.N) == idx {
 			ups = append(ups, u)
 		}
 	}
@@ -285,91 +313,66 @@ func decodeLogBank(data []byte) ([]stream.Update, error) {
 	return ups, nil
 }
 
-// refreshDigests brings the digest cache current: coalesce the log (log
-// leaves digest canonical chunk bytes), then re-encode and re-digest every
-// dirty bank. First call builds the cache wholesale.
-func (b *Bundle) refreshDigests() error {
-	_, err := b.encodeBanks(nil, nil)
-	return err
-}
-
-// encodeBanks is refreshDigests that also appends every bank marked in want
-// (nil = none) to out as id, length, bytes, in id order — encoding each bank
-// at most once: a dirty bank's bytes serve its digest and the output both, a
-// clean bank is encoded only if wanted.
-func (b *Bundle) encodeBanks(out []byte, want []bool) ([]byte, error) {
-	b.coalesceLog()
-	if b.dig == nil {
-		b.dig = make([]wire.BankRef, b.NumBanks())
-		b.digDirty = make([]bool, b.NumBanks())
-		b.markAllDirty()
-	}
-	for id := range b.dig {
-		encoded := b.digDirty[id]
-		if encoded {
-			bankB, err := b.appendBank(b.bankBuf[:0], id)
-			if err != nil {
-				return nil, err
-			}
-			b.bankBuf = bankB
-			b.dig[id] = wire.BankRef{Len: uint64(len(bankB)), Digest: wire.BankDigest(bankB)}
-			b.digDirty[id] = false
-		}
-		if want == nil || !want[id] {
-			continue
-		}
-		out = wire.AppendUvarint(out, uint64(id))
-		out = wire.AppendUvarint(out, b.dig[id].Len)
-		if encoded {
-			out = append(out, b.bankBuf...)
-			continue
-		}
-		var err error
-		if out, err = b.appendBank(out, id); err != nil {
-			return nil, err
+// leaves returns every bank's digest in bank order: sketch banks read
+// through digest (maintained or scanned), log chunks from logDig.
+func (b *Bundle) leaves(digest func(sketchBanks, int) graphsketch.Digest, logDig [logBankCount]uint64) []graphsketch.Digest {
+	out := make([]graphsketch.Digest, b.NumBanks())
+	for id := range out {
+		if sk, idx, ok := b.sketchBank(id); ok {
+			out[id] = digest(sk, idx)
+		} else {
+			out[id] = graphsketch.Digest{W: logDig[idx]}
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Manifest returns the bundle's current digest tree (a copy; callers may
-// hold it across further updates).
+// hold it across further updates). It folds the maintained leaves: O(banks
+// × arenas), independent of the state and of what changed since the last
+// call. The error is always nil; the signature is kept for the callers
+// outside this package that compile against it.
 func (b *Bundle) Manifest() (wire.Manifest, error) {
-	if err := b.refreshDigests(); err != nil {
-		return wire.Manifest{}, err
-	}
-	return wire.Manifest{Banks: append([]wire.BankRef(nil), b.dig...)}, nil
+	return b.manifest(), nil
 }
 
-// VerifyDigests is the scrubber's live-state check: re-encode EVERY bank
-// and compare against the cached manifest leaves. A clean (non-dirty) leaf
-// that no longer matches its bank's bytes means the in-memory state or its
-// cache rotted since the last epoch publication — something no update path
-// can cause. Returns ErrDigestMismatch (wrapped) naming the first diverged
-// bank; the cache is left untouched so repair logic can still read the
+// manifest is Manifest without the error it never returns.
+func (b *Bundle) manifest() wire.Manifest {
+	dig := b.leaves(sketchBanks.BankDigest, b.logDig)
+	man := wire.Manifest{Banks: make([]uint64, len(dig))}
+	for id, d := range dig {
+		man.Banks[id] = d.Fold()
+	}
+	return man
+}
+
+// VerifyDigests is the scrubber's live-state check: recompute EVERY bank's
+// digest from its cells (and every log chunk's from the log) and compare it
+// with the maintained leaf. No write path can make them differ, so a
+// mismatch means the in-memory state rotted behind the bundle's back.
+// Returns ErrDigestMismatch (wrapped) naming the first diverged bank; the
+// maintained leaves are left untouched so repair logic can still read the
 // pre-rot manifest.
 func (b *Bundle) VerifyDigests() error {
-	if b.dig == nil {
-		return nil // nothing published yet, nothing to contradict
-	}
-	b.coalesceLog()
-	var scratch []byte
-	for id := range b.dig {
-		if b.digDirty[id] {
-			continue // not yet published; nothing to verify against
-		}
-		bankB, err := b.appendBank(scratch[:0], id)
-		if err != nil {
-			return err
-		}
-		scratch = bankB
-		ref := wire.BankRef{Len: uint64(len(bankB)), Digest: wire.BankDigest(bankB)}
-		if ref != b.dig[id] {
-			return fmt.Errorf("service: bank %d digest mismatch (live %x/%d, manifest %x/%d): %w",
-				id, ref.Digest, ref.Len, b.dig[id].Digest, b.dig[id].Len, ErrDigestMismatch)
+	kept := b.leaves(sketchBanks.BankDigest, b.logDig)
+	scanned := b.leaves(sketchBanks.ScanBankDigest, b.logDigests(b.spLog))
+	for id := range kept {
+		if scanned[id] != kept[id] {
+			return fmt.Errorf("service: bank %d digest mismatch (state %016x, maintained %016x): %w",
+				id, scanned[id].Fold(), kept[id].Fold(), ErrDigestMismatch)
 		}
 	}
 	return nil
+}
+
+// RecomputeDigests resets every maintained leaf to the one recomputed from
+// the live state. The repair path uses it so the local manifest reflects
+// rotted reality before diffing against a peer's — a maintained pre-rot
+// leaf would hide exactly the bank that needs pulling.
+func (b *Bundle) RecomputeDigests() {
+	b.mc.RescanDigests()
+	b.sp.RescanDigests()
+	b.logDig = b.logDigests(b.spLog)
 }
 
 // appendConfigHeader writes the 5-uvarint config header.
@@ -403,14 +406,24 @@ func (b *Bundle) MarshalBanks(ids []int) ([]byte, error) {
 			present++
 		}
 	}
+	b.coalesceLog()
 	out := b.appendConfigHeader(nil)
 	out = wire.AppendUvarint(out, uint64(total))
 	out = wire.AppendUvarint(out, uint64(present))
-	out, err := b.encodeBanks(out, want)
-	if err != nil {
-		return nil, err
+	var bankB []byte
+	for id, ok := range want {
+		if !ok {
+			continue
+		}
+		var err error
+		if bankB, err = b.appendBank(bankB[:0], id); err != nil {
+			return nil, err
+		}
+		out = wire.AppendUvarint(out, uint64(id))
+		out = wire.AppendUvarint(out, uint64(len(bankB)))
+		out = append(out, bankB...)
 	}
-	return wire.AppendManifest(out, wire.Manifest{Banks: b.dig}), nil
+	return wire.AppendManifest(out, b.manifest()), nil
 }
 
 // MarshalBinaryCompact encodes the full banked payload: config header,
@@ -422,17 +435,18 @@ func (b *Bundle) MarshalBinaryCompact() ([]byte, error) {
 }
 
 // bundlePayload is a decoded banked payload: which banks are present (by
-// id, bytes aliasing the input) and the full manifest, all digest-verified.
+// id, bytes aliasing the input) and the full manifest. The banks are not
+// yet checked against their leaves; that happens as they are folded.
 type bundlePayload struct {
 	total   int
 	present map[int][]byte
 	man     wire.Manifest
 }
 
-// decodePayload validates a banked payload against this bundle's config
-// and shape, verifying every present bank's bytes against its manifest
-// leaf. Corruption anywhere — config mismatch, bank out of order, digest
-// mismatch, trailing bytes — errors without touching bundle state.
+// decodePayload validates a banked payload's framing against this bundle's
+// config and shape. Corruption in the framing — config mismatch, bank out
+// of order, a manifest that fails its own root check, trailing bytes —
+// errors without touching bundle state.
 func (b *Bundle) decodePayload(data []byte) (*bundlePayload, error) {
 	hdr := []uint64{uint64(b.cfg.N), uint64(b.cfg.K), math.Float64bits(b.cfg.Eps), uint64(b.cfg.SpannerK), b.cfg.Seed}
 	for _, wantV := range hdr {
@@ -484,29 +498,72 @@ func (b *Bundle) decodePayload(data []byte) (*bundlePayload, error) {
 	if len(data) != 0 {
 		return nil, fmt.Errorf("service: bundle trailing bytes: %w", graphsketch.ErrBadEncoding)
 	}
-	// Every present bank must match its manifest leaf — a flipped bit in
-	// either the bank bytes or the manifest fails here (the manifest's own
-	// root check already vouched for its internal consistency).
-	for id, bankB := range p.present {
-		ref := p.man.Banks[id]
-		if ref.Len != uint64(len(bankB)) || ref.Digest != wire.BankDigest(bankB) {
-			return nil, fmt.Errorf("service: bundle bank %d bytes contradict manifest: %w", id, ErrDigestMismatch)
+	return p, nil
+}
+
+// foldBank merges (or, with replace, installs) payload bank id into b and
+// checks the digest of what it read against the payload's leaf, so the
+// bytes are decoded once for both. A bank whose bytes do not decode
+// contradicts its leaf as surely as one that decodes to other cells: the
+// error is ErrDigestMismatch either way, and also ErrBadEncoding when
+// decoding failed. On error b holds a partial fold; callers fold into a
+// bundle they can throw away.
+func (b *Bundle) foldBank(p *bundlePayload, id int, replace bool) error {
+	bankB := p.present[id]
+	var got graphsketch.Digest
+	var err error
+	sk, idx, ok := b.sketchBank(id)
+	switch {
+	case ok && replace:
+		err = sk.ReplaceBank(idx, bankB)
+		got = sk.BankDigest(idx)
+	case ok:
+		// The digest is linear: what the merge read is what it added.
+		before := sk.BankDigest(idx)
+		err = sk.MergeBank(idx, bankB)
+		got = sk.BankDigest(idx).Sub(before)
+	default:
+		var ups []stream.Update
+		if ups, err = decodeLogBank(bankB); err == nil {
+			dig := b.logDigests(ups)
+			for _, w := range dig {
+				got.W += w
+			}
+			if replace {
+				kept := b.spLog[:0]
+				for _, u := range b.spLog {
+					if logChunk(u, b.cfg.N) != idx {
+						kept = append(kept, u)
+					}
+				}
+				b.spLog = kept
+				b.logDig[idx] = 0
+			}
+			b.spLog = append(b.spLog, ups...)
+			b.logDig = addDigests(b.logDig, dig)
+			b.coalesced = 0
 		}
 	}
-	return p, nil
+	if err != nil {
+		return fmt.Errorf("service: bundle bank %d: %w: %w", id, ErrDigestMismatch, err)
+	}
+	if got.Fold() != p.man.Banks[id] {
+		return fmt.Errorf("service: bundle bank %d bytes contradict manifest: %w", id, ErrDigestMismatch)
+	}
+	return nil
 }
 
 // MergeBytes folds an encoded FULL bundle payload into this one (linear:
 // sketch states add, spanner logs concatenate and re-coalesce). The config
-// header must match exactly, every bank must be present and digest-clean.
-// The log banks' vertex range is deliberately trusted here and checked at
-// Spanner() time — see there.
+// header must match exactly, every bank must be present and match its
+// manifest leaf. The log banks' vertex range is deliberately trusted here
+// and checked at Spanner() time — see there.
 //
-// All or nothing: a bank that fails to decode leaves the bundle as it was.
-// A live bundle stages the fold on clones of its sketches and swaps them in;
-// a pristine one (recovery's and a full pull's factory-fresh target) folds in
-// place and is re-created empty on error, which spares copying a whole
-// bundle of zeros.
+// All or nothing: a bank that fails to decode or to match its leaf leaves
+// the bundle as it was. A live bundle stages the fold on a clone and swaps
+// it in; a pristine one (recovery's and a full pull's factory-fresh target)
+// folds in place and is re-created empty on error, which spares copying a
+// whole bundle of zeros.
 func (b *Bundle) MergeBytes(data []byte) error {
 	p, err := b.decodePayload(data)
 	if err != nil {
@@ -519,39 +576,20 @@ func (b *Bundle) mergePayload(p *bundlePayload) error {
 	if len(p.present) != p.total {
 		return fmt.Errorf("service: merge needs a full payload (%d/%d banks): %w", len(p.present), p.total, graphsketch.ErrBadEncoding)
 	}
-	inPlace := b.pristine
-	mc2, sp2 := b.mc, b.sp
-	if !inPlace {
-		mc2, sp2 = b.mc.Clone(), b.sp.Clone()
+	next := b
+	if !b.pristine {
+		next = b.Clone()
 	}
-	mcN, spN := mc2.NumBanks(), sp2.NumBanks()
-	var logUps []stream.Update
 	for id := 0; id < p.total; id++ {
-		var err error
-		bankB := p.present[id]
-		switch {
-		case id < mcN:
-			err = mc2.MergeBank(id, bankB)
-		case id < mcN+spN:
-			err = sp2.MergeBank(id-mcN, bankB)
-		default:
-			var ups []stream.Update
-			if ups, err = decodeLogBank(bankB); err == nil {
-				logUps = append(logUps, ups...)
-			}
-		}
-		if err != nil {
-			if inPlace {
+		if err := next.foldBank(p, id, false); err != nil {
+			if b.pristine {
 				*b = *NewBundle(b.cfg)
 			}
 			return err
 		}
 	}
-	b.mc, b.sp = mc2, sp2
-	b.spLog = append(b.spLog, logUps...)
-	b.coalesced = 0
-	b.pristine = false
-	b.markAllDirty()
+	next.pristine = false
+	*b = *next
 	return nil
 }
 
@@ -559,9 +597,9 @@ func (b *Bundle) mergePayload(p *bundlePayload) error {
 // the local ones; absent banks keep their local bytes, which is only sound
 // when those bytes are already identical to the sender's — enforced by
 // requiring every absent bank's CURRENT local leaf to equal the payload
-// manifest's. After installing, the assembled state's recomputed root must
-// equal the payload root, or the install is rolled back (clone-and-swap)
-// with ErrDeltaInsufficient — the caller falls back to a full pull.
+// manifest's. After installing, the assembled state's root must equal the
+// payload root, or the install is rolled back (clone-and-swap) with
+// ErrDeltaInsufficient — the caller falls back to a full pull.
 func (b *Bundle) InstallBanks(data []byte) error {
 	next, _, err := b.assemble(data, false)
 	if err != nil {
@@ -575,66 +613,33 @@ func (b *Bundle) InstallBanks(data []byte) error {
 // requires the result to reproduce p's root. In place: the receiver is a
 // clone assemble throws away on error.
 func (b *Bundle) replaceBanks(p *bundlePayload) error {
-	// Replaced sketch banks decode in place, replaced log chunks splice into
-	// the coalesced log.
-	mcN, spN := b.mc.NumBanks(), b.sp.NumBanks()
-	logTouched := false
 	for id := 0; id < p.total; id++ {
-		bankB, ok := p.present[id]
-		if !ok {
+		if _, ok := p.present[id]; !ok {
 			continue
 		}
-		var err error
-		switch {
-		case id < mcN:
-			err = b.mc.ReplaceBank(id, bankB)
-		case id < mcN+spN:
-			err = b.sp.ReplaceBank(id-mcN, bankB)
-		default:
-			chunk := id - mcN - spN
-			var ups []stream.Update
-			if ups, err = decodeLogBank(bankB); err == nil {
-				kept := b.spLog[:0]
-				for _, u := range b.spLog {
-					if logChunk(u, b.cfg.N) != chunk {
-						kept = append(kept, u)
-					}
-				}
-				b.spLog = append(kept, ups...)
-				logTouched = true
-			}
-		}
-		if err != nil {
+		if err := b.foldBank(p, id, true); err != nil {
 			return err
 		}
 	}
-	if logTouched {
-		b.coalesced = 0 // re-sort: spliced chunks broke the order
-	}
-	b.markAllDirty()
-	if err := b.refreshDigests(); err != nil {
-		return err
-	}
-	got := wire.Manifest{Banks: b.dig}
-	if got.Root() != p.man.Root() {
+	if got := b.manifest(); got.Root() != p.man.Root() {
 		return fmt.Errorf("service: assembled state root %x != payload root %x: %w", got.Root(), p.man.Root(), ErrDeltaInsufficient)
 	}
 	return nil
 }
 
 // assemble builds the state a peer's payload describes, as a new bundle; of
-// b only the digest cache may change (brought current, never the state).
-// Which of the two constructions runs is read off the payload, not asked of
-// the caller:
+// b only the maintained leaves may change (rebuilt, never the state). Which
+// of the two constructions runs is read off the payload, not asked of the
+// caller:
 //
 //   - a full payload (every bank present) is folded into a factory-fresh
 //     bundle — never into b, where linearity would double-count;
 //   - a bank payload is grafted onto a clone of b, after every ABSENT bank's
 //     current leaf in b has been found equal to the peer's (checked before
-//     the clone: an insufficient delta costs digests, not a copy of the
-//     state). rebuildLeaves first discards b's cached leaves, so that check
-//     sees b's bytes as they are now; a tenant whose bytes are suspect needs
-//     that, a healthy one does not pay for it.
+//     the clone: an insufficient delta costs a manifest, not a copy of the
+//     state). rebuildLeaves first recomputes b's leaves from its state, so
+//     that check sees b's bytes as they are now; a tenant whose bytes are
+//     suspect needs that, a healthy one does not pay for it.
 //
 // full reports which it was. Every present bank has been checked against its
 // manifest leaf either way; checking the result against a root advertised
@@ -649,13 +654,11 @@ func (b *Bundle) assemble(data []byte, rebuildLeaves bool) (next *Bundle, full b
 		return next, true, next.mergePayload(p)
 	}
 	if rebuildLeaves {
-		b.markAllDirty()
+		b.RecomputeDigests()
 	}
-	if err := b.refreshDigests(); err != nil {
-		return nil, false, err
-	}
+	local := b.manifest()
 	for id := 0; id < p.total; id++ {
-		if _, ok := p.present[id]; !ok && b.dig[id] != p.man.Banks[id] {
+		if _, ok := p.present[id]; !ok && local.Banks[id] != p.man.Banks[id] {
 			return nil, false, fmt.Errorf("service: bank %d diverges locally but is absent from delta payload: %w", id, ErrDeltaInsufficient)
 		}
 	}
@@ -663,32 +666,24 @@ func (b *Bundle) assemble(data []byte, rebuildLeaves bool) (next *Bundle, full b
 	return next, false, next.replaceBanks(p)
 }
 
-// RecomputeDigests rebuilds every manifest leaf from the live bytes,
-// discarding the cache. The repair path uses it so the local manifest
-// reflects rotted reality before diffing against a peer's — a cached
-// pre-rot leaf would hide exactly the bank that needs pulling.
-func (b *Bundle) RecomputeDigests() error {
-	b.markAllDirty()
-	return b.refreshDigests()
-}
-
 // InjectBankRot deterministically corrupts one bank's live in-memory state
-// WITHOUT touching the digest cache — the chaos hook the scrub tests and
-// the sim's bit-rot matrix use to model silent memory rot. Sketch banks
-// absorb a synthetic nonzero single-edge state (linearity keeps the bytes
-// decodable while guaranteeing the canonical encoding changes); log chunks
-// gain a phantom update keyed to the chunk.
+// WITHOUT moving its maintained digest — the chaos hook the scrub tests and
+// the sim's bit-rot matrix use to model silent memory rot. It must bypass
+// every maintained write path (RotBank, a raw log append), or the digest
+// would absorb the rot and no scrub could see it. Sketch banks absorb a
+// synthetic nonzero single-edge state (linearity keeps the bytes decodable
+// while guaranteeing the canonical encoding changes); log chunks gain a
+// phantom update keyed to the chunk.
 func (b *Bundle) InjectBankRot(bank int, seed uint64) error {
-	mcN, spN := b.mc.NumBanks(), b.sp.NumBanks()
 	if bank < 0 || bank >= b.NumBanks() {
 		return fmt.Errorf("service: bank %d out of [0,%d): %w", bank, b.NumBanks(), graphsketch.ErrBadEncoding)
 	}
 	b.pristine = false
-	if bank >= mcN+spN {
-		chunk := bank - mcN - spN
+	sk, idx, ok := b.sketchBank(bank)
+	if !ok {
 		for i := uint64(0); ; i++ {
 			u := stream.Update{U: int((seed + i) % uint64(b.cfg.N)), V: int((seed + i + 1) % uint64(b.cfg.N)), Delta: 1}
-			if u.U != u.V && logChunk(u, b.cfg.N) == chunk {
+			if u.U != u.V && logChunk(u, b.cfg.N) == idx {
 				b.spLog = append(b.spLog, u)
 				b.coalesced = 0
 				return nil
@@ -718,10 +713,7 @@ func (b *Bundle) InjectBankRot(bank int, seed uint64) error {
 			return err
 		}
 		if !bytes.Equal(bankB, emptyB) {
-			if bank < mcN {
-				return b.mc.MergeBank(bank, bankB)
-			}
-			return b.sp.MergeBank(bank-mcN, bankB)
+			return sk.RotBank(idx, bankB)
 		}
 	}
 	return fmt.Errorf("service: could not synthesize rot for bank %d", bank)

@@ -18,18 +18,19 @@ func sha(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Canonical bytes of the publishFixture bundle, captured at the commit
-// before the write-path rework (9a53e71): the full payload and manifest root
-// with the base graph loaded, and again after the 256-toggle step. An
-// encoder change that moves a byte fails here.
+// Canonical bytes of the publishFixture bundle: the full payload and
+// manifest root with the base graph loaded, and again after the 256-toggle
+// step. An encoder change that moves a byte fails here. Re-pinned when the
+// manifest's leaves became linear digests (GSD2); TestBankSectionsGolden
+// proves every byte before the manifest section is the one pinned before.
 const (
-	goldenBaseSHA     = "f35873acf37e7736e1d96608649ab4949dfef47fdaac7f57696ed03c637c74bc"
-	goldenBaseRoot    = uint64(0x2e1745971435152c)
-	goldenToggledSHA  = "8d68516b64d2224513e1dec2544a1f7ec9529221fe6765c79d6c777024fb6165"
-	goldenToggledRoot = uint64(0x69cd8960df391553)
+	goldenBaseSHA     = "c8140ad12eca254c2ab020fdaf3a07c27a4431d4b95d6cc9b882817c8bdacd30"
+	goldenBaseRoot    = uint64(0xbad347ea0c7d935a)
+	goldenToggledSHA  = "fb9695049f763bb67f738caca8d54d6c606b5a05726cc44d9cc830f5342b4e49"
+	goldenToggledRoot = uint64(0xa6c95784c242495)
 )
 
-// goldenBanks pins MarshalBanks at the same commit for each id-list shape,
+// goldenBanks pins MarshalBanks at the same point for each id-list shape,
 // on the small test bundle (the race detector multiplies a default bundle's
 // 130 MB): nil (every bank), a subset across the three bank kinds with a
 // duplicate, and the empty list (manifest only) — each with a first stream
@@ -40,14 +41,14 @@ var goldenBanks = []struct {
 	base, toggled string
 }{
 	{"nil", nil,
-		"f4438194faa60eb6c5b8194e73bef9371a71f1ec1d229a3b757380827e35f1b6",
-		"3a678a97088fd122645afaf637e6788cf3cb1a274602a19747a22e9827e9db18"},
+		"49b4e535019996b0e5c62708edcda91e4f31cc658e59e80eee7a5cc994eee571",
+		"8c768d3b355c037bb22bbeb61720a9f3bcb6a61da565a29706727821b531f739"},
 	{"subset", []int{0, 2, 2, 9, 17, 18, 25},
-		"e8148f1c7e243b2dfa65614bb05f903b2c614cc89bc2779afc98a29a2461a29b",
-		"e22eda6b0fd3a65281601b40a1d0e605f5d010f093194bb339bb717d18c3aef2"},
+		"47ad95b3ec28c8e813cae22ef48506da53982a995806c1341793e3ed532cea11",
+		"7e5ba54667b8f86c209b1787704e41ae665cc5b4bd6fb61f0d3597db3044fde3"},
 	{"empty", []int{},
-		"cde461bc65ccc21910394eb33a3082bb145309b87aae5810294a04a7c6fdcd14",
-		"eb9daee1b7c9acbeb0e1c94facd42781bec5a295691a4374728ef0b1d5ff6648"},
+		"b679256114f1533b06a270b2169177c5b661d10b65937162508bcc8c6d381453",
+		"5a525a9ed8922139d94da12884df94b629133cf612f3bb41e02990415cddde27"},
 }
 
 func TestBundleGoldenBytes(t *testing.T) {
@@ -73,9 +74,9 @@ func TestBundleGoldenBytes(t *testing.T) {
 	check("toggled", goldenToggledSHA, goldenToggledRoot)
 }
 
-// TestMarshalBanksGolden pins every id-list shape against the parent's
-// bytes, and requires the encode-once path taken for dirty banks to emit
-// what a bundle with a current digest cache emits.
+// TestMarshalBanksGolden pins every id-list shape, and requires a bundle
+// whose leaves were just recomputed from its state to emit what the one
+// with maintained leaves emits.
 func TestMarshalBanksGolden(t *testing.T) {
 	cfg := testBundleConfig()
 	base, toggles := bundleStream(3).Updates, bundleStream(8).Updates[:256]
@@ -87,22 +88,20 @@ func TestMarshalBanksGolden(t *testing.T) {
 				want string
 			}{{base, g.base}, {toggles, g.toggled}} {
 				b.UpdateBatch(stage.ups)
-				clean := b.Clone()
-				if err := clean.RecomputeDigests(); err != nil {
-					t.Fatal(err)
-				}
-				dirty, err := b.MarshalBanks(g.ids)
+				rescanned := b.Clone()
+				rescanned.RecomputeDigests()
+				got, err := b.MarshalBanks(g.ids)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := clean.MarshalBanks(g.ids)
+				want, err := rescanned.MarshalBanks(g.ids)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(dirty, want) {
-					t.Fatal("dirty-cache marshal differs from clean-cache marshal")
+				if !bytes.Equal(got, want) {
+					t.Fatal("maintained-leaf marshal differs from recomputed-leaf marshal")
 				}
-				if got := sha(dirty); got != stage.want {
+				if got := sha(got); got != stage.want {
 					t.Fatalf("sha %s, want %s", got, stage.want)
 				}
 			}
@@ -230,9 +229,10 @@ func TestMergeBytesAllOrNothing(t *testing.T) {
 }
 
 // corruptLastSketchBank returns src's full payload with the last sparsifier
-// bank cut short by a byte and its manifest leaf rebuilt to match: a payload
-// that passes every digest check and fails only inside that bank's decode,
-// after every earlier bank has been folded in.
+// bank cut short by a byte under its honest leaf (the digest of the
+// untruncated bank): a payload whose framing and every other bank are
+// sound, and which fails only inside that bank's decode, after every
+// earlier bank has been folded in.
 func corruptLastSketchBank(t *testing.T, src *Bundle) []byte {
 	t.Helper()
 	man, err := src.Manifest()
@@ -251,11 +251,75 @@ func corruptLastSketchBank(t *testing.T, src *Bundle) []byte {
 		}
 		if id == victim {
 			bankB = bankB[:len(bankB)-1]
-			man.Banks[id] = wire.BankRef{Len: uint64(len(bankB)), Digest: wire.BankDigest(bankB)}
 		}
 		out = wire.AppendUvarint(out, uint64(id))
 		out = wire.AppendUvarint(out, uint64(len(bankB)))
 		out = append(out, bankB...)
 	}
 	return wire.AppendManifest(out, man)
+}
+
+// goldenBankSections pins the bytes every golden payload carries BEFORE its
+// manifest section: the config header, the bank count and every bank's
+// bytes. They were captured while the manifest still held CRC64 leaves and
+// must survive any change to the manifest alone, which is what separates a
+// digest change from an encoder change.
+var goldenBankSections = map[string]string{
+	"fixture/base":    "b290881581952245895a5eea357b7070c9e1a4682f9a5bfbaee1c33a5b9b7e89",
+	"fixture/toggled": "07915a97161258551706a9f310a5135062e14a0eeca7ee4c27b9884502901ad6",
+	"nil/base":        "f70840ae3944f939c97d6042aa2f465c50aa135abecb554980dca896ea70b571",
+	"nil/toggled":     "8962ca31aa69ef4efe238a411b28f14560a0d6e8c3f594d28483139d5c670440",
+	"subset/base":     "ff8065251cda557a4d4fcbc4086f00905315a9051ba893334d0daaa48ef8e730",
+	"subset/toggled":  "6866b7db43001308c0ac6af8e898b10b76225511f5b81506e4729b1cc8a774c2",
+	"empty/base":      "7d9860eba792be3ff21e872880f46743028938abf60aec25320d0dc33e38c08a",
+	"empty/toggled":   "7d9860eba792be3ff21e872880f46743028938abf60aec25320d0dc33e38c08a",
+}
+
+func TestBankSectionsGolden(t *testing.T) {
+	got := map[string]string{}
+	section := func(b *Bundle, payload []byte) string {
+		t.Helper()
+		man, err := b.Manifest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sha(payload[:len(payload)-len(wire.EncodeManifest(man))])
+	}
+	cfg, base, toggles := publishFixture()
+	b := NewBundle(cfg)
+	for _, stage := range []struct {
+		name string
+		ups  []stream.Update
+	}{{"base", base}, {"toggled", toggles}} {
+		b.UpdateBatch(stage.ups)
+		data, err := b.MarshalBinaryCompact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got["fixture/"+stage.name] = section(b, data)
+	}
+	small := testBundleConfig()
+	smallBase, smallToggles := bundleStream(3).Updates, bundleStream(8).Updates[:256]
+	for _, g := range goldenBanks {
+		b := NewBundle(small)
+		for _, stage := range []struct {
+			name string
+			ups  []stream.Update
+		}{{"base", smallBase}, {"toggled", smallToggles}} {
+			b.UpdateBatch(stage.ups)
+			data, err := b.MarshalBanks(g.ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[g.name+"/"+stage.name] = section(b, data)
+		}
+	}
+	if len(got) != len(goldenBankSections) {
+		t.Fatalf("%d stages, want %d", len(got), len(goldenBankSections))
+	}
+	for k, v := range got {
+		if want := goldenBankSections[k]; v != want {
+			t.Errorf("%s: bank section sha %s, want %s", k, v, want)
+		}
+	}
 }

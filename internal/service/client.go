@@ -464,7 +464,7 @@ func (c *Client) PayloadAt(tenant string) (sealed []byte, pos int, epoch uint64,
 
 // PayloadBanksAt fetches a bank-granular payload: nil banks means the
 // full payload, a (possibly empty) slice pulls only those bank ids — the
-// delta anti-entropy transfer. Every form carries the full GSD1 manifest,
+// delta anti-entropy transfer. Every form carries the full GSD2 manifest,
 // and the response's advertised root rides back for end-to-end
 // verification of the install.
 func (c *Client) PayloadBanksAt(tenant string, banks []int) (sealed []byte, pos int, epoch uint64, root uint64, err error) {

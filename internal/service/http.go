@@ -142,7 +142,7 @@ type PositionResponse struct {
 	// Root is the epoch manifest's root digest as 16 hex chars (JSON
 	// numbers cannot carry a full uint64 faithfully).
 	Root string `json:"root,omitempty"`
-	// Manifest is the base64 GSD1 encoding of the epoch's digest tree.
+	// Manifest is the base64 GSD2 encoding of the epoch's digest tree.
 	Manifest    string `json:"manifest,omitempty"`
 	Quarantined bool   `json:"quarantined,omitempty"`
 	Reason      string `json:"reason,omitempty"`
@@ -159,7 +159,6 @@ type MetricsResponse struct {
 	QueryTimeouts  int64 `json:"query_timeouts"`
 	Evictions      int64 `json:"evictions"`
 	Recoveries     int64 `json:"recoveries"`
-	PublishFailed  int64 `json:"publish_failed"`
 	SyncRounds     int64 `json:"sync_rounds"`
 	SyncApplied    int64 `json:"sync_applied"`
 	SyncSkipped    int64 `json:"sync_skipped"`
@@ -517,7 +516,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		QueryTimeouts:      s.met.QueryTimeouts.Load(),
 		Evictions:          s.met.Evictions.Load(),
 		Recoveries:         s.met.Recoveries.Load(),
-		PublishFailed:      s.met.PublishFailed.Load(),
 		SyncRounds:         s.met.SyncRounds.Load(),
 		SyncApplied:        s.met.SyncApplied.Load(),
 		SyncSkipped:        s.met.SyncSkipped.Load(),

@@ -56,7 +56,7 @@ type ScrubRound struct {
 }
 
 // ScrubTenant verifies one tenant's integrity end to end, serialized with
-// its ingest: the live bundle's banks against its digest cache, the
+// its ingest: the live bundle's banks against its maintained digests, the
 // published epoch clone the same way, and the WAL files on disk re-read
 // against the in-memory mirror. Single-surface rot is repaired locally
 // from whichever copy is still clean (disk from live, live from disk,
@@ -124,12 +124,7 @@ func (s *Server) ScrubTenant(ctx context.Context, name string) (ScrubReport, err
 				quarantine(rerr)
 				return nil
 			}
-			fresh := sk.(*Bundle)
-			if rerr := fresh.RecomputeDigests(); rerr != nil {
-				quarantine(rerr)
-				return nil
-			}
-			*live = *fresh
+			*live = *sk.(*Bundle)
 			t.publish(w, live)
 			rep.Repaired = "recover"
 			s.met.ScrubRepaired.Add(1)

@@ -96,9 +96,6 @@ type Metrics struct {
 	QueryTimeouts  atomic.Int64
 	Evictions      atomic.Int64
 	Recoveries     atomic.Int64
-	// PublishFailed counts epoch publications abandoned because the live
-	// bundle's digest manifest could not be built; the previous epoch stays.
-	PublishFailed atomic.Int64
 	// Replication counters: anti-entropy rounds run by this node's syncer,
 	// payload installs applied / deduped / failed on this node.
 	SyncRounds  atomic.Int64
@@ -381,11 +378,7 @@ func (s *Server) Tenant(name string, create bool) (*tenant, error) {
 	}
 	t.finish(wal, live)
 	t.touched.Store(s.clock.Add(1))
-	if err := t.publish(wal, live); err != nil {
-		// No earlier epoch to fall back on: fail the load instead.
-		wal.Close()
-		return nil, fmt.Errorf("tenant %q: first epoch: %w", name, err)
-	}
+	t.publish(wal, live)
 	if sidelined != "" {
 		t.setQuarantine(sidelined)
 	}
@@ -508,7 +501,7 @@ func (t *tenant) apply(o op, wal *runtime.DiskWAL, live *Bundle, sinceSnap, sinc
 	*sinceSnap += len(o.ups)
 	*sincePub += len(o.ups)
 	if *sinceSnap >= t.srv.cfg.SnapshotEvery {
-		if err := wal.Snapshot(live); err == nil {
+		if err := wal.Snapshot(live); err == nil || errors.Is(err, runtime.ErrTookEffect) {
 			*sinceSnap = 0
 		}
 	}
@@ -529,31 +522,23 @@ func (t *tenant) finish(wal *runtime.DiskWAL, live *Bundle) {
 }
 
 // publish installs a fresh epoch clone for queries, stamped with the
-// live state's digest manifest (incremental: only banks dirtied since the
-// last publish re-digest). Suppressed while quarantined — a fenced state
-// must not become a served epoch. A manifest that cannot be built keeps the
-// previous epoch: one published with an empty manifest would silently
-// demote every peer to full pulls. The error is for the one caller with no
-// previous epoch; it is already counted.
-func (t *tenant) publish(wal *runtime.DiskWAL, live *Bundle) error {
+// live state's digest manifest (read off the maintained leaves, so it
+// costs nothing next to the clone). Suppressed while quarantined — a
+// fenced state must not become a served epoch.
+func (t *tenant) publish(wal *runtime.DiskWAL, live *Bundle) {
 	if t.quarantined.Load() {
-		return nil
+		return
 	}
 	var seq uint64 = 1
 	if prev := t.snap.Load(); prev != nil {
 		seq = prev.Seq + 1
 	}
-	man, err := live.Manifest()
-	if err != nil {
-		t.srv.met.PublishFailed.Add(1)
-		return fmt.Errorf("epoch manifest: %w", err)
-	}
+	man := live.manifest()
 	ep := &Epoch{Bundle: live.Clone(), Pos: wal.DurableUpdates(), Seq: seq, Manifest: man}
 	// Readers load the epoch and then the acked position, so the position
 	// must already cover the epoch when the pointer becomes visible.
 	t.acked.Store(int64(ep.Pos))
 	t.snap.Store(ep)
-	return nil
 }
 
 // submit enqueues an op and waits for the writer's reply, honoring the
@@ -670,11 +655,7 @@ func (s *Server) PayloadBanks(ctx context.Context, tenantName string, banks []in
 		if err != nil {
 			return err
 		}
-		man, err := live.Manifest()
-		if err != nil {
-			return err
-		}
-		root = man.Root()
+		root = live.manifest().Root()
 		sealed = wire.Seal(b)
 		if ep := t.snap.Load(); ep != nil {
 			epoch = ep.Seq
@@ -693,7 +674,7 @@ func (s *Server) PayloadBanks(ctx context.Context, tenantName string, banks []in
 // pull. Served even while quarantined: the repair path needs to know what
 // the local (possibly rotted) bytes look like — pass recompute=true there
 // so every leaf is rebuilt from the actual bytes instead of trusting the
-// (pre-rot) incremental cache.
+// (pre-rot) maintained leaves.
 func (s *Server) ManifestNow(ctx context.Context, tenantName string, recompute bool) (wire.Manifest, int, error) {
 	t, err := s.Tenant(tenantName, false)
 	if err != nil {
@@ -702,19 +683,16 @@ func (s *Server) ManifestNow(ctx context.Context, tenantName string, recompute b
 	var man wire.Manifest
 	pos, err := t.submit(ctx, op{reply: make(chan opResult, 1), fn: func(w *runtime.DiskWAL, live *Bundle) error {
 		if recompute {
-			if err := live.RecomputeDigests(); err != nil {
-				return err
-			}
+			live.RecomputeDigests()
 		}
-		var err error
-		man, err = live.Manifest()
-		return err
+		man = live.manifest()
+		return nil
 	}})
 	return man, pos, err
 }
 
 // InjectBankRot corrupts one bank of the tenant's live in-memory state
-// without updating its digest cache — the chaos hook integrity tests and
+// without moving its maintained digests — the chaos hook integrity tests and
 // the sim's bit-rot matrix use. Serialized with ingest like any mutation.
 func (s *Server) InjectBankRot(ctx context.Context, tenantName string, bank int, seed uint64) error {
 	t, err := s.Tenant(tenantName, false)
@@ -789,7 +767,9 @@ func (s *Server) peerSyncStatus() []PeerSyncStatus {
 //
 // Commit order, shared with Merge and the scrubber's recover tier: verify,
 // bytes durable, *live = *next, mirrors and fence, publish. An error leaves
-// live state, disk, epoch, position and fence as they were.
+// live state, disk, epoch, position and fence as they were, except one
+// wrapping runtime.ErrTookEffect: the WAL has installed the payload, so
+// the install is carried through and the error reports what came after.
 func (s *Server) SyncApply(ctx context.Context, tenantName string, pos int, epoch uint64, root uint64, sealed []byte) (int, error) {
 	acked, _, err := s.install(ctx, tenantName, pos, epoch, root, sealed)
 	return acked, err
@@ -852,11 +832,7 @@ func (t *tenant) install(w *runtime.DiskWAL, live *Bundle, pos int, epoch, root 
 	if err != nil {
 		return false, err
 	}
-	man, err := next.Manifest()
-	if err != nil {
-		return false, err
-	}
-	if root != 0 && man.Root() != root {
+	if man := next.manifest(); root != 0 && man.Root() != root {
 		return false, fmt.Errorf("service: payload root %016x != advertised %016x: %w", man.Root(), root, ErrDigestMismatch)
 	}
 	// A full payload's received bytes are the snapshot (next is what they
@@ -869,8 +845,12 @@ func (t *tenant) install(w *runtime.DiskWAL, live *Bundle, pos int, epoch, root 
 		}
 		durable = wire.Seal(whole)
 	}
-	if err := w.InstallSnapshot(durable, pos); err != nil {
-		return false, err
+	// ErrTookEffect: the snapshot is installed and the WAL is at pos, but a
+	// step after its rename failed. Live state must follow the WAL; the
+	// error is still returned.
+	durErr := w.InstallSnapshot(durable, pos)
+	if durErr != nil && !errors.Is(durErr, runtime.ErrTookEffect) {
+		return false, durErr
 	}
 	*live = *next
 	t.syncEpoch.Store(epoch)
@@ -887,7 +867,7 @@ func (t *tenant) install(w *runtime.DiskWAL, live *Bundle, pos int, epoch, root 
 		met.SyncDeltaBytes.Add(int64(len(sealed)))
 		met.SyncDeltaFullBytes.Add(int64(len(durable)))
 	}
-	return true, nil
+	return true, durErr
 }
 
 // Flush forces a WAL snapshot for a tenant (exposed for the drain path and

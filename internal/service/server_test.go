@@ -235,6 +235,7 @@ func TestServePanicIsolation(t *testing.T) {
 	evil.UpdateBatch(st.Updates[:100])
 	evil.spLog = append(evil.spLog, stream.Update{U: 9999, V: 3, Delta: 1})
 	evil.coalesced = len(evil.spLog)
+	evil.RecomputeDigests() // the raw append bypassed the maintained leaves
 	payload, err := evil.MarshalBinaryCompact()
 	if err != nil {
 		t.Fatalf("marshal fixture: %v", err)

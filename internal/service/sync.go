@@ -290,8 +290,8 @@ func (y *Syncer) syncTenant(ctx context.Context, peer *Client, name string, roun
 
 	// The ladder. Delta rung: when both sides have digest manifests of the
 	// same width, pull only the diverged banks. A fenced tenant's leaves are
-	// recomputed from its (partly rotted) bytes first — a cached pre-rot leaf
-	// would hide exactly the bank that needs pulling.
+	// recomputed from its (partly rotted) bytes first — a maintained
+	// pre-rot leaf would hide exactly the bank that needs pulling.
 	if !y.cfg.NoDelta && t != nil && pi.HasManifest {
 		if local, _, merr := y.srv.ManifestNow(ctx, name, fenced); merr == nil && len(local.Banks) == len(pi.Manifest.Banks) {
 			if diverged := local.Diff(pi.Manifest); len(diverged) < len(local.Banks) {

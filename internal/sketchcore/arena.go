@@ -95,6 +95,13 @@ type Arena struct {
 	// zero stays marked (harmless: its zero row adds nothing); only Reset
 	// and a wire decode that replaces the state recompute the bitmap.
 	occ []uint64
+	// Shared-seed banks carry a maintained linear digest of their cells
+	// (see Digest): dk is the shape's multiplier tables (nil in per-slot
+	// mode, which keeps no digest), rhoW/rhoF the seed-derived scalars, and
+	// dig the unscaled accumulator every write path moves by what it adds.
+	dk         *digestKey
+	rhoW, rhoF uint64
+	dig        Digest
 }
 
 // acell is one 1-sparse recovery cell's aggregates, stored interleaved so a
@@ -145,6 +152,7 @@ func New(cfg Config) *Arena {
 		}
 		a.z = []uint64{onesparse.FingerprintBase(hashing.SamplerCellSeed(cfg.Seed))}
 		a.pow = []*hashing.PowTable{hashing.NewPowTableMax(a.z[0], a.maxExp())}
+		a.initDigest()
 	} else {
 		a.mix = make([]hashing.Mixer, a.slots*a.reps)
 		a.z = make([]uint64, a.slots)
@@ -201,6 +209,7 @@ func (a *Arena) CloneEmpty() *Arena {
 	c.pow = append([]*hashing.PowTable(nil), a.pow...)
 	c.plan = nil
 	c.batch = planScratch{}
+	c.dig = Digest{}
 	return &c
 }
 
@@ -325,6 +334,7 @@ func (a *Arena) Reset() {
 		}
 		a.occ[wi] = 0
 	}
+	a.dig = Digest{}
 }
 
 // applyCell adds (delta, is = index*delta, precomputed fingerprint term) to
@@ -353,12 +363,19 @@ func (a *Arena) Update(slot int, index uint64, delta int64) {
 	a.markSlot(slot)
 	term := a.termOf(slot, index, delta)
 	is := int64(index) * delta
+	var m cellMul
 	for r := 0; r < a.reps; r++ {
 		l := a.mixOf(slot, r).Level(index)
 		if l >= a.levels {
 			l = a.levels - 1
 		}
 		a.applyCell(a.cellBase(slot, r)+l, delta, is, term)
+		if a.shared {
+			m.addLevel(a.dk, r*a.levels+l)
+		}
+	}
+	if a.shared {
+		a.dig = a.dig.Add(a.writeDigest(slot, delta, is, term, m))
 	}
 }
 
@@ -379,6 +396,7 @@ func (a *Arena) UpdateEdge(uSlot, vSlot int, index uint64, delta int64) {
 	term := onesparse.FingerprintTermTab(a.pow[0], index, delta)
 	negTerm := onesparse.NegateMod61(term)
 	is := int64(index) * delta
+	var m cellMul
 	for r := 0; r < a.reps; r++ {
 		l := a.mix[r].Level(index)
 		if l >= a.levels {
@@ -386,7 +404,9 @@ func (a *Arena) UpdateEdge(uSlot, vSlot int, index uint64, delta int64) {
 		}
 		a.applyCell(a.cellBase(uSlot, r)+l, delta, is, term)
 		a.applyCell(a.cellBase(vSlot, r)+l, -delta, -is, negTerm)
+		m.addLevel(a.dk, r*a.levels+l)
 	}
+	a.dig = a.dig.Add(a.edgeDigest(uSlot, vSlot, delta, is, term, m))
 }
 
 // UpdateEdges applies a batch of node-incidence edge updates (Eq. 1: +delta
@@ -419,6 +439,7 @@ func (a *Arena) UpdateAll(index uint64, delta int64) {
 	if a.shared {
 		term := onesparse.FingerprintTermTab(a.pow[0], index, delta)
 		is := int64(index) * delta
+		var m cellMul
 		for r := 0; r < a.reps; r++ {
 			l := a.mix[r].Level(index)
 			if l >= a.levels {
@@ -427,6 +448,10 @@ func (a *Arena) UpdateAll(index uint64, delta int64) {
 			for slot := 0; slot < a.slots; slot++ {
 				a.applyCell(a.cellBase(slot, r)+l, delta, is, term)
 			}
+			m.addLevel(a.dk, r*a.levels+l)
+		}
+		for slot := 0; slot < a.slots; slot++ {
+			a.dig = a.dig.Add(a.writeDigest(slot, delta, is, term, m))
 		}
 		return
 	}
@@ -486,6 +511,7 @@ func (a *Arena) Add(other *Arena) {
 		}
 		addInto(a.cells[b:e], other.cells[b:e])
 	}
+	a.dig = a.dig.Add(other.dig)
 }
 
 // AddRange merges the slot range [lo, hi) of other into the same slots of
@@ -503,6 +529,9 @@ func (a *Arena) AddRange(other *Arena, lo, hi int) {
 	cells := a.reps * a.levels
 	b, e := lo*cells, hi*cells
 	addInto(a.cells[b:e], other.cells[b:e])
+	if a.shared {
+		a.dig = a.dig.Add(other.scanRows(lo, hi))
+	}
 }
 
 // addInto is the shared merge kernel: dst.w += src.w, dst.s += src.s,

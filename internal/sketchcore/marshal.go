@@ -63,9 +63,9 @@ func (a *Arena) AppendStateTagged(buf []byte) []byte {
 }
 
 // appendCellRuns is the compact arm: wire.AppendRuns' bytes exactly, from a
-// direct walk of the cell array. Epoch publication and snapshots re-encode
-// every dirty bank, almost all of it zero cells, so the walk calls no
-// per-cell accessor and the writer grows its buffer once per literal run.
+// direct walk of the cell array. Snapshots and payloads encode every bank,
+// almost all of it zero cells, so the walk calls no per-cell accessor and
+// the writer grows its buffer once per literal run.
 func appendCellRuns(buf []byte, cells []acell) []byte {
 	rw := wire.NewRunsWriter(buf, len(cells))
 	for i := 0; i < len(cells); {
@@ -90,37 +90,53 @@ func appendCellRuns(buf []byte, cells []acell) []byte {
 }
 
 // DecodeStateTagged reads one cell state written by AppendStateTagged into
-// the arena, replacing its contents, and returns the remaining bytes.
+// the arena, replacing its contents, and returns the remaining bytes. A
+// shared-seed arena's digest becomes the digest of the decoded cells,
+// accumulated as they are read.
 func (a *Arena) DecodeStateTagged(data []byte) ([]byte, error) {
 	a.Reset() // occupancy-guided zeroing: only occupied rows are touched
-	rowCells := a.reps * a.levels
-	return a.decodeCells(data, func(i int, w, s int64, f uint64) {
-		a.cells[i] = acell{w: w, s: s, f: f}
-		a.markSlot(i / rowCells)
-	})
+	rest, d, err := a.decodeCells(data, true)
+	a.dig = d
+	return rest, err
 }
 
 // MergeStateTagged folds one cell state directly into the arena — the
 // coordinator's MergeBytes primitive: serialized per-site state is added
 // cell-wise without materializing a second arena, and the work is
 // proportional to the bytes, not the arena. The result is bit-identical to
-// decoding into a scratch arena and Add-ing it.
+// decoding into a scratch arena and Add-ing it, digest included.
 func (a *Arena) MergeStateTagged(data []byte) ([]byte, error) {
-	rowCells := a.reps * a.levels
-	return a.decodeCells(data, func(i int, w, s int64, f uint64) {
-		cellAdd(&a.cells[i], w, s, f)
-		a.markSlot(i / rowCells)
-	})
+	rest, d, err := a.decodeCells(data, false)
+	a.dig = a.dig.Add(d)
+	return rest, err
 }
 
-// decodeCells walks one cell-state payload, calling set for every literal
-// cell.
-func (a *Arena) decodeCells(data []byte, set func(i int, w, s int64, f uint64)) ([]byte, error) {
-	rest, err := wire.DecodeCells(data, len(a.cells), set)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadEncoding, err)
+// decodeCells walks one cell-state payload, storing (replace) or adding
+// every literal cell, and returns the unscaled digest of the cells read
+// (zero in per-slot mode). On error the cells read so far stay applied and
+// are covered by the returned digest.
+func (a *Arena) decodeCells(data []byte, replace bool) ([]byte, Digest, error) {
+	rowCells := a.reps * a.levels
+	var cd cellDigester
+	if a.shared {
+		cd = a.newCellDigester()
 	}
-	return rest, nil
+	rest, err := wire.DecodeCells(data, len(a.cells), func(i int, w, s int64, f uint64) {
+		if replace {
+			a.cells[i] = acell{w: w, s: s, f: f}
+		} else {
+			cellAdd(&a.cells[i], w, s, f)
+		}
+		a.markSlot(i / rowCells)
+		if a.shared {
+			cd.add(i, w, s, f)
+		}
+	})
+	d := cd.digest()
+	if err != nil {
+		return nil, d, fmt.Errorf("%w: %v", ErrBadEncoding, err)
+	}
+	return rest, d, nil
 }
 
 // Footprint is the space report of a sketch layer: what it costs resident,

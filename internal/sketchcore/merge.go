@@ -35,6 +35,9 @@ func (a *Arena) MergeMany(others []*Arena) {
 	if len(others) == 0 {
 		return
 	}
+	for _, o := range others {
+		a.dig = a.dig.Add(o.dig)
+	}
 	// OR the occupancy up front: per word, the merged bitmap and an exact
 	// estimate of the fold's work.
 	occupied := 0

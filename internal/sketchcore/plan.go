@@ -45,6 +45,10 @@ type EdgePlan struct {
 	idx       []uint64
 	delta     []int64
 	is        []int64 // idx * delta, hoisted for the cell s-aggregate
+	// The edge's digest factors shared by every bank of the plan's slot
+	// count (see Arena.planDigest): (alpha[u] - alpha[v]) * (delta +
+	// kappa*is) mod 2^64 and gamma[u] - gamma[v] mod 2^61-1.
+	digW, digG []uint64
 
 	// Entry-major view: entry i updates slot entSlot[i] with the edge and
 	// sign packed in entEdge[i] (edge<<1 | 1 for the negated endpoint), and
@@ -212,6 +216,8 @@ func (p *EdgePlan) BuildTiled(ups []stream.Update, slots int, tileShift uint) in
 		p.idx = make([]uint64, planChunk)
 		p.delta = make([]int64, planChunk)
 		p.is = make([]int64, planChunk)
+		p.digW = make([]uint64, planChunk)
+		p.digG = make([]uint64, planChunk)
 		p.entSlot = make([]int32, 2*planChunk)
 		p.entEdge = make([]int32, 2*planChunk)
 		p.entDelta = make([]int64, 2*planChunk)
@@ -222,6 +228,9 @@ func (p *EdgePlan) BuildTiled(ups []stream.Update, slots int, tileShift uint) in
 	p.idx = p.idx[:planChunk]
 	p.delta = p.delta[:planChunk]
 	p.is = p.is[:planChunk]
+	p.digW = p.digW[:planChunk]
+	p.digG = p.digG[:planChunk]
+	sm := slotTable(slots)
 	n := uint64(slots)
 	edges := 0
 	consumed := 0
@@ -243,6 +252,8 @@ func (p *EdgePlan) BuildTiled(ups []stream.Update, slots int, tileShift uint) in
 		p.idx[edges] = idx
 		p.delta[edges] = up.Delta
 		p.is[edges] = int64(idx) * up.Delta
+		p.digW[edges] = (sm[u].w - sm[v].w) * counts(up.Delta, p.is[edges])
+		p.digG[edges] = hashing.SubMod61(sm[u].f, sm[v].f)
 		edges++
 	}
 	p.u = p.u[:edges]
@@ -250,6 +261,8 @@ func (p *EdgePlan) BuildTiled(ups []stream.Update, slots int, tileShift uint) in
 	p.idx = p.idx[:edges]
 	p.delta = p.delta[:edges]
 	p.is = p.is[:edges]
+	p.digW = p.digW[:edges]
+	p.digG = p.digG[:edges]
 	p.buildEntries()
 	return consumed
 }
@@ -379,6 +392,7 @@ func (a *Arena) ApplyPlan(p *EdgePlan) {
 	for r := 0; r < reps; r++ {
 		a.mix[r].LevelsBatch(p.idx, lvl[r:], reps, levels-1)
 	}
+	a.dig = a.dig.Add(a.planDigest(p, termPair, lvl))
 
 	// Phase 2: tile-ordered sweep of the endpoint entries.
 	for wi, w := range p.occ {
@@ -434,6 +448,7 @@ func (a *Arena) applyPlanEdgeMajor(p *EdgePlan) {
 		a.markSlot(int(sv[e]))
 		bu := int(su[e]) * rowCells
 		bv := int(sv[e]) * rowCells
+		var m cellMul
 		for r := 0; r < len(mix); r++ {
 			l := mix[r].Level(idx)
 			if l >= levels {
@@ -441,9 +456,11 @@ func (a *Arena) applyPlanEdgeMajor(p *EdgePlan) {
 			}
 			a.applyCell(bu+l, d, is, t)
 			a.applyCell(bv+l, -d, -is, ng)
+			m.addLevel(a.dk, r*levels+l)
 			bu += levels
 			bv += levels
 		}
+		a.dig = a.dig.Add(a.edgeDigest(int(su[e]), int(sv[e]), d, is, t, m))
 	}
 }
 

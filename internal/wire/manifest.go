@@ -5,70 +5,69 @@ import (
 	"hash/crc64"
 )
 
-// Digest manifest (GSD1): the canonical digest tree carried by payloads,
+// Digest manifest (GSD2): the canonical digest tree carried by payloads,
 // snapshots, and /position responses so replicas can compare state at bank
 // granularity without shipping the banks themselves.
 //
 // A bundle's wire state decomposes into an ordered list of banks (sketch
 // levels, log chunks — the producer defines the split; the manifest only
-// requires it be canonical and stable). Each leaf digests one bank's
-// compact tagged bytes; the root digests the concatenated leaf records, a
-// flat two-level Merkle tree — deep trees buy nothing at ~30 banks, while
-// the flat root still commits to every leaf's (length, digest) pair and to
-// the bank count and order.
+// requires it be canonical and stable). Each leaf is one bank's 64-bit
+// digest. The producer defines it too; the service's leaves are LINEAR in
+// the bank's state (a sum over its cells of the cell values times
+// seed-derived multipliers, folded to 64 bits), so the writer keeps them
+// current from its own writes instead of re-encoding the banks. The root
+// is the CRC64 of the concatenated leaves: a flat two-level Merkle tree —
+// deep trees buy nothing at ~30 banks, while the flat root still commits to
+// every leaf and to the bank count and order.
 //
 // Layout (little-endian):
 //
-//	magic   [4]byte  "GSD1"
-//	version byte     1
+//	magic   [4]byte  "GSD2"
+//	version byte     2
 //	count   uvarint  number of banks
-//	leaf    count ×  { length uvarint, digest u64 }
+//	leaf    count ×  digest u64
 //	root    u64
 //
-// Digests are CRC64/ECMA. CRC64 is not collision-resistant against an
-// adversary, but the threat model here is bit-rot and software bugs, not
-// forgery — transport authenticity is out of scope (same stance as the
-// GSE1 CRC32C envelope), and CRC64's burst-error detection over multi-MiB
-// banks is what the scrubber needs.
+// GSD1, whose leaves were a (length, CRC64) pair over each bank's bytes, is
+// no longer accepted. The linear leaves give up part of CRC64's error
+// detection: CRC64 catches every 2-bit error and every burst of up to 64
+// bits, while a leaf linear over Z/2^64 with odd multipliers catches every
+// single-word change but misses two flips of the same high bit that land
+// in two count words of one bank (two flips of bit 63 always cancel). The
+// trade is pinned by sketchcore's TestDigestLinearBlindSpot and spelled
+// out in DESIGN.md. Neither CRC64 nor the linear leaves resist an
+// adversary; the threat model is bit-rot and software bugs, not forgery —
+// transport authenticity is out of scope (same stance as the GSE1 CRC32C
+// envelope).
 
 // manifestMagic brands digest manifests so foreign bytes fail fast.
-var manifestMagic = [4]byte{'G', 'S', 'D', '1'}
+var manifestMagic = [4]byte{'G', 'S', 'D', '2'}
 
 // ManifestVersion is the current digest-manifest layout version.
-const ManifestVersion byte = 1
+const ManifestVersion byte = 2
 
 // maxManifestBanks bounds the bank count any decode will materialize. Real
 // bundles have tens of banks (sketch levels + log chunks); a corrupt count
 // must not drive a giant allocation before the length check would catch it.
 const maxManifestBanks = 1 << 16
 
-// digestTable is the ECMA polynomial table shared by all bank digests.
-var digestTable = crc64.MakeTable(crc64.ECMA)
+// rootTable is the ECMA polynomial table the root fold uses.
+var rootTable = crc64.MakeTable(crc64.ECMA)
 
-// BankDigest returns the canonical digest of one bank's wire bytes.
-func BankDigest(data []byte) uint64 { return crc64.Checksum(data, digestTable) }
-
-// BankRef is one manifest leaf: a bank's wire-byte length and digest.
-type BankRef struct {
-	Len    uint64
-	Digest uint64
-}
-
-// Manifest is a bundle's digest tree: one leaf per bank, in bank order.
+// Manifest is a bundle's digest tree: one leaf digest per bank, in bank
+// order.
 type Manifest struct {
-	Banks []BankRef
+	Banks []uint64
 }
 
 // Root folds the leaves into the manifest's root digest. The fold runs over
-// each leaf's fixed-width (length, digest) record, so the root commits to
-// the bank count, order, lengths, and digests — any single-bank divergence
-// changes the root.
+// each leaf's fixed-width record, so the root commits to the bank count,
+// order, and digests — any single-bank divergence changes the root.
 func (m Manifest) Root() uint64 {
-	var rec [16]byte
-	h := crc64.New(digestTable)
+	var rec [8]byte
+	h := crc64.New(rootTable)
 	for _, b := range m.Banks {
-		binary.LittleEndian.PutUint64(rec[0:8], b.Len)
-		binary.LittleEndian.PutUint64(rec[8:16], b.Digest)
+		binary.LittleEndian.PutUint64(rec[:], b)
 		h.Write(rec[:])
 	}
 	return h.Sum64()
@@ -103,24 +102,23 @@ func (m Manifest) Diff(o Manifest) []int {
 	return ids
 }
 
-// AppendManifest appends m's GSD1 encoding to buf.
+// AppendManifest appends m's GSD2 encoding to buf.
 func AppendManifest(buf []byte, m Manifest) []byte {
 	buf = append(buf, manifestMagic[:]...)
 	buf = append(buf, ManifestVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(m.Banks)))
 	for _, b := range m.Banks {
-		buf = binary.AppendUvarint(buf, b.Len)
-		buf = binary.LittleEndian.AppendUint64(buf, b.Digest)
+		buf = binary.LittleEndian.AppendUint64(buf, b)
 	}
 	return binary.LittleEndian.AppendUint64(buf, m.Root())
 }
 
-// EncodeManifest returns m's GSD1 encoding.
+// EncodeManifest returns m's GSD2 encoding.
 func EncodeManifest(m Manifest) []byte {
-	return AppendManifest(make([]byte, 0, 16+18*len(m.Banks)), m)
+	return AppendManifest(make([]byte, 0, 24+8*len(m.Banks)), m)
 }
 
-// DecodeManifest decodes one GSD1 manifest off the front of data and
+// DecodeManifest decodes one GSD2 manifest off the front of data and
 // returns it plus the remaining bytes. Truncation, unknown magic/version,
 // an absurd bank count, a count the remaining bytes cannot possibly hold,
 // or a stored root that does not match the recomputed leaf fold all return
@@ -135,23 +133,15 @@ func DecodeManifest(data []byte) (Manifest, []byte, error) {
 	if err != nil {
 		return Manifest{}, nil, err
 	}
-	// Each leaf is at least 9 bytes (1-byte length varint + 8-byte digest),
-	// so the remaining length bounds the count before any allocation.
-	if count > maxManifestBanks || count > uint64(len(rest))/9 {
+	// Each leaf is 8 bytes, so the remaining length bounds the count before
+	// any allocation.
+	if count > maxManifestBanks || count > uint64(len(rest))/8 {
 		return Manifest{}, nil, ErrBadEncoding
 	}
-	m := Manifest{Banks: make([]BankRef, 0, count)}
-	for i := uint64(0); i < count; i++ {
-		var b BankRef
-		if b.Len, rest, err = Uvarint(rest); err != nil {
-			return Manifest{}, nil, err
-		}
-		if len(rest) < 8 {
-			return Manifest{}, nil, ErrBadEncoding
-		}
-		b.Digest = binary.LittleEndian.Uint64(rest)
+	m := Manifest{Banks: make([]uint64, count)}
+	for i := range m.Banks {
+		m.Banks[i] = binary.LittleEndian.Uint64(rest)
 		rest = rest[8:]
-		m.Banks = append(m.Banks, b)
 	}
 	if len(rest) < 8 {
 		return Manifest{}, nil, ErrBadEncoding

@@ -3,16 +3,29 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc64"
 	"testing"
 )
 
 func sampleManifest() Manifest {
-	return Manifest{Banks: []BankRef{
-		{Len: 0, Digest: BankDigest(nil)},
-		{Len: 5, Digest: BankDigest([]byte("hello"))},
-		{Len: 1024, Digest: 0xDEADBEEFCAFEF00D},
-		{Len: 3, Digest: BankDigest([]byte{0, 0, 0})},
-	}}
+	return Manifest{Banks: []uint64{0, 0x68656c6c6f, 0xDEADBEEFCAFEF00D, 3}}
+}
+
+// gsd1Manifest hand-builds a manifest in the retired GSD1 layout (version
+// 1, a length varint before every leaf), root included.
+func gsd1Manifest(banks []uint64) []byte {
+	buf := append([]byte("GSD1"), 1)
+	buf = binary.AppendUvarint(buf, uint64(len(banks)))
+	h := crc64.New(crc64.MakeTable(crc64.ECMA))
+	var rec [16]byte
+	for _, d := range banks {
+		buf = binary.AppendUvarint(buf, 8)
+		buf = binary.LittleEndian.AppendUint64(buf, d)
+		binary.LittleEndian.PutUint64(rec[0:8], 8)
+		binary.LittleEndian.PutUint64(rec[8:16], d)
+		h.Write(rec[:])
+	}
+	return binary.LittleEndian.AppendUint64(buf, h.Sum64())
 }
 
 func TestManifestRoundTrip(t *testing.T) {
@@ -54,15 +67,9 @@ func TestManifestRootSensitivity(t *testing.T) {
 	root := m.Root()
 
 	digestFlip := sampleManifest()
-	digestFlip.Banks[2].Digest ^= 1
+	digestFlip.Banks[2] ^= 1
 	if digestFlip.Root() == root {
 		t.Fatal("root ignored a digest flip")
-	}
-
-	lenFlip := sampleManifest()
-	lenFlip.Banks[1].Len++
-	if lenFlip.Root() == root {
-		t.Fatal("root ignored a length change")
 	}
 
 	swapped := sampleManifest()
@@ -88,18 +95,20 @@ func TestManifestDecodeRejects(t *testing.T) {
 		"no root":   valid[:len(valid)-8],
 	}
 	// Oversized count: header claims 1e6 banks with 10 bytes of body.
-	over := append([]byte("GSD1"), ManifestVersion)
+	over := append([]byte("GSD2"), ManifestVersion)
 	over = binary.AppendUvarint(over, 1_000_000)
 	over = append(over, make([]byte, 10)...)
 	cases["oversized count"] = over
 	// Count beyond the absolute cap even with enough bytes declared short.
-	capped := append([]byte("GSD1"), ManifestVersion)
+	capped := append([]byte("GSD2"), ManifestVersion)
 	capped = binary.AppendUvarint(capped, maxManifestBanks+1)
 	cases["count cap"] = capped
 	// Bit flip anywhere in a leaf record breaks the root check.
 	flipped := append([]byte{}, valid...)
 	flipped[7] ^= 0x40
 	cases["bit flip"] = flipped
+	// The retired layout, internally consistent, is refused outright.
+	cases["gsd1"] = gsd1Manifest(sampleManifest().Banks)
 
 	for name, data := range cases {
 		if _, _, err := DecodeManifest(data); err == nil {
@@ -114,13 +123,13 @@ func TestManifestDiff(t *testing.T) {
 	if ids := local.Diff(remote); len(ids) != 0 {
 		t.Fatalf("identical manifests diff to %v", ids)
 	}
-	remote.Banks[1].Digest ^= 7
-	remote.Banks[3].Len = 99
+	remote.Banks[1] ^= 7
+	remote.Banks[3] = 99
 	if ids := local.Diff(remote); len(ids) != 2 || ids[0] != 1 || ids[1] != 3 {
 		t.Fatalf("diff = %v, want [1 3]", ids)
 	}
 	// Remote has banks local lacks: they all show up.
-	longer := Manifest{Banks: append(append([]BankRef{}, local.Banks...), BankRef{Len: 1, Digest: 2})}
+	longer := Manifest{Banks: append(append([]uint64{}, local.Banks...), 2)}
 	if ids := local.Diff(longer); len(ids) != 1 || ids[0] != 4 {
 		t.Fatalf("diff vs longer = %v, want [4]", ids)
 	}
@@ -135,11 +144,13 @@ func TestManifestDiff(t *testing.T) {
 	}
 }
 
-// FuzzDecodeManifest pins that the GSD1 decoder never panics, never
-// over-allocates from a hostile count, and that anything it accepts
-// survives an encode/decode round trip with root intact. (Byte-identity is
-// pinned only for encoder-produced manifests — the decoder tolerates
-// non-minimal varints, same liberal-decoder stance as the cell codec.)
+// FuzzDecodeManifest pins that the GSD2 decoder never panics, never
+// over-allocates from a hostile count, never accepts the retired GSD1
+// layout (its seeds, here and in testdata, must all be refused), and that
+// anything it accepts survives an encode/decode round trip with root
+// intact. (Byte-identity is pinned only for encoder-produced manifests —
+// the decoder tolerates a non-minimal count varint, same liberal-decoder
+// stance as the cell codec.)
 func FuzzDecodeManifest(f *testing.F) {
 	valid := EncodeManifest(sampleManifest())
 	f.Add(valid)
@@ -148,13 +159,18 @@ func FuzzDecodeManifest(f *testing.F) {
 	flipped := append([]byte{}, valid...)
 	flipped[9] ^= 0x10
 	f.Add(flipped) // bit-flipped leaf
-	over := append([]byte("GSD1"), ManifestVersion)
+	over := append([]byte("GSD2"), ManifestVersion)
 	over = binary.AppendUvarint(over, 1<<40)
 	f.Add(over) // oversized count
+	f.Add(gsd1Manifest(sampleManifest().Banks))
+	f.Add(gsd1Manifest(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, _, err := DecodeManifest(data)
 		if err != nil {
 			return
+		}
+		if bytes.HasPrefix(data, []byte("GSD1")) {
+			t.Fatal("decoder accepted a GSD1 manifest")
 		}
 		again, rest, err := DecodeManifest(EncodeManifest(m))
 		if err != nil || len(rest) != 0 || !again.Equal(m) || again.Root() != m.Root() {
