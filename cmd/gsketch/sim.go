@@ -1,59 +1,22 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"strings"
 	"time"
 
-	graphsketch "graphsketch"
-	rt "graphsketch/internal/runtime"
+	"graphsketch/internal/faultnet"
 	"graphsketch/internal/stream"
 )
-
-// simScenario is one column of the failure matrix: a named fault/crash
-// configuration every run sweeps with the same stream and seed base.
-type simScenario struct {
-	Name    string
-	Faults  rt.FaultPlan
-	Crashes rt.CrashPlan
-}
-
-// simScenarios returns the failure matrix. Probabilities are deliberately
-// harsh (a fifth of messages dropped, a sixth corrupted) so the retry and
-// recovery machinery measurably works on every run; the seed offsets keep
-// the scenarios' fault schedules independent.
-func simScenarios(seed uint64) []simScenario {
-	return []simScenario{
-		{Name: "clean"},
-		{
-			Name:   "lossy",
-			Faults: rt.FaultPlan{Seed: seed, DropProb: 0.20, DupProb: 0.25, DelayBase: 500, DelayJitter: 4000},
-		},
-		{
-			Name:   "corrupting",
-			Faults: rt.FaultPlan{Seed: seed ^ 0xA5A5, CorruptProb: 0.20, DelayBase: 500, DelayJitter: 2000},
-		},
-		{
-			Name:    "crashy",
-			Crashes: rt.CrashPlan{Seed: seed ^ 0xC0FFEE, CrashProb: 0.20, TornTailProb: 0.5, MaxTornBytes: 80},
-		},
-		{
-			Name:    "chaos",
-			Faults:  rt.FaultPlan{Seed: seed, DropProb: 0.20, DupProb: 0.25, CorruptProb: 0.15, DelayBase: 500, DelayJitter: 4000},
-			Crashes: rt.CrashPlan{Seed: seed ^ 0xC0FFEE, CrashProb: 0.15, TornTailProb: 0.5, MaxTornBytes: 80},
-		},
-	}
-}
 
 // SimRow is one simulated deployment: the scenario name and seed plus the
 // cluster's report (recovery time, retransmitted bytes, message counts).
 type SimRow struct {
 	Scenario string `json:"scenario"`
 	Seed     uint64 `json:"seed"`
-	rt.Report
+	faultnet.Report
 }
 
 // SimReport is the machine-readable output of `gsketch sim`.
@@ -66,9 +29,10 @@ type SimReport struct {
 	Rows          []SimRow `json:"results"`
 }
 
-// simCommand runs the fault-injection failure matrix: one simulated
-// distributed deployment per scenario, each checked for bit-identity
-// against an uninterrupted single-site run over the same stream.
+// simCommand runs the fault-injection failure matrix: per scenario, one
+// deployment of in-process service sites fed and pulled over HTTP through
+// a faulty transport, checked for bit-identity against one bundle fed the
+// whole stream.
 //
 // With -mode=serve it instead runs the service-level chaos harness: real
 // `gsketch serve` child processes SIGKILLed mid-ingest at seeded offsets,
@@ -110,61 +74,50 @@ func simCommand(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown -mode %q (known: cluster, serve, replica, scrub)", *mode)
 	}
 
-	st := stream.GNP(*n, *p, *seed).WithChurn(*churn, *seed^0x5eed)
-
-	// The correctness oracle: one uninterrupted site ingests the whole
-	// stream. Linearity says the fault-ridden distributed run must merge to
-	// these exact bytes whenever it reaches full coverage.
-	ref := graphsketch.NewConnectivitySketch(*n, *seed)
-	ref.UpdateBatch(st.Updates)
-	reference, err := ref.MarshalBinaryCompact()
-	if err != nil {
-		return err
-	}
-
+	matrix.Seeds = 1 // cluster mode is one seed per call
 	want := make(map[string]bool)
 	for _, name := range strings.Split(*scenarios, ",") {
 		if name = strings.TrimSpace(name); name != "" {
 			want[name] = true
 		}
 	}
-
-	rep := SimReport{
-		N:             *n,
-		Sites:         *sites,
-		Updates:       len(st.Updates),
-		BatchSize:     *batch,
-		SnapshotEvery: *snapshotEvery,
-	}
-	factory := func() rt.Sketch { return graphsketch.NewConnectivitySketch(*n, *seed) }
-	for _, sc := range simScenarios(*seed) {
-		if !want[sc.Name] {
-			continue
+	var run []faultnet.Scenario
+	for _, sc := range faultnet.Scenarios(*seed) {
+		if want[sc.Name] {
+			run = append(run, sc)
+			delete(want, sc.Name)
 		}
-		delete(want, sc.Name)
-		cluster := rt.NewCluster(rt.ClusterConfig{
-			Sites:             *sites,
-			BatchSize:         *batch,
-			SnapshotEvery:     *snapshotEvery,
-			Faults:            sc.Faults,
-			Crashes:           sc.Crashes,
-			RecoveryPerUpdate: 1,
-		}, *n, factory)
-		if err := cluster.Ingest(st); err != nil {
-			return fmt.Errorf("scenario %s: ingest: %v", sc.Name, err)
-		}
-		cluster.Collect()
-		row, err := cluster.Report(len(st.Updates), reference)
-		if err != nil {
-			return fmt.Errorf("scenario %s: report: %v", sc.Name, err)
-		}
-		rep.Rows = append(rep.Rows, SimRow{Scenario: sc.Name, Seed: *seed, Report: row})
 	}
 	for name := range want {
 		return fmt.Errorf("unknown scenario %q (known: clean, lossy, corrupting, crashy, chaos)", name)
 	}
 
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return runMatrix(matrix, out,
+		func(st *stream.Stream, seed uint64, oracle []byte) ([]SimRow, error) {
+			var rows []SimRow
+			for _, sc := range run {
+				rep, _, err := faultnet.Run(faultnet.Config{
+					Sites:         *sites,
+					Batch:         *batch,
+					SnapshotEvery: *snapshotEvery,
+					Bundle:        matrix.bundleConfig(),
+					Faults:        sc.Faults,
+					Crashes:       sc.Crashes,
+				}, st, oracle)
+				if err != nil {
+					return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+				}
+				rows = append(rows, SimRow{Scenario: sc.Name, Seed: seed, Report: rep})
+			}
+			return rows, nil
+		},
+		func(updates int, rows []SimRow) any {
+			return SimReport{N: *n, Sites: *sites, Updates: updates, BatchSize: *batch, SnapshotEvery: *snapshotEvery, Rows: rows}
+		},
+		func(row SimRow) error {
+			if row.Coverage != 1 || !row.BitIdentical {
+				return fmt.Errorf("scenario %s: coverage %v, bit-identical %v", row.Scenario, row.Coverage, row.BitIdentical)
+			}
+			return nil
+		})
 }

@@ -60,6 +60,9 @@ func TestSimCommandScenarioFilter(t *testing.T) {
 	}
 }
 
+// TestSimCommandDeterministic pins that a seed reproduces the report byte
+// for byte. The report has no wall-clock field: recovery and collect times
+// are charged to a virtual clock, so nothing needs excluding.
 func TestSimCommandDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
 	args := []string{"-n", "48", "-churn", "100", "-seed", "7", "-scenarios", "chaos"}

@@ -13,7 +13,7 @@ import (
 	"graphsketch/internal/stream"
 )
 
-// matrixOpts is what the service-level sims (serve, replica, scrub) share:
+// matrixOpts is what the sims (cluster, serve, replica, scrub) share:
 // the stream's shape and the seed sweep.
 type matrixOpts struct {
 	N        int
@@ -28,7 +28,7 @@ func (o matrixOpts) bundleConfig() service.BundleConfig {
 	return service.BundleConfig{N: o.N, K: 4, Eps: 1.0, SpannerK: 2, Seed: o.BaseSeed}
 }
 
-// runMatrix is the loop all three service-level sims are. Per seed: the
+// runMatrix is the loop all four sims are. Per seed: the
 // seeded stream, its oracle (the payload of one bundle fed the whole stream,
 // uninterrupted), and round's rows against them. Then report's JSON, indented,
 // on out — and only after it is printed, gate on every row, so a failing run

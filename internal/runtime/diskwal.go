@@ -12,16 +12,15 @@ import (
 	"graphsketch/internal/wire"
 )
 
-// DiskWAL promotes WAL from a crash simulation to real durability: the
-// framed log and the sealed snapshot live in files, so a SIGKILLed process
-// recovers by reopening its data directory. The in-memory WAL remains the
-// single source of replay/compaction logic; DiskWAL mirrors its state and
-// keeps the files in sync.
+// DiskWAL is the write-ahead log: the framed log and the sealed snapshot
+// live in files, so a SIGKILLed process recovers by reopening its data
+// directory. An in-memory mirror holds the replay and compaction logic;
+// DiskWAL keeps the files in step with it.
 //
 // On-disk layout (directory per WAL):
 //
 //	wal.log       24-byte header (magic, generation, n) + framed records
-//	              appended exactly as the in-memory WAL frames them
+//	              appended exactly as the in-memory mirror frames them
 //	snapshot.bin  32-byte header (magic, generation, n, covered updates)
 //	              + the sealed compact sketch payload
 //
@@ -105,11 +104,25 @@ func LogPath(dir string) string { return filepath.Join(dir, "wal.log") }
 // SnapshotPath returns the snapshot file path inside a WAL directory.
 func SnapshotPath(dir string) string { return filepath.Join(dir, "snapshot.bin") }
 
+// TearLog cuts up to n bytes off the tail of the log in dir, never into its
+// header: the partial final write a crash inside write(2) leaves behind.
+// Chaos harnesses call it on a killed server's tenant directory.
+func TearLog(dir string, n int) error {
+	fi, err := os.Stat(LogPath(dir))
+	if err != nil {
+		return err
+	}
+	if cut := min(int64(n), fi.Size()-logHeaderSize); cut > 0 {
+		return os.Truncate(LogPath(dir), fi.Size()-cut)
+	}
+	return nil
+}
+
 // DiskWAL is a disk-backed write-ahead log. Not safe for concurrent use:
 // the service gives each tenant a single writer goroutine, which is the
 // only code that touches the WAL.
 type DiskWAL struct {
-	mem WAL // mirror: replay, compaction, and counters live here
+	mem mirror // replay, compaction, and counters live here
 	dir string
 	cfg DiskConfig
 	gen uint64
@@ -135,7 +148,7 @@ func OpenDiskWAL(dir string, n int, cfg DiskConfig) (*DiskWAL, error) {
 	for _, p := range []string{LogPath(dir) + ".tmp", SnapshotPath(dir) + ".tmp"} {
 		os.Remove(p)
 	}
-	w := &DiskWAL{mem: WAL{n: n}, dir: dir, cfg: cfg}
+	w := &DiskWAL{mem: mirror{n: n}, dir: dir, cfg: cfg}
 
 	snapGen, err := w.loadSnapshot(n)
 	if err != nil {
@@ -386,8 +399,9 @@ func (w *DiskWAL) publishSnapshot(sealed []byte, covered int) error {
 }
 
 // InstallSnapshot durably replaces the WAL's state with a sealed compact
-// payload pulled from a replica peer, covering stream position pos (see
-// WAL.InstallSnapshot for why the local log is discarded). The envelope is
+// payload pulled from a replica peer, covering stream position pos. The
+// payload is a complete state, so the local log is discarded and the
+// position may move backward. The envelope is
 // validated before anything is written, and the mirror moves only after
 // the files have: the snapshot is published at generation gen+1 before the
 // log is reset, so a crash between the two is resolved by Open exactly
@@ -418,10 +432,10 @@ func (w *DiskWAL) Compact() error {
 	return err
 }
 
-// Recover rebuilds a sketch from the mirrored durable state (see
-// WAL.Recover).
+// Recover rebuilds a sketch from the mirrored durable state and returns it
+// with the raw stream position it reflects: the exact re-feed point.
 func (w *DiskWAL) Recover(factory Factory) (Sketch, int, error) {
-	return w.mem.Recover(factory)
+	return w.mem.recover(factory)
 }
 
 // VerifyDisk is the scrubber's at-rest integrity check: it re-reads
@@ -486,22 +500,20 @@ func (w *DiskWAL) VerifyDisk() error {
 // DurableUpdates reports the raw stream position the durable state
 // reflects — the exact position an ingest driver re-feeds from after a
 // crash.
-func (w *DiskWAL) DurableUpdates() int { return w.mem.DurableUpdates() }
+func (w *DiskWAL) DurableUpdates() int { return w.mem.pos }
 
-// ReplayUpdates reports how many updates log replay applies at recovery.
-func (w *DiskWAL) ReplayUpdates() int { return w.mem.ReplayUpdates() }
-
-// Bytes reports the durable footprint (log + snapshot).
-func (w *DiskWAL) Bytes() int { return w.mem.Bytes() }
+// ReplayUpdates reports how many updates log replay applies at recovery
+// (the recovery cost; less than the position once the log is compacted).
+func (w *DiskWAL) ReplayUpdates() int { return w.mem.logUpdates }
 
 // LogBytes reports the framed log-tail bytes a recovery replays.
-func (w *DiskWAL) LogBytes() int { return w.mem.LogBytes() }
+func (w *DiskWAL) LogBytes() int { return len(w.mem.log) }
 
 // SnapshotBytes reports the sealed snapshot payload bytes.
-func (w *DiskWAL) SnapshotBytes() int { return w.mem.SnapshotBytes() }
+func (w *DiskWAL) SnapshotBytes() int { return len(w.mem.snapshot) }
 
 // SnapshotUpdates reports how many updates the snapshot covers.
-func (w *DiskWAL) SnapshotUpdates() int { return w.mem.SnapshotUpdates() }
+func (w *DiskWAL) SnapshotUpdates() int { return w.mem.snapPos }
 
 // Close syncs and releases the log handle. A killed process never calls
 // Close — that is the point; Open recovers without it.

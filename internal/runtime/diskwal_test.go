@@ -318,8 +318,8 @@ func TestFsyncPolicyRoundTrip(t *testing.T) {
 	}
 }
 
-// tearFile truncates the last n bytes of a file — the on-disk analogue of
-// WAL.TearTail.
+// tearFile truncates the last n bytes of a file, header or not — unlike
+// runtime.TearLog, which stops at the log header.
 func tearFile(t *testing.T, path string, n int) {
 	t.Helper()
 	fi, err := os.Stat(path)

@@ -1,31 +1,21 @@
-// Package runtime is the fault-tolerant distributed sketch runtime: site
-// workers sketch partitions of a dynamic graph stream and ship compact,
-// checksummed payloads to a coordinator that folds them by linearity
-// (Sec. 1.1 of the paper; the simultaneous-communication model of
-// Filtser–Kapralov–Nouri).
-//
-// Linearity is what makes fault tolerance cheap here. Sketches of partial
-// streams sum to the sketch of the union, merges are order-independent,
-// and deletions cancel insertions — so a lost payload can simply be
-// re-requested and folded later, a crashed site can rebuild its sketch
-// from a write-ahead log of its own partition, and the coordinator can
-// answer queries from whatever subset of sites it has heard from, tagging
-// the answer with a coverage fraction.
-//
-// Everything runs over a pluggable in-process transport (Network) driven
-// by a single-threaded virtual-time event loop, so seeded fault schedules
-// (drop / duplicate / reorder / corrupt / delay / crash) replay exactly
-// and the chaos property tests can assert bit-identity against an
-// uninterrupted single-site run.
+// Package runtime is the write-ahead log that makes a sketch durable:
+// framed, checksummed update batches plus a sealed snapshot, on disk
+// (DiskWAL), recovered into a sketch bit-identical to the lost one. By
+// linearity, replay feeds the same updates through the same update path
+// and a snapshot merges into a factory-fresh sketch (zero + state =
+// state); the recovered position names exactly the prefix the sketch
+// holds, so a client re-feeds from there with zero overlap. The service
+// gives each tenant one DiskWAL; the distributed protocol runs on the
+// service over HTTP (internal/faultnet drives it under faults).
 package runtime
 
 import (
 	"graphsketch/internal/stream"
 )
 
-// Sketch is the slice of a sketch's surface the runtime needs: batched
-// linear updates, a canonical compact serialization, and a wire-level
-// merge. Every facade sketch type satisfies it structurally.
+// Sketch is the slice of a sketch's surface the WAL needs: batched linear
+// updates, a canonical compact serialization, and a wire-level merge.
+// Every facade sketch type and service.Bundle satisfy it structurally.
 type Sketch interface {
 	UpdateBatch(ups []stream.Update)
 	MarshalBinaryCompact() ([]byte, error)
@@ -33,10 +23,7 @@ type Sketch interface {
 }
 
 // Factory constructs a fresh zero sketch with fixed parameters and seed.
-// All sketches in one deployment must come from the same factory or they
-// will not be mergeable. Snapshot restore and coordinator folds both go
-// through the factory: a payload is always merged into a factory-fresh
-// sketch, which by linearity is bit-identical to the sketch that produced
-// it (zero + state = state) and keeps a failed fold from poisoning
-// previously applied state.
+// Recovery merges a snapshot into a factory-fresh sketch, which by
+// linearity is bit-identical to the sketch that produced it, so every
+// sketch a WAL recovers must come from the factory that wrote it.
 type Factory func() Sketch

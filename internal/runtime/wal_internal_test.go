@@ -9,9 +9,7 @@ import (
 // FuzzDecodeBatch pins that WAL record decoding never panics and never
 // fabricates updates from unframed bytes.
 func FuzzDecodeBatch(f *testing.F) {
-	w := NewWAL(16)
-	w.Append([]stream.Update{{U: 1, V: 2, Delta: 1}, {U: 3, V: 4, Delta: -1}})
-	f.Add(w.log)
+	f.Add((&mirror{n: 16}).frame([]stream.Update{{U: 1, V: 2, Delta: 1}, {U: 3, V: 4, Delta: -1}}, 2))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -565,16 +565,27 @@ func (b *Bundle) foldBank(p *bundlePayload, id int, replace bool) error {
 // folds in place and is re-created empty on error, which spares copying a
 // whole bundle of zeros.
 func (b *Bundle) MergeBytes(data []byte) error {
-	p, err := b.decodePayload(data)
+	next, err := b.merged(data)
 	if err != nil {
 		return err
+	}
+	*b = *next
+	return nil
+}
+
+// merged is MergeBytes without the swap: it returns the folded bundle and
+// leaves b as it was, except that a pristine b folds in place (next is b).
+func (b *Bundle) merged(data []byte) (*Bundle, error) {
+	p, err := b.decodePayload(data)
+	if err != nil {
+		return nil, err
 	}
 	return b.mergePayload(p)
 }
 
-func (b *Bundle) mergePayload(p *bundlePayload) error {
+func (b *Bundle) mergePayload(p *bundlePayload) (*Bundle, error) {
 	if len(p.present) != p.total {
-		return fmt.Errorf("service: merge needs a full payload (%d/%d banks): %w", len(p.present), p.total, graphsketch.ErrBadEncoding)
+		return nil, fmt.Errorf("service: merge needs a full payload (%d/%d banks): %w", len(p.present), p.total, graphsketch.ErrBadEncoding)
 	}
 	next := b
 	if !b.pristine {
@@ -585,12 +596,11 @@ func (b *Bundle) mergePayload(p *bundlePayload) error {
 			if b.pristine {
 				*b = *NewBundle(b.cfg)
 			}
-			return err
+			return nil, err
 		}
 	}
 	next.pristine = false
-	*b = *next
-	return nil
+	return next, nil
 }
 
 // InstallBanks replace-installs a banked payload: present banks overwrite
@@ -650,8 +660,8 @@ func (b *Bundle) assemble(data []byte, rebuildLeaves bool) (next *Bundle, full b
 		return nil, false, err
 	}
 	if len(p.present) == p.total {
-		next = NewBundle(b.cfg)
-		return next, true, next.mergePayload(p)
+		next, err = NewBundle(b.cfg).mergePayload(p)
+		return next, true, err
 	}
 	if rebuildLeaves {
 		b.RecomputeDigests()

@@ -167,12 +167,20 @@ func TestResidentBytesInvariant(t *testing.T) {
 	}
 	check("InstallBanks", cl)
 
-	wal := runtime.NewWAL(cfg.N)
-	wal.Append(base)
+	wal, err := runtime.OpenDiskWAL(t.TempDir(), cfg.N, runtime.DiskConfig{Policy: runtime.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	if err := wal.Append(base); err != nil {
+		t.Fatal(err)
+	}
 	if err := wal.Snapshot(src); err != nil {
 		t.Fatal(err)
 	}
-	wal.Append(toggles)
+	if err := wal.Append(toggles); err != nil {
+		t.Fatal(err)
+	}
 	sk, _, err := wal.Recover(func() runtime.Sketch { return NewBundle(cfg) })
 	if err != nil {
 		t.Fatal(err)

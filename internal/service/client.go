@@ -174,7 +174,13 @@ const (
 	classFatal               // 4xx other than 429: retrying cannot help
 	classThrottle            // 429: same endpoint, honor Retry-After
 	classFailover            // transport error, 5xx, deadline: next endpoint
+	classUnknown             // may have taken effect: a retry could apply it twice
 )
+
+// ErrOutcomeUnknown wraps the error of a non-idempotent call (Merge) whose
+// request may or may not have taken effect: the response was lost, or the
+// server failed after queueing it. Retrying could apply it twice.
+var ErrOutcomeUnknown = errors.New("service: outcome unknown, the request may have taken effect")
 
 // classify maps an attempt result onto the retry ladder.
 func classify(status int, err error) retryClass {
@@ -192,6 +198,18 @@ func classify(status int, err error) retryClass {
 	default:
 		return classFatal
 	}
+}
+
+// classifyMerge is classify for Merge, which is not idempotent: only the
+// answers showing Server.Merge refused it before queueing it, 429 and 503,
+// are retried. A transport error, a lost reply, a 504 (killed or timed out
+// with it queued) or a 500 (ErrTookEffect folds it) may have folded it.
+func classifyMerge(status int, err error) retryClass {
+	c := classify(status, err)
+	if c == classFailover && status != http.StatusServiceUnavailable {
+		return classUnknown
+	}
+	return c
 }
 
 // retryAfter parses a 429's Retry-After (seconds form), capped by the
@@ -251,13 +269,14 @@ func (c *Client) attempt(endpoint, method, path string, body []byte) (int, []byt
 // Retry-After on the same endpoint, and fatal-class responses (including
 // 409 conflicts) return immediately with the decoded server error.
 func (c *Client) do(method, path string, body []byte, out any) error {
-	_, err := c.doH(method, path, body, out)
+	_, err := c.ladder(method, path, body, out, classify)
 	return err
 }
 
-// doH is do exposing the success response's headers (the payload endpoint
-// stamps position and epoch there).
-func (c *Client) doH(method, path string, body []byte, out any) (http.Header, error) {
+// ladder is do with the outcome classifier as a parameter, exposing the
+// success response's headers (the payload endpoint stamps position and
+// epoch there).
+func (c *Client) ladder(method, path string, body []byte, out any, class func(int, error) retryClass) (http.Header, error) {
 	eps := c.endpoints()
 	var lastErr error
 	for attempt := 0; attempt < c.attempts(); attempt++ {
@@ -265,7 +284,7 @@ func (c *Client) doH(method, path string, body []byte, out any) (http.Header, er
 		ep := eps[c.cur%len(eps)]
 		c.mu.Unlock()
 		status, data, hdr, err := c.attempt(ep, method, path, body)
-		switch classify(status, err) {
+		switch class(status, err) {
 		case classOK:
 			if out == nil {
 				return hdr, nil
@@ -277,6 +296,11 @@ func (c *Client) doH(method, path string, body []byte, out any) (http.Header, er
 			return hdr, json.Unmarshal(data, out)
 		case classFatal:
 			return nil, decodeAPIError(status, data)
+		case classUnknown:
+			if err == nil {
+				err = decodeAPIError(status, data)
+			}
+			return nil, fmt.Errorf("%w: %s %s on %s: %w", ErrOutcomeUnknown, method, path, ep, err)
 		case classThrottle:
 			lastErr = decodeAPIError(status, data)
 			if attempt == c.attempts()-1 {
@@ -378,6 +402,11 @@ func (c *Client) IngestStream(tenant string, ups []stream.Update, batch int) (in
 				// current replica where its durable state ends and re-feed
 				// from there.
 				at, perr := c.Position(tenant)
+				var ae *apiError
+				if errors.As(perr, &ae) && ae.Status == http.StatusNotFound {
+					// No batch has created the tenant yet: nothing is durable.
+					at, perr = 0, nil
+				}
 				if perr != nil {
 					return pos, sent, fmt.Errorf("ingest failed and position re-sync failed: %w (ingest: %v)", perr, err)
 				}
@@ -394,11 +423,8 @@ func (c *Client) IngestStream(tenant string, ups []stream.Update, batch int) (in
 
 // Position reports the tenant's durable position — the re-feed point.
 func (c *Client) Position(tenant string) (int, error) {
-	var resp IngestResponse
-	if err := c.do(http.MethodGet, fmt.Sprintf("/v1/tenants/%s/position", tenant), nil, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Acked, nil
+	pi, err := c.PositionEx(tenant)
+	return pi.Acked, err
 }
 
 // PositionInfo is the extended position probe: durable position, epoch,
@@ -438,28 +464,16 @@ func (c *Client) PositionEx(tenant string) (PositionInfo, error) {
 
 // Payload fetches the tenant's sealed compact bundle payload.
 func (c *Client) Payload(tenant string) ([]byte, error) {
-	var raw []byte
-	if err := c.do(http.MethodGet, fmt.Sprintf("/v1/tenants/%s/payload", tenant), nil, &raw); err != nil {
-		return nil, err
-	}
-	return raw, nil
+	sealed, _, _, err := c.PayloadAt(tenant)
+	return sealed, err
 }
 
 // PayloadAt fetches the tenant's sealed compact payload together with the
 // exact stream position and epoch it was captured at (the anti-entropy
 // pull: the position is the dedup key, the epoch is the staleness stamp).
 func (c *Client) PayloadAt(tenant string) (sealed []byte, pos int, epoch uint64, err error) {
-	var raw []byte
-	hdr, err := c.doH(http.MethodGet, fmt.Sprintf("/v1/tenants/%s/payload", tenant), nil, &raw)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	pos, err = strconv.Atoi(hdr.Get("X-Gsketch-Pos"))
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("service: payload missing position stamp: %w", err)
-	}
-	epoch, _ = strconv.ParseUint(hdr.Get("X-Gsketch-Epoch"), 10, 64)
-	return raw, pos, epoch, nil
+	sealed, pos, epoch, _, err = c.PayloadBanksAt(tenant, nil)
+	return sealed, pos, epoch, err
 }
 
 // PayloadBanksAt fetches a bank-granular payload: nil banks means the
@@ -477,7 +491,7 @@ func (c *Client) PayloadBanksAt(tenant string, banks []int) (sealed []byte, pos 
 		path += "?banks=" + strings.Join(ids, ",")
 	}
 	var raw []byte
-	hdr, err := c.doH(http.MethodGet, path, nil, &raw)
+	hdr, err := c.ladder(http.MethodGet, path, nil, &raw, classify)
 	if err != nil {
 		return nil, 0, 0, 0, err
 	}
@@ -503,10 +517,12 @@ func (c *Client) Sync(tenant string, pos int, epoch uint64, sealed []byte) (int,
 	return resp.Acked, nil
 }
 
-// Merge posts a sealed bundle payload into the tenant.
+// Merge posts a sealed bundle payload into the tenant. Each application
+// folds it again, so it is re-sent only after a refusal (classifyMerge);
+// a failure after which it may have been applied wraps ErrOutcomeUnknown.
 func (c *Client) Merge(tenant string, sealed []byte) (int, error) {
 	var resp IngestResponse
-	if err := c.do(http.MethodPost, fmt.Sprintf("/v1/tenants/%s/merge", tenant), sealed, &resp); err != nil {
+	if _, err := c.ladder(http.MethodPost, fmt.Sprintf("/v1/tenants/%s/merge", tenant), sealed, &resp, classifyMerge); err != nil {
 		return 0, err
 	}
 	return resp.Acked, nil

@@ -71,7 +71,11 @@ func TestDigestEquivalence(t *testing.T) {
 		cfg := BundleConfig{N: 8, K: 2, Eps: 4, SpannerK: 2, Seed: seed}
 		rng := rand.New(rand.NewSource(int64(seed)))
 		live := NewBundle(cfg)
-		wal := runtime.NewWAL(cfg.N)
+		wal, err := runtime.OpenDiskWAL(t.TempDir(), cfg.N, runtime.DiskConfig{Policy: runtime.FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer wal.Close()
 		var all []stream.Update
 		apply := func(step string, ups []stream.Update, workers int) {
 			t.Helper()
@@ -80,7 +84,9 @@ func TestDigestEquivalence(t *testing.T) {
 			} else {
 				live.UpdateBatch(ups)
 			}
-			wal.Append(ups)
+			if err := wal.Append(ups); err != nil {
+				t.Fatal(err)
+			}
 			all = append(all, ups...)
 			checkLeaves(t, step, live)
 		}
@@ -100,7 +106,9 @@ func TestDigestEquivalence(t *testing.T) {
 			if err := live.MergeBytes(payload); err != nil {
 				t.Fatalf("seed %d: MergeBytes into live: %v", seed, err)
 			}
-			wal.Append(otherUps) // linearity: the merge is this batch
+			if err := wal.Append(otherUps); err != nil { // linearity: the merge is this batch
+				t.Fatal(err)
+			}
 			all = append(all, otherUps...)
 			checkLeaves(t, "MergeBytes into live", live)
 

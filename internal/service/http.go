@@ -236,7 +236,11 @@ func (s *Server) httpStatus(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, ErrDigestMismatch):
 		return http.StatusBadRequest
+	case errors.Is(err, errKilledQueued):
+		// Like a deadline, the outcome is unknown: not a refusal.
+		return http.StatusGatewayTimeout
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrKilled), errors.Is(err, ErrQuarantined):
+		// Refused before the op was queued: nothing took effect.
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		s.met.QueryTimeouts.Add(1)

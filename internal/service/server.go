@@ -83,6 +83,9 @@ var (
 	// say where it stopped), but nothing computed FROM the suspect state is
 	// ever served.
 	ErrQuarantined = errors.New("service: tenant quarantined by integrity scrub")
+	// errKilledQueued is ErrKilled after the op was queued: it may have
+	// taken effect, which a refusal (503) must never mean.
+	errKilledQueued = fmt.Errorf("%w with the op queued, which may have taken effect", ErrKilled)
 )
 
 // Metrics are the server's monotone counters, all atomics so the HTTP
@@ -561,7 +564,7 @@ func (t *tenant) submit(ctx context.Context, o op) (int, error) {
 		// The batch may or may not be durable; the client must re-sync via
 		// Acked after the restart — exactly the unacknowledged window the
 		// chaos suite re-feeds.
-		return 0, ErrKilled
+		return 0, errKilledQueued
 	case <-ctx.Done():
 		return 0, ctx.Err()
 	}
@@ -614,16 +617,24 @@ func (s *Server) Merge(ctx context.Context, tenantName string, sealed []byte) (i
 		return 0, err
 	}
 	return t.submit(ctx, op{reply: make(chan opResult, 1), fn: func(w *runtime.DiskWAL, live *Bundle) error {
-		if err := live.MergeBytes(payload); err != nil {
+		// install's commit order: fold on a staged bundle, make it durable,
+		// swap it in. A failed snapshot leaves live state as it was, so a
+		// retry cannot fold twice; after ErrTookEffect live state follows.
+		next, err := live.merged(payload)
+		if err != nil {
 			return err
 		}
-		// Durable before visible: until the snapshot holds the merged bytes
-		// a crash cannot reproduce this state, so readers must not see it.
-		if err := w.Snapshot(live); err != nil {
-			return err
+		durErr := w.Snapshot(next)
+		if durErr != nil && !errors.Is(durErr, runtime.ErrTookEffect) {
+			if next == live {
+				// A pristine bundle folds in place, and pristine is empty.
+				*live = *NewBundle(live.cfg)
+			}
+			return durErr
 		}
+		*live = *next
 		t.publish(w, live)
-		return nil
+		return durErr
 	}})
 }
 

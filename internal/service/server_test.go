@@ -5,9 +5,12 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"graphsketch/internal/runtime"
 	"graphsketch/internal/stream"
 )
 
@@ -301,5 +304,74 @@ func TestServeQueueBackpressure(t *testing.T) {
 	}
 	if got := tn.Acked(); got != 4*10*25 {
 		t.Fatalf("acked %d, want %d", got, 4*10*25)
+	}
+}
+
+// TestMergeFailedSnapshotLeavesState pins Merge's commit order: a merge
+// whose snapshot cannot be written leaves payload, position and root as
+// they were, so the client retrying that error folds the payload once, not
+// twice.
+func TestMergeFailedSnapshotLeavesState(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.SnapshotEvery = 1 << 20 // no snapshot file yet: the merge's is the first
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Kill)
+	ctx := context.Background()
+	st := bundleStream(31)
+	half := len(st.Updates) / 2
+	if _, err := s.Ingest(ctx, "t", 0, st.Updates[:half]); err != nil {
+		t.Fatal(err)
+	}
+	other := NewBundle(cfg.Bundle)
+	other.UpdateBatch(st.Updates[half:])
+	payload, err := other.MarshalBinaryCompact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := func() ([]byte, int, uint64) {
+		t.Helper()
+		sealed, pos, _, err := s.Payload(ctx, "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		man, _, err := s.ManifestNow(ctx, "t", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sealed, pos, man.Root()
+	}
+	before, pos, root := state()
+
+	// A non-empty directory where the snapshot goes: its rename fails.
+	snap := runtime.SnapshotPath(s.tenantDir("t"))
+	if err := os.MkdirAll(filepath.Join(snap, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Merge(ctx, "t", SealPayload(payload)); err == nil {
+		t.Fatal("merge with an unwritable snapshot succeeded")
+	}
+	after, pos2, root2 := state()
+	if !bytes.Equal(before, after) || pos != pos2 || root != root2 {
+		t.Fatalf("failed merge moved the tenant: pos %d -> %d, root %016x -> %016x, payload changed %v",
+			pos, pos2, root, root2, !bytes.Equal(before, after))
+	}
+
+	if err := os.RemoveAll(snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Merge(ctx, "t", SealPayload(payload)); err != nil {
+		t.Fatalf("merge after the blocker is gone: %v", err)
+	}
+	whole := NewBundle(cfg.Bundle)
+	whole.UpdateBatch(st.Updates)
+	want, err := whole.MarshalBinaryCompact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _, _ := state(); !bytes.Equal(got, SealPayload(want)) {
+		t.Fatal("the tenant does not hold exactly one fold of the payload")
 	}
 }
