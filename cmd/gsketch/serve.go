@@ -46,7 +46,6 @@ func serveCommand(args []string, out io.Writer) error {
 	seed := fs.Uint64("seed", 1, "hash seed shared by all tenants")
 	peers := fs.String("peers", "", "comma-separated peer base URLs to anti-entropy sync from (replication)")
 	syncEvery := fs.Duration("sync-every", 500*time.Millisecond, "anti-entropy round interval when -peers is set")
-	noDelta := fs.Bool("no-delta", false, "disable bank-granular delta sync pulls (always pull full payloads)")
 	scrubEvery := fs.Duration("scrub-every", 5*time.Second, "background integrity scrub interval (0 disables scrubbing)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -104,7 +103,7 @@ func serveCommand(args []string, out io.Writer) error {
 		}
 		if len(urls) > 0 {
 			syncer = service.NewSyncer(srv, service.SyncConfig{
-				Peers: urls, Every: *syncEvery, JitterSeed: *seed, NoDelta: *noDelta,
+				Peers: urls, Every: *syncEvery, JitterSeed: *seed,
 			})
 			go syncer.Run()
 		}

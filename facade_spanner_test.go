@@ -99,3 +99,57 @@ func TestSpannerSketchFootprint(t *testing.T) {
 		t.Fatalf("implausible RC footprint %+v", f)
 	}
 }
+
+// TestSpannerSketchLogBoundedUnderChurn: a churn stream (20k updates on 32
+// vertices, almost all of them insert/delete pairs) must not grow the
+// sketches' update log with the stream. After every batch the log holds at
+// most twice the most edges live at once plus that batch, and the build
+// still equals the one-shot construction on the raw stream, edge for edge.
+func TestSpannerSketchLogBoundedUnderChurn(t *testing.T) {
+	const n, total, batch = 32, 20_000, 7
+	st := GNP(n, 0.3, 41).WithChurn(16_000, 43)
+	if len(st.Updates) < total {
+		t.Fatalf("churn stream has %d updates, want >= %d", len(st.Updates), total)
+	}
+	st.Updates = st.Updates[:total]
+
+	bs := NewBaswanaSenSketch(n, 3, 47)
+	rc := NewRecurseConnectSketch(n, 4, 53)
+	live := map[uint64]int64{}
+	peakLive := 0
+	for lo := 0; lo < total; lo += batch {
+		ups := st.Updates[lo:min(lo+batch, total)]
+		for i, up := range ups {
+			if i%2 == 0 {
+				bs.Update(up.U, up.V, up.Delta)
+				rc.Update(up.U, up.V, up.Delta)
+			} else {
+				bs.UpdateBatch(ups[i : i+1])
+				rc.UpdateBatch(ups[i : i+1])
+			}
+			idx := uint64(min(up.U, up.V))*n + uint64(max(up.U, up.V))
+			if live[idx] += up.Delta; live[idx] == 0 {
+				delete(live, idx)
+			}
+			peakLive = max(peakLive, len(live))
+		}
+		for name, got := range map[string]int{"baswana-sen": len(bs.st.Updates), "recurse-connect": len(rc.st.Updates)} {
+			if bound := 2*peakLive + batch; got > bound {
+				t.Fatalf("%s: after %d updates the log holds %d > 2*%d+%d", name, lo+len(ups), got, peakLive, batch)
+			}
+		}
+	}
+
+	wantBS := BaswanaSenSpanner(st, 3, 47)
+	gotBS := bs.Build()
+	spannerGraphsEqual(t, "baswana-sen", gotBS.Spanner, wantBS.Spanner)
+	if gotBS.Passes != wantBS.Passes || gotBS.PlanEdges != wantBS.PlanEdges {
+		t.Fatalf("baswana-sen diagnostics differ: passes %d/%d, plan %d/%d", gotBS.Passes, wantBS.Passes, gotBS.PlanEdges, wantBS.PlanEdges)
+	}
+	wantRC := RecurseConnectSpanner(st, 4, 53)
+	gotRC := rc.Build()
+	spannerGraphsEqual(t, "recurse-connect", gotRC.Spanner, wantRC.Spanner)
+	if gotRC.Passes != wantRC.Passes || gotRC.PlanEdges != wantRC.PlanEdges {
+		t.Fatalf("recurse-connect diagnostics differ: passes %d/%d, plan %d/%d", gotRC.Passes, wantRC.Passes, gotRC.PlanEdges, wantRC.PlanEdges)
+	}
+}

@@ -25,6 +25,15 @@
 //   - BaswanaSenSpanner / RecurseConnectSpanner — Sec. 5's adaptive
 //     (multi-pass) spanner constructions.
 //
+// Because every sketch is a linear projection, they share one surface,
+// defined once and promoted into each type. Every sketch ingests with
+// Update, UpdateBatch, Ingest and IngestParallel and reports its space with
+// Footprint. Every sketch except BipartitenessSketch also ships over the
+// wire: MarshalBinaryCompact encodes it, UnmarshalBinary decodes it, and
+// MergeBytes folds an encoded sketch into a live one. Add, MergeMany, Clone
+// and the queries are per type. The spanner sketches share a second core:
+// an update log replayed by a memoized multi-pass Build.
+//
 // Every constructor takes an explicit seed; two sketches built with the
 // same parameters and seed are mergeable with Add and behave identically on
 // identical final graphs regardless of update order.
@@ -32,7 +41,6 @@ package graphsketch
 
 import (
 	"errors"
-	"fmt"
 
 	"graphsketch/internal/agm"
 	"graphsketch/internal/core/mincut"
@@ -42,6 +50,7 @@ import (
 	"graphsketch/internal/graph"
 	"graphsketch/internal/sketchcore"
 	"graphsketch/internal/stream"
+	"graphsketch/internal/wire"
 )
 
 // Footprint is the space report every sketch exposes: resident bytes, cell
@@ -49,17 +58,6 @@ import (
 // costs bytes proportional to the non-zero state, which is what a
 // distributed site actually ships (Sec. 1.1).
 type Footprint = sketchcore.Footprint
-
-// Digest is a bank's linear integrity digest: one part over the cells'
-// int64 counts mod 2^64, one over their fingerprints mod 2^61-1. Every
-// write path keeps it current by adding the digest of what it writes, so
-// reading it costs O(arenas), and the digest of a sum of states is the sum
-// of their digests.
-type Digest = sketchcore.Digest
-
-// Each sketch serializes with MarshalBinaryCompact (zero-run-length +
-// varint cells, size proportional to non-zero state); UnmarshalBinary and
-// MergeBytes read that encoding.
 
 // Graph is a weighted undirected graph; the output type of sparsifiers,
 // spanners, and witnesses, with exact-algorithm methods (BFS, StoerWagner,
@@ -89,18 +87,104 @@ var errUninitializedMerge = errors.New("graphsketch: MergeBytes on a zero-value 
 
 // ErrBadEncoding is the sentinel every UnmarshalBinary / MergeBytes failure
 // wraps: truncated, corrupted, oversized, or parameter-mismatched payloads
-// all satisfy errors.Is(err, ErrBadEncoding). No payload content, however
-// malformed, panics these entry points — corrupt bytes are an input
-// condition, not a programmer error.
-var ErrBadEncoding = errors.New("graphsketch: bad encoding")
+// all satisfy errors.Is(err, ErrBadEncoding). It is the one sentinel of
+// every decoding layer, so the chain down to the failing codec is kept and
+// the message names that layer. No payload content, however malformed,
+// panics these entry points — corrupt bytes are an input condition, not a
+// programmer error.
+var ErrBadEncoding = wire.ErrBadEncoding
 
-// wrapBadEncoding routes an internal decode/merge error into the facade
-// sentinel, preserving the detailed message.
-func wrapBadEncoding(err error) error {
-	if err == nil {
-		return nil
+// ---------------------------------------------------------------------------
+// The shared linear-sketch surface
+// ---------------------------------------------------------------------------
+
+// sketch is what every internal sketch behind the facade implements.
+type sketch interface {
+	Update(u, v int, delta int64)
+	Ingest(s *stream.Stream)
+	UpdateBatch(ups []stream.Update)
+	IngestParallel(s *stream.Stream, workers int)
+	Footprint() sketchcore.Footprint
+}
+
+// wireSketch is a sketch with a wire encoding; P is a pointer to S, so a
+// zero-value facade can allocate the S it decodes into.
+type wireSketch[S any] interface {
+	*S
+	sketch
+	MarshalBinaryCompact() ([]byte, error)
+	UnmarshalBinary(data []byte) error
+	MergeBinary(data []byte) error
+}
+
+// ingester is the ingest half of the shared surface, embedded by every
+// linear sketch type.
+type ingester[P sketch] struct{ sk P }
+
+// Update applies a signed multiplicity change to edge {u, v}. For the
+// weighted sketches (MSTSketch, WeightedSparsifier) |delta| is the edge's
+// weight.
+func (c *ingester[P]) Update(u, v int, delta int64) { c.sk.Update(u, v, delta) }
+
+// Ingest replays a whole stream.
+func (c *ingester[P]) Ingest(s *Stream) { c.sk.Ingest(s) }
+
+// UpdateBatch applies a slice of updates through the batched kernels:
+// bit-identical to the same Update calls, with per-edge hashing hoisted and
+// the batch sorted by level, class or bank before it is replayed.
+func (c *ingester[P]) UpdateBatch(ups []Update) { c.sk.UpdateBatch(ups) }
+
+// IngestParallel replays a stream with workers applying each staged batch
+// to independent sampler banks (or shards merged by linearity) in
+// parallel; bit-identical to Ingest. workers <= 0 defaults to GOMAXPROCS.
+func (c *ingester[P]) IngestParallel(s *Stream, workers int) { c.sk.IngestParallel(s, workers) }
+
+// Footprint reports resident bytes, cell occupancy, and wire bytes.
+func (c *ingester[P]) Footprint() Footprint { return c.sk.Footprint() }
+
+// core returns the internal sketch (see cores).
+func (c *ingester[P]) core() P { return c.sk }
+
+// linear is the whole shared surface: ingest plus the wire encoding.
+// Every wire-capable sketch type embeds it.
+type linear[S any, P wireSketch[S]] struct{ ingester[P] }
+
+// newLinear wraps an internal sketch.
+func newLinear[S any, P wireSketch[S]](sk P) linear[S, P] { return linear[S, P]{ingester[P]{sk}} }
+
+// MarshalBinaryCompact serializes the sketch with bytes proportional to its
+// non-zero state (zero-run-length + varint cells) — the per-site payload a
+// distributed site ships to the coordinator.
+func (c *linear[S, P]) MarshalBinaryCompact() ([]byte, error) { return c.sk.MarshalBinaryCompact() }
+
+// UnmarshalBinary reconstructs the sketch from its wire form, parameters
+// included, so it also works on a zero value.
+func (c *linear[S, P]) UnmarshalBinary(data []byte) error {
+	if c.sk == nil {
+		c.sk = P(new(S))
 	}
-	return fmt.Errorf("%w: %v", ErrBadEncoding, err)
+	return c.sk.UnmarshalBinary(data)
+}
+
+// MergeBytes folds a serialized sketch built with the same parameters and
+// seed directly into the receiver without materializing a second sketch —
+// the wire-level coordinator merge. On error the destination may already
+// hold a partially folded prefix of the payload — discard the sketch rather
+// than retrying the same bytes, or the prefix double-counts.
+func (c *linear[S, P]) MergeBytes(data []byte) error {
+	if c.sk == nil {
+		return errUninitializedMerge
+	}
+	return c.sk.MergeBinary(data)
+}
+
+// cores unwraps facade sketches to their internal sketches, for MergeMany.
+func cores[F interface{ core() P }, P any](fs []F) []P {
+	out := make([]P, len(fs))
+	for i, f := range fs {
+		out[i] = f.core()
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -108,180 +192,73 @@ func wrapBadEncoding(err error) error {
 // ---------------------------------------------------------------------------
 
 // ConnectivitySketch answers connectivity queries about a dynamic graph
-// stream using O(n polylog n) space.
-type ConnectivitySketch struct{ fs *agm.ForestSketch }
+// stream using O(n polylog n) space. Its wire form is the AGM3 envelope.
+type ConnectivitySketch struct {
+	linear[agm.ForestSketch, *agm.ForestSketch]
+}
 
 // NewConnectivitySketch creates a connectivity sketch for n vertices.
 func NewConnectivitySketch(n int, seed uint64) *ConnectivitySketch {
-	return &ConnectivitySketch{fs: agm.NewForestSketch(n, seed)}
+	return &ConnectivitySketch{newLinear(agm.NewForestSketch(n, seed))}
 }
 
-// Update applies a signed multiplicity change to edge {u, v}.
-func (c *ConnectivitySketch) Update(u, v int, delta int64) { c.fs.Update(u, v, delta) }
-
-// Ingest replays a whole stream.
-func (c *ConnectivitySketch) Ingest(s *Stream) { c.fs.Ingest(s) }
-
-// UpdateBatch applies a slice of updates through the batched kernels
-// (bit-identical to the same Update calls, with per-edge hashing hoisted).
-func (c *ConnectivitySketch) UpdateBatch(ups []Update) { c.fs.UpdateBatch(ups) }
-
-// IngestParallel replays a stream with workers applying each staged
-// batch to independent sampler banks in parallel; bit-identical to
-// Ingest. workers <= 0 defaults to GOMAXPROCS.
-func (c *ConnectivitySketch) IngestParallel(s *Stream, workers int) { c.fs.IngestParallel(s, workers) }
-
 // Add merges a sketch built with the same (n, seed).
-func (c *ConnectivitySketch) Add(other *ConnectivitySketch) { c.fs.Add(other.fs) }
+func (c *ConnectivitySketch) Add(other *ConnectivitySketch) { c.sk.Add(other.sk) }
 
 // MergeMany folds k sketches built with the same (n, seed) in one
 // occupancy-guided pass per sampler bank — the coordinator aggregation
 // step, bit-identical to sequential pairwise Add calls.
-func (c *ConnectivitySketch) MergeMany(others []*ConnectivitySketch) {
-	srcs := make([]*agm.ForestSketch, len(others))
-	for i, o := range others {
-		srcs[i] = o.fs
-	}
-	c.fs.MergeMany(srcs)
-}
+func (c *ConnectivitySketch) MergeMany(others []*ConnectivitySketch) { c.sk.MergeMany(cores(others)) }
 
 // Clone returns a deep, independent copy: updating either sketch never
 // perturbs the other. This is the epoch-snapshot hook the concurrent
 // service uses — clone under the writer, query the clone concurrently.
 func (c *ConnectivitySketch) Clone() *ConnectivitySketch {
-	return &ConnectivitySketch{fs: c.fs.Clone()}
+	return &ConnectivitySketch{newLinear(c.sk.Clone())}
 }
-
-// MarshalBinaryCompact serializes in the compact AGM3 format: bytes
-// proportional to the sketch's non-zero state.
-func (c *ConnectivitySketch) MarshalBinaryCompact() ([]byte, error) {
-	return c.fs.MarshalBinaryCompact()
-}
-
-// UnmarshalBinary reconstructs the sketch from its wire form.
-func (c *ConnectivitySketch) UnmarshalBinary(data []byte) error {
-	if c.fs == nil {
-		c.fs = &agm.ForestSketch{}
-	}
-	return wrapBadEncoding(c.fs.UnmarshalBinary(data))
-}
-
-// MergeBytes folds a serialized sketch (same n and seed)
-// directly into c without materializing a second sketch — the wire-level
-// coordinator merge.
-// On error the destination may already hold a partially folded
-// prefix of the payload — discard the sketch rather than retrying the
-// same bytes, or the prefix double-counts.
-func (c *ConnectivitySketch) MergeBytes(data []byte) error {
-	if c.fs == nil {
-		return errUninitializedMerge
-	}
-	return wrapBadEncoding(c.fs.MergeBinary(data))
-}
-
-// Footprint reports resident bytes, cell occupancy, and wire bytes.
-func (c *ConnectivitySketch) Footprint() Footprint { return c.fs.Footprint() }
 
 // Connected reports whether the sketched graph is connected.
-func (c *ConnectivitySketch) Connected() bool { return c.fs.IsConnected() }
+func (c *ConnectivitySketch) Connected() bool { return c.sk.IsConnected() }
 
 // Components returns the number of connected components.
-func (c *ConnectivitySketch) Components() int { return c.fs.ComponentCount() }
+func (c *ConnectivitySketch) Components() int { return c.sk.ComponentCount() }
 
 // SpanningForest extracts a spanning forest (edges carry multiplicities).
-func (c *ConnectivitySketch) SpanningForest() []Edge { return c.fs.SpanningForest() }
+func (c *ConnectivitySketch) SpanningForest() []Edge { return c.sk.SpanningForest() }
 
 // BipartitenessSketch decides bipartiteness of a dynamic graph stream via
-// the double-cover reduction.
-type BipartitenessSketch struct{ bs *agm.BipartitenessSketch }
+// the double-cover reduction. It has no wire form.
+type BipartitenessSketch struct {
+	ingester[*agm.BipartitenessSketch]
+}
 
 // NewBipartitenessSketch creates a bipartiteness sketch for n vertices.
 func NewBipartitenessSketch(n int, seed uint64) *BipartitenessSketch {
-	return &BipartitenessSketch{bs: agm.NewBipartitenessSketch(n, seed)}
+	return &BipartitenessSketch{ingester[*agm.BipartitenessSketch]{agm.NewBipartitenessSketch(n, seed)}}
 }
 
-// Update applies a signed multiplicity change to edge {u, v}.
-func (b *BipartitenessSketch) Update(u, v int, delta int64) { b.bs.Update(u, v, delta) }
-
-// Ingest replays a whole stream.
-func (b *BipartitenessSketch) Ingest(s *Stream) { b.bs.Ingest(s) }
-
-// UpdateBatch applies a slice of updates through the batched kernels.
-func (b *BipartitenessSketch) UpdateBatch(ups []Update) { b.bs.UpdateBatch(ups) }
-
-// IngestParallel replays a stream sharded across worker goroutines and
-// merges by linearity; bit-identical to Ingest.
-func (b *BipartitenessSketch) IngestParallel(s *Stream, workers int) { b.bs.IngestParallel(s, workers) }
-
 // Bipartite reports whether the sketched graph is bipartite.
-func (b *BipartitenessSketch) Bipartite() bool { return b.bs.IsBipartite() }
-
-// Footprint reports resident bytes, cell occupancy, and wire bytes.
-func (b *BipartitenessSketch) Footprint() Footprint { return b.bs.Footprint() }
+func (b *BipartitenessSketch) Bipartite() bool { return b.sk.IsBipartite() }
 
 // MSTSketch approximates a minimum-weight spanning forest of a weighted
 // dynamic stream (|delta| carries the edge weight) — the remaining [4]
 // primitive. The weight is within a factor 2 of optimal (powers-of-two
 // class granularity); sampled edges report their true weights.
-type MSTSketch struct{ sk *agm.MSTSketch }
+type MSTSketch struct {
+	linear[agm.MSTSketch, *agm.MSTSketch]
+}
 
 // NewMSTSketch creates an MST sketch for weights in [1, maxWeight].
 func NewMSTSketch(n int, maxWeight int64, seed uint64) *MSTSketch {
-	return &MSTSketch{sk: agm.NewMSTSketch(n, maxWeight, seed)}
+	return &MSTSketch{newLinear(agm.NewMSTSketch(n, maxWeight, seed))}
 }
-
-// Update applies a signed weighted change to edge {u, v}.
-func (m *MSTSketch) Update(u, v int, delta int64) { m.sk.Update(u, v, delta) }
-
-// Ingest replays a whole stream.
-func (m *MSTSketch) Ingest(s *Stream) { m.sk.Ingest(s) }
-
-// UpdateBatch applies a slice of weighted updates through the batched
-// kernels (class-sorted, then replayed bank by bank).
-func (m *MSTSketch) UpdateBatch(ups []Update) { m.sk.UpdateBatch(ups) }
-
-// IngestParallel replays a stream sharded across worker goroutines and
-// merges by linearity; bit-identical to Ingest.
-func (m *MSTSketch) IngestParallel(s *Stream, workers int) { m.sk.IngestParallel(s, workers) }
 
 // Add merges a sketch built with the same parameters and seed.
 func (m *MSTSketch) Add(other *MSTSketch) { m.sk.Add(other.sk) }
 
 // MergeMany folds k sketches built with the same parameters in one
 // occupancy-guided pass per bank; bit-identical to sequential Add calls.
-func (m *MSTSketch) MergeMany(others []*MSTSketch) {
-	srcs := make([]*agm.MSTSketch, len(others))
-	for i, o := range others {
-		srcs[i] = o.sk
-	}
-	m.sk.MergeMany(srcs)
-}
-
-// MarshalBinaryCompact serializes with bytes proportional to the non-zero
-// state.
-func (m *MSTSketch) MarshalBinaryCompact() ([]byte, error) { return m.sk.MarshalBinaryCompact() }
-
-// UnmarshalBinary reconstructs the sketch from its wire form.
-func (m *MSTSketch) UnmarshalBinary(data []byte) error {
-	if m.sk == nil {
-		m.sk = &agm.MSTSketch{}
-	}
-	return wrapBadEncoding(m.sk.UnmarshalBinary(data))
-}
-
-// MergeBytes folds a serialized sketch (same parameters) directly into m.
-// On error the destination may already hold a partially folded
-// prefix of the payload — discard the sketch rather than retrying the
-// same bytes, or the prefix double-counts.
-func (m *MSTSketch) MergeBytes(data []byte) error {
-	if m.sk == nil {
-		return errUninitializedMerge
-	}
-	return wrapBadEncoding(m.sk.MergeBinary(data))
-}
-
-// Footprint reports resident bytes, cell occupancy, and wire bytes.
-func (m *MSTSketch) Footprint() Footprint { return m.sk.Footprint() }
+func (m *MSTSketch) MergeMany(others []*MSTSketch) { m.sk.MergeMany(cores(others)) }
 
 // ApproxMSF extracts the approximate minimum spanning forest and its
 // total weight.
@@ -292,7 +269,9 @@ func (m *MSTSketch) ApproxMSF() ([]Edge, int64) { return m.sk.ApproxMSF() }
 // ---------------------------------------------------------------------------
 
 // MinCutSketch is the single-pass (1+eps)-approximate minimum cut sketch.
-type MinCutSketch struct{ sk *mincut.Sketch }
+type MinCutSketch struct {
+	linear[mincut.Sketch, *mincut.Sketch]
+}
 
 // MinCutResult reports the estimate and diagnostics.
 type MinCutResult = mincut.Result
@@ -300,73 +279,26 @@ type MinCutResult = mincut.Result
 // NewMinCutSketch creates a min-cut sketch for n vertices targeting
 // relative error eps (eps <= 0 defaults to 0.5).
 func NewMinCutSketch(n int, eps float64, seed uint64) *MinCutSketch {
-	return &MinCutSketch{sk: mincut.New(mincut.Config{N: n, Epsilon: eps, Seed: seed})}
+	return &MinCutSketch{newLinear(mincut.New(mincut.Config{N: n, Epsilon: eps, Seed: seed}))}
 }
 
 // NewMinCutSketchK creates a min-cut sketch with an explicit connectivity
 // parameter k (the witness keeps all cuts of size < k exact).
 func NewMinCutSketchK(n, k int, seed uint64) *MinCutSketch {
-	return &MinCutSketch{sk: mincut.New(mincut.Config{N: n, K: k, Seed: seed})}
+	return &MinCutSketch{newLinear(mincut.New(mincut.Config{N: n, K: k, Seed: seed}))}
 }
-
-// Update applies a signed multiplicity change to edge {u, v}.
-func (m *MinCutSketch) Update(u, v int, delta int64) { m.sk.Update(u, v, delta) }
-
-// Ingest replays a whole stream.
-func (m *MinCutSketch) Ingest(s *Stream) { m.sk.Ingest(s) }
-
-// UpdateBatch applies a slice of updates through the batched kernels
-// (level-sorted, then replayed level sketch by level sketch).
-func (m *MinCutSketch) UpdateBatch(ups []Update) { m.sk.UpdateBatch(ups) }
-
-// IngestParallel replays a stream sharded across worker goroutines and
-// merges by linearity; bit-identical to Ingest.
-func (m *MinCutSketch) IngestParallel(s *Stream, workers int) { m.sk.IngestParallel(s, workers) }
 
 // Add merges a sketch built with the same parameters and seed.
 func (m *MinCutSketch) Add(other *MinCutSketch) { m.sk.Add(other.sk) }
 
 // MergeMany folds k sketches built with the same parameters in one
 // occupancy-guided pass per bank; bit-identical to sequential Add calls.
-func (m *MinCutSketch) MergeMany(others []*MinCutSketch) {
-	srcs := make([]*mincut.Sketch, len(others))
-	for i, o := range others {
-		srcs[i] = o.sk
-	}
-	m.sk.MergeMany(srcs)
-}
+func (m *MinCutSketch) MergeMany(others []*MinCutSketch) { m.sk.MergeMany(cores(others)) }
 
 // Clone returns a deep, independent copy (the decode memo is not carried
 // over; the clone recomputes MinCut on first call). Epoch-snapshot hook:
 // queries run on the clone while the original keeps ingesting.
-func (m *MinCutSketch) Clone() *MinCutSketch { return &MinCutSketch{sk: m.sk.Clone()} }
-
-// MarshalBinaryCompact serializes with bytes proportional to the non-zero
-// state — the per-site coordinator payload.
-func (m *MinCutSketch) MarshalBinaryCompact() ([]byte, error) { return m.sk.MarshalBinaryCompact() }
-
-// UnmarshalBinary reconstructs the sketch from its wire form.
-func (m *MinCutSketch) UnmarshalBinary(data []byte) error {
-	if m.sk == nil {
-		m.sk = &mincut.Sketch{}
-	}
-	return wrapBadEncoding(m.sk.UnmarshalBinary(data))
-}
-
-// MergeBytes folds a serialized sketch (same config) directly into m
-// without materializing a second sketch.
-// On error the destination may already hold a partially folded
-// prefix of the payload — discard the sketch rather than retrying the
-// same bytes, or the prefix double-counts.
-func (m *MinCutSketch) MergeBytes(data []byte) error {
-	if m.sk == nil {
-		return errUninitializedMerge
-	}
-	return wrapBadEncoding(m.sk.MergeBinary(data))
-}
-
-// Footprint reports resident bytes, cell occupancy, and wire bytes.
-func (m *MinCutSketch) Footprint() Footprint { return m.sk.Footprint() }
+func (m *MinCutSketch) Clone() *MinCutSketch { return &MinCutSketch{newLinear(m.sk.Clone())} }
 
 // MinCut runs the Fig 1 post-processing. Decode is read-only on the sketch
 // and cached: repeated calls return the same result until the sketch is
@@ -378,182 +310,33 @@ func (m *MinCutSketch) MinCut() (MinCutResult, error) { return m.sk.MinCut() }
 // every setting.
 func (m *MinCutSketch) SetDecodeWorkers(workers int) { m.sk.SetDecodeWorkers(workers) }
 
-// NumBanks reports the sketch's digestable bank count (one per subsampling
-// level) — the granularity the service's digest tree and delta sync
-// address.
-func (m *MinCutSketch) NumBanks() int { return m.sk.NumBanks() }
-
-// AppendBank appends one level bank's compact tagged state: exactly the
-// bytes MarshalBinaryCompact writes for that level, so per-bank digests
-// cover the full compact payload body.
-func (m *MinCutSketch) AppendBank(buf []byte, bank int) ([]byte, error) {
-	out, err := m.sk.AppendBankState(buf, bank)
-	return out, wrapBadEncoding(err)
-}
-
-// ReplaceBank replaces one level bank's contents with compact state bytes
-// produced by AppendBank on a same-config sketch. Banks are headerless;
-// callers must verify the assembled state (digest root) before trusting a
-// bank-wise install.
-func (m *MinCutSketch) ReplaceBank(bank int, data []byte) error {
-	return wrapBadEncoding(m.sk.ReplaceBankState(bank, data))
-}
-
-// MergeBank folds compact bank bytes produced by AppendBank on a
-// same-config sketch into one level bank (states add by linearity).
-func (m *MinCutSketch) MergeBank(bank int, data []byte) error {
-	return wrapBadEncoding(m.sk.MergeBankState(bank, data))
-}
-
-// BankDigest returns one level bank's maintained digest; bank must be in
-// [0, NumBanks()). It covers exactly the cells AppendBank encodes.
-func (m *MinCutSketch) BankDigest(bank int) Digest {
-	return sketchcore.SumDigests(m.sk.BankArenas(bank))
-}
-
-// ScanBankDigest recomputes one level bank's digest from its cells, leaving
-// the maintained one alone: the two differ only if the cells changed
-// behind the sketch's back.
-func (m *MinCutSketch) ScanBankDigest(bank int) Digest {
-	return sketchcore.ScanDigests(m.sk.BankArenas(bank))
-}
-
-// RescanDigests resets every maintained digest to the one scanned from the
-// cells.
-func (m *MinCutSketch) RescanDigests() { rescanBanks(m.sk.NumBanks(), m.sk.BankArenas) }
-
-// RotBank folds compact bank bytes into one level bank WITHOUT moving its
-// maintained digest: silent memory rot, for integrity tests only.
-func (m *MinCutSketch) RotBank(bank int, data []byte) error {
-	return sketchcore.WithoutDigest(m.sk.BankArenas(bank), func() error { return m.MergeBank(bank, data) })
-}
-
-// rescanBanks resets the maintained digest of every arena of every bank.
-func rescanBanks(banks int, arenas func(int) []*sketchcore.Arena) {
-	for bank := 0; bank < banks; bank++ {
-		for _, a := range arenas(bank) {
-			a.RescanDigest()
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Sparsification (Figs 2-3, Sec. 3.5)
 // ---------------------------------------------------------------------------
 
 // SimpleSparsifier is SIMPLE-SPARSIFICATION (Fig 2, Theorem 3.3).
-type SimpleSparsifier struct{ sk *sparsify.Simple }
+type SimpleSparsifier struct {
+	linear[sparsify.Simple, *sparsify.Simple]
+}
 
 // NewSimpleSparsifier creates a Fig 2 sketch targeting cut error eps.
 func NewSimpleSparsifier(n int, eps float64, seed uint64) *SimpleSparsifier {
-	return &SimpleSparsifier{sk: sparsify.NewSimple(sparsify.SimpleConfig{N: n, Epsilon: eps, Seed: seed})}
+	return &SimpleSparsifier{newLinear(sparsify.NewSimple(sparsify.SimpleConfig{N: n, Epsilon: eps, Seed: seed}))}
 }
-
-// Update applies a signed multiplicity change to edge {u, v}.
-func (s *SimpleSparsifier) Update(u, v int, delta int64) { s.sk.Update(u, v, delta) }
-
-// Ingest replays a whole stream.
-func (s *SimpleSparsifier) Ingest(st *Stream) { s.sk.Ingest(st) }
-
-// UpdateBatch applies a slice of updates through the batched kernels.
-func (s *SimpleSparsifier) UpdateBatch(ups []Update) { s.sk.UpdateBatch(ups) }
-
-// IngestParallel replays a stream sharded across worker goroutines and
-// merges by linearity; bit-identical to Ingest.
-func (s *SimpleSparsifier) IngestParallel(st *Stream, workers int) { s.sk.IngestParallel(st, workers) }
 
 // Add merges a sketch built with the same parameters and seed.
 func (s *SimpleSparsifier) Add(other *SimpleSparsifier) { s.sk.Add(other.sk) }
 
 // MergeMany folds k sketches built with the same parameters in one
 // occupancy-guided pass per bank; bit-identical to sequential Add calls.
-func (s *SimpleSparsifier) MergeMany(others []*SimpleSparsifier) {
-	srcs := make([]*sparsify.Simple, len(others))
-	for i, o := range others {
-		srcs[i] = o.sk
-	}
-	s.sk.MergeMany(srcs)
-}
+func (s *SimpleSparsifier) MergeMany(others []*SimpleSparsifier) { s.sk.MergeMany(cores(others)) }
 
 // Clone returns a deep, independent copy (the decode memo is not carried
 // over; the clone recomputes Sparsify on first call). Epoch-snapshot hook:
 // queries run on the clone while the original keeps ingesting.
 func (s *SimpleSparsifier) Clone() *SimpleSparsifier {
-	return &SimpleSparsifier{sk: s.sk.Clone()}
+	return &SimpleSparsifier{newLinear(s.sk.Clone())}
 }
-
-// MarshalBinaryCompact serializes with bytes proportional to the non-zero
-// state.
-func (s *SimpleSparsifier) MarshalBinaryCompact() ([]byte, error) {
-	return s.sk.MarshalBinaryCompact()
-}
-
-// UnmarshalBinary reconstructs the sketch from its wire form.
-func (s *SimpleSparsifier) UnmarshalBinary(data []byte) error {
-	if s.sk == nil {
-		s.sk = &sparsify.Simple{}
-	}
-	return wrapBadEncoding(s.sk.UnmarshalBinary(data))
-}
-
-// MergeBytes folds a serialized sketch (same config) directly into s.
-// On error the destination may already hold a partially folded
-// prefix of the payload — discard the sketch rather than retrying the
-// same bytes, or the prefix double-counts.
-func (s *SimpleSparsifier) MergeBytes(data []byte) error {
-	if s.sk == nil {
-		return errUninitializedMerge
-	}
-	return wrapBadEncoding(s.sk.MergeBinary(data))
-}
-
-// NumBanks reports the sketch's digestable bank count (one per sampling
-// level); see MinCutSketch.NumBanks.
-func (s *SimpleSparsifier) NumBanks() int { return s.sk.NumBanks() }
-
-// AppendBank appends one level bank's compact tagged state; see
-// MinCutSketch.AppendBank.
-func (s *SimpleSparsifier) AppendBank(buf []byte, bank int) ([]byte, error) {
-	out, err := s.sk.AppendBankState(buf, bank)
-	return out, wrapBadEncoding(err)
-}
-
-// ReplaceBank replaces one level bank's contents; see
-// MinCutSketch.ReplaceBank for the trust contract.
-func (s *SimpleSparsifier) ReplaceBank(bank int, data []byte) error {
-	return wrapBadEncoding(s.sk.ReplaceBankState(bank, data))
-}
-
-// MergeBank folds compact bank bytes produced by AppendBank on a
-// same-config sketch into one level bank; see MinCutSketch.MergeBank.
-func (s *SimpleSparsifier) MergeBank(bank int, data []byte) error {
-	return wrapBadEncoding(s.sk.MergeBankState(bank, data))
-}
-
-// BankDigest returns one level bank's maintained digest; see
-// MinCutSketch.BankDigest.
-func (s *SimpleSparsifier) BankDigest(bank int) Digest {
-	return sketchcore.SumDigests(s.sk.BankArenas(bank))
-}
-
-// ScanBankDigest recomputes one level bank's digest from its cells; see
-// MinCutSketch.ScanBankDigest.
-func (s *SimpleSparsifier) ScanBankDigest(bank int) Digest {
-	return sketchcore.ScanDigests(s.sk.BankArenas(bank))
-}
-
-// RescanDigests resets every maintained digest to the one scanned from the
-// cells.
-func (s *SimpleSparsifier) RescanDigests() { rescanBanks(s.sk.NumBanks(), s.sk.BankArenas) }
-
-// RotBank folds compact bank bytes into one level bank without moving its
-// maintained digest; see MinCutSketch.RotBank.
-func (s *SimpleSparsifier) RotBank(bank int, data []byte) error {
-	return sketchcore.WithoutDigest(s.sk.BankArenas(bank), func() error { return s.MergeBank(bank, data) })
-}
-
-// Footprint reports resident bytes, cell occupancy, and wire bytes.
-func (s *SimpleSparsifier) Footprint() Footprint { return s.sk.Footprint() }
 
 // Sparsify extracts the weighted sparsifier. Decode is read-only on the
 // sketch and cached: repeated calls return the same graph (treat it as
@@ -567,25 +350,14 @@ func (s *SimpleSparsifier) SetDecodeWorkers(workers int) { s.sk.SetDecodeWorkers
 
 // Sparsifier is SPARSIFICATION (Fig 3, Theorem 3.4): rough sparsifier +
 // Gomory-Hu guided sparse recovery. The paper's headline construction.
-type Sparsifier struct{ sk *sparsify.Sketch }
+type Sparsifier struct {
+	linear[sparsify.Sketch, *sparsify.Sketch]
+}
 
 // NewSparsifier creates a Fig 3 sketch targeting cut error eps.
 func NewSparsifier(n int, eps float64, seed uint64) *Sparsifier {
-	return &Sparsifier{sk: sparsify.New(sparsify.Config{N: n, Epsilon: eps, Seed: seed})}
+	return &Sparsifier{newLinear(sparsify.New(sparsify.Config{N: n, Epsilon: eps, Seed: seed}))}
 }
-
-// Update applies a signed multiplicity change to edge {u, v}.
-func (s *Sparsifier) Update(u, v int, delta int64) { s.sk.Update(u, v, delta) }
-
-// Ingest replays a whole stream.
-func (s *Sparsifier) Ingest(st *Stream) { s.sk.Ingest(st) }
-
-// UpdateBatch applies a slice of updates through the batched kernels.
-func (s *Sparsifier) UpdateBatch(ups []Update) { s.sk.UpdateBatch(ups) }
-
-// IngestParallel replays a stream sharded across worker goroutines and
-// merges by linearity; bit-identical to Ingest.
-func (s *Sparsifier) IngestParallel(st *Stream, workers int) { s.sk.IngestParallel(st, workers) }
 
 // Add merges a sketch built with the same parameters and seed.
 func (s *Sparsifier) Add(other *Sparsifier) { s.sk.Add(other.sk) }
@@ -593,40 +365,7 @@ func (s *Sparsifier) Add(other *Sparsifier) { s.sk.Add(other.sk) }
 // MergeMany folds k sketches built with the same parameters: the rough
 // sparsifiers bank by bank, the recovery banks node-occupancy-guided;
 // bit-identical to sequential Add calls.
-func (s *Sparsifier) MergeMany(others []*Sparsifier) {
-	srcs := make([]*sparsify.Sketch, len(others))
-	for i, o := range others {
-		srcs[i] = o.sk
-	}
-	s.sk.MergeMany(srcs)
-}
-
-// MarshalBinaryCompact serializes with bytes proportional to the non-zero
-// state — the per-site coordinator payload of the paper's headline
-// construction.
-func (s *Sparsifier) MarshalBinaryCompact() ([]byte, error) { return s.sk.MarshalBinaryCompact() }
-
-// UnmarshalBinary reconstructs the sketch from its wire form.
-func (s *Sparsifier) UnmarshalBinary(data []byte) error {
-	if s.sk == nil {
-		s.sk = &sparsify.Sketch{}
-	}
-	return wrapBadEncoding(s.sk.UnmarshalBinary(data))
-}
-
-// MergeBytes folds a serialized sketch (same config) directly into s.
-// On error the destination may already hold a partially folded
-// prefix of the payload — discard the sketch rather than retrying the
-// same bytes, or the prefix double-counts.
-func (s *Sparsifier) MergeBytes(data []byte) error {
-	if s.sk == nil {
-		return errUninitializedMerge
-	}
-	return wrapBadEncoding(s.sk.MergeBinary(data))
-}
-
-// Footprint reports resident bytes, cell occupancy, and wire bytes.
-func (s *Sparsifier) Footprint() Footprint { return s.sk.Footprint() }
+func (s *Sparsifier) MergeMany(others []*Sparsifier) { s.sk.MergeMany(cores(others)) }
 
 // Sparsify extracts the weighted sparsifier. Decode is read-only on the
 // sketch and cached: repeated calls return the same graph (treat it as
@@ -641,30 +380,16 @@ func (s *Sparsifier) SetDecodeWorkers(workers int) { s.sk.SetDecodeWorkers(worke
 // WeightedSparsifier sparsifies weighted graphs by powers-of-two weight
 // classes (Sec. 3.5, Theorem 3.8). |delta| of each update is the edge's
 // weight.
-type WeightedSparsifier struct{ sk *sparsify.Weighted }
+type WeightedSparsifier struct {
+	linear[sparsify.Weighted, *sparsify.Weighted]
+}
 
 // NewWeightedSparsifier creates a weighted sparsifier for weights in
 // [1, maxWeight].
 func NewWeightedSparsifier(n int, eps float64, maxWeight int64, seed uint64) *WeightedSparsifier {
-	return &WeightedSparsifier{sk: sparsify.NewWeighted(sparsify.WeightedConfig{
+	return &WeightedSparsifier{newLinear(sparsify.NewWeighted(sparsify.WeightedConfig{
 		N: n, Epsilon: eps, MaxWeight: maxWeight, Seed: seed,
-	})}
-}
-
-// Update applies a signed weighted change to edge {u, v}.
-func (w *WeightedSparsifier) Update(u, v int, delta int64) { w.sk.Update(u, v, delta) }
-
-// Ingest replays a whole stream.
-func (w *WeightedSparsifier) Ingest(st *Stream) { w.sk.Ingest(st) }
-
-// UpdateBatch applies a slice of weighted updates through the batched
-// kernels (class-sorted, then replayed class by class).
-func (w *WeightedSparsifier) UpdateBatch(ups []Update) { w.sk.UpdateBatch(ups) }
-
-// IngestParallel replays a stream sharded across worker goroutines and
-// merges by linearity; bit-identical to Ingest.
-func (w *WeightedSparsifier) IngestParallel(st *Stream, workers int) {
-	w.sk.IngestParallel(st, workers)
+	}))}
 }
 
 // Add merges a sketch built with the same parameters and seed: the
@@ -673,41 +398,7 @@ func (w *WeightedSparsifier) Add(other *WeightedSparsifier) { w.sk.Add(other.sk)
 
 // MergeMany folds k sketches built with the same parameters class by
 // class; bit-identical to sequential Add calls.
-func (w *WeightedSparsifier) MergeMany(others []*WeightedSparsifier) {
-	srcs := make([]*sparsify.Weighted, len(others))
-	for i, o := range others {
-		srcs[i] = o.sk
-	}
-	w.sk.MergeMany(srcs)
-}
-
-// MarshalBinaryCompact serializes with bytes proportional to the non-zero
-// state.
-func (w *WeightedSparsifier) MarshalBinaryCompact() ([]byte, error) {
-	return w.sk.MarshalBinaryCompact()
-}
-
-// UnmarshalBinary reconstructs the sketch from its wire form.
-func (w *WeightedSparsifier) UnmarshalBinary(data []byte) error {
-	if w.sk == nil {
-		w.sk = &sparsify.Weighted{}
-	}
-	return wrapBadEncoding(w.sk.UnmarshalBinary(data))
-}
-
-// MergeBytes folds a serialized sketch (same config) directly into w.
-// On error the destination may already hold a partially folded
-// prefix of the payload — discard the sketch rather than retrying the
-// same bytes, or the prefix double-counts.
-func (w *WeightedSparsifier) MergeBytes(data []byte) error {
-	if w.sk == nil {
-		return errUninitializedMerge
-	}
-	return wrapBadEncoding(w.sk.MergeBinary(data))
-}
-
-// Footprint reports resident bytes, cell occupancy, and wire bytes.
-func (w *WeightedSparsifier) Footprint() Footprint { return w.sk.Footprint() }
+func (w *WeightedSparsifier) MergeMany(others []*WeightedSparsifier) { w.sk.MergeMany(cores(others)) }
 
 // Sparsify extracts the weighted sparsifier. Decode is read-only on the
 // sketch and cached: repeated calls return the same graph (treat it as
@@ -750,67 +441,22 @@ const (
 // SubgraphSketch estimates gamma_H(G): the fraction of non-empty order-k
 // induced subgraphs isomorphic to a pattern H, to additive eps with
 // samples = ceil(1/eps^2).
-type SubgraphSketch struct{ sk *subgraph.Sketch }
+type SubgraphSketch struct {
+	linear[subgraph.Sketch, *subgraph.Sketch]
+}
 
 // NewSubgraphSketch creates a sketch for order-k patterns (2 <= k <= 5)
 // drawing `samples` independent l0-samples of squash(X_G).
 func NewSubgraphSketch(n, k, samples int, seed uint64) *SubgraphSketch {
-	return &SubgraphSketch{sk: subgraph.New(n, k, samples, seed)}
+	return &SubgraphSketch{newLinear(subgraph.New(n, k, samples, seed))}
 }
-
-// Update applies a signed multiplicity change to edge {u, v}.
-func (s *SubgraphSketch) Update(u, v int, delta int64) { s.sk.Update(u, v, delta) }
-
-// Ingest replays a whole stream.
-func (s *SubgraphSketch) Ingest(st *Stream) { s.sk.Ingest(st) }
-
-// UpdateBatch applies a slice of updates through the sketch-side replay.
-func (s *SubgraphSketch) UpdateBatch(ups []Update) { s.sk.UpdateBatch(ups) }
-
-// IngestParallel replays a stream sharded across worker goroutines and
-// merges by linearity; bit-identical to Ingest.
-func (s *SubgraphSketch) IngestParallel(st *Stream, workers int) { s.sk.IngestParallel(st, workers) }
 
 // Add merges a sketch built with the same parameters and seed.
 func (s *SubgraphSketch) Add(other *SubgraphSketch) { s.sk.Add(other.sk) }
 
 // MergeMany folds k sketches in one occupancy-guided pass over the sample
 // arena; bit-identical to sequential Add calls.
-func (s *SubgraphSketch) MergeMany(others []*SubgraphSketch) {
-	srcs := make([]*subgraph.Sketch, len(others))
-	for i, o := range others {
-		srcs[i] = o.sk
-	}
-	s.sk.MergeMany(srcs)
-}
-
-// MarshalBinaryCompact serializes with bytes proportional to the non-zero
-// state.
-func (s *SubgraphSketch) MarshalBinaryCompact() ([]byte, error) {
-	return s.sk.MarshalBinaryCompact()
-}
-
-// UnmarshalBinary reconstructs the sketch from its wire form.
-func (s *SubgraphSketch) UnmarshalBinary(data []byte) error {
-	if s.sk == nil {
-		s.sk = &subgraph.Sketch{}
-	}
-	return wrapBadEncoding(s.sk.UnmarshalBinary(data))
-}
-
-// MergeBytes folds a serialized sketch (same parameters) directly into s.
-// On error the destination may already hold a partially folded
-// prefix of the payload — discard the sketch rather than retrying the
-// same bytes, or the prefix double-counts.
-func (s *SubgraphSketch) MergeBytes(data []byte) error {
-	if s.sk == nil {
-		return errUninitializedMerge
-	}
-	return wrapBadEncoding(s.sk.MergeBinary(data))
-}
-
-// Footprint reports resident bytes, cell occupancy, and wire bytes.
-func (s *SubgraphSketch) Footprint() Footprint { return s.sk.Footprint() }
+func (s *SubgraphSketch) MergeMany(others []*SubgraphSketch) { s.sk.MergeMany(cores(others)) }
 
 // Gamma estimates gamma_H for a pattern bitmap; effective is the number of
 // usable samples.
@@ -849,138 +495,128 @@ type SpannerResult struct {
 	PlanEdges int
 }
 
-// BaswanaSenSpanner builds a (2k-1)-spanner in k passes over the stream.
-// One-shot form of BaswanaSenSketch.
-func BaswanaSenSpanner(st *Stream, k int, seed uint64) SpannerResult {
-	r := spanner.BaswanaSen(st, k, seed)
+func bsResult(r spanner.BSResult) SpannerResult {
 	return SpannerResult{
 		Spanner: r.Spanner, Passes: r.Passes, StretchBound: float64(r.StretchBound),
 		PhaseNanos: r.PhaseNanos, PlanEdges: r.PlanEdges,
 	}
 }
 
-// RecurseConnectSpanner builds a (k^{log2 5}-1)-spanner in ~log2(k) passes
-// (Theorem 5.1). One-shot form of RecurseConnectSketch.
-func RecurseConnectSpanner(st *Stream, k int, seed uint64) SpannerResult {
-	r := spanner.RecurseConnect(st, k, seed)
+func rcResult(r spanner.RCResult) SpannerResult {
 	return SpannerResult{
 		Spanner: r.Spanner, Passes: r.Passes, StretchBound: r.StretchBound,
 		PhaseNanos: r.PhaseNanos, PlanEdges: r.PlanEdges,
 	}
 }
 
-// BaswanaSenSketch is the incremental form of the Sec. 5 BASWANA-SEN
-// emulation: it accumulates a dynamic update log (the adaptive construction
-// is multi-pass, so the stream must be replayable — Definition 2's
-// r-adaptive sketching model), builds the (2k-1)-spanner on demand, and
-// memoizes the result until the next update. Construction arenas are
-// allocated once and reseeded pass to pass and build to build.
-type BaswanaSenSketch struct {
-	bld *spanner.BSBuilder
-	st  *stream.Stream
-	res *SpannerResult
+// BaswanaSenSpanner builds a (2k-1)-spanner in k passes over the stream.
+// One-shot form of BaswanaSenSketch.
+func BaswanaSenSpanner(st *Stream, k int, seed uint64) SpannerResult {
+	return bsResult(spanner.BaswanaSen(st, k, seed))
 }
 
-// NewBaswanaSenSketch creates a spanner sketch for n vertices with pass
-// count k (stretch 2k-1).
-func NewBaswanaSenSketch(n, k int, seed uint64) *BaswanaSenSketch {
-	return &BaswanaSenSketch{bld: spanner.NewBSBuilder(n, k, seed), st: &stream.Stream{N: n}}
+// RecurseConnectSpanner builds a (k^{log2 5}-1)-spanner in ~log2(k) passes
+// (Theorem 5.1). One-shot form of RecurseConnectSketch.
+func RecurseConnectSpanner(st *Stream, k int, seed uint64) SpannerResult {
+	return rcResult(spanner.RecurseConnect(st, k, seed))
+}
+
+// spannerBuilder is a reusable multi-pass spanner construction.
+type spannerBuilder[R any] interface {
+	Build(st *stream.Stream) R
+	SetIngestWorkers(w int)
+	SetDecodeWorkers(w int)
+	Footprint() sketchcore.Footprint
+}
+
+// spannerLog is the shared core of the incremental spanner sketches. The
+// adaptive constructions are multi-pass, so the stream must be replayable
+// (Definition 2's r-adaptive sketching model): it keeps the update log,
+// builds on demand, and memoizes the result until the next update. The log
+// is re-coalesced whenever it has doubled since the last coalesce, so it
+// never holds more than twice the most edges live at once, whatever the
+// stream's length; every builder coalesces its input first, so this is
+// bit-neutral by linearity.
+type spannerLog[R any] struct {
+	bld       spannerBuilder[R]
+	result    func(R) SpannerResult
+	st        stream.Stream
+	coalesced int // length of the log right after its last coalesce
+	res       *SpannerResult
 }
 
 // Update appends a signed multiplicity change to edge {u, v} and
 // invalidates the memoized spanner.
-func (s *BaswanaSenSketch) Update(u, v int, delta int64) {
-	s.st.Updates = append(s.st.Updates, stream.Update{U: u, V: v, Delta: delta})
-	s.res = nil
+func (s *spannerLog[R]) Update(u, v int, delta int64) {
+	s.UpdateBatch([]Update{{U: u, V: v, Delta: delta}})
 }
 
-// UpdateBatch appends a slice of updates.
-func (s *BaswanaSenSketch) UpdateBatch(ups []Update) {
+// UpdateBatch appends a slice of updates and invalidates the memoized
+// spanner.
+func (s *spannerLog[R]) UpdateBatch(ups []Update) {
 	s.st.Updates = append(s.st.Updates, ups...)
 	s.res = nil
+	if len(s.st.Updates) >= 2*s.coalesced {
+		s.st.Updates = s.st.Coalesce().Updates
+		s.coalesced = len(s.st.Updates)
+	}
 }
 
 // Ingest appends a whole stream.
-func (s *BaswanaSenSketch) Ingest(st *Stream) { s.UpdateBatch(st.Updates) }
+func (s *spannerLog[R]) Ingest(st *Stream) { s.UpdateBatch(st.Updates) }
 
 // SetIngestWorkers shards each pass's plan sweep across w goroutines
 // (bit-identical for every setting).
-func (s *BaswanaSenSketch) SetIngestWorkers(w int) { s.bld.SetIngestWorkers(w) }
+func (s *spannerLog[R]) SetIngestWorkers(w int) { s.bld.SetIngestWorkers(w) }
 
-// SetDecodeWorkers fans the retirement decode across w goroutines
+// SetDecodeWorkers fans each pass's decode (BASWANA-SEN's retirement
+// decode, RECURSECONNECT's per-supernode collection) across w goroutines
 // (0 restores the GOMAXPROCS default; bit-identical for every setting).
-func (s *BaswanaSenSketch) SetDecodeWorkers(w int) { s.bld.SetDecodeWorkers(w) }
+func (s *spannerLog[R]) SetDecodeWorkers(w int) { s.bld.SetDecodeWorkers(w) }
 
 // Build constructs the spanner for the accumulated stream. The result is
 // memoized: repeated calls without intervening updates return the same
 // value (treat the graph as read-only).
-func (s *BaswanaSenSketch) Build() SpannerResult {
+func (s *spannerLog[R]) Build() SpannerResult {
 	if s.res == nil {
-		r := s.bld.Build(s.st)
-		s.res = &SpannerResult{
-			Spanner: r.Spanner, Passes: r.Passes, StretchBound: float64(r.StretchBound),
-			PhaseNanos: r.PhaseNanos, PlanEdges: r.PlanEdges,
-		}
+		r := s.result(s.bld.Build(&s.st))
+		s.res = &r
 	}
 	return *s.res
 }
 
-// Footprint reports the space of the retained construction arenas (the
-// join-sampler arena and the group-sampler bank, reused across builds).
-func (s *BaswanaSenSketch) Footprint() Footprint { return s.bld.Footprint() }
+// Footprint reports the space of the retained construction arenas and
+// banks, which are allocated once and reseeded pass to pass and build to
+// build.
+func (s *spannerLog[R]) Footprint() Footprint { return s.bld.Footprint() }
+
+// BaswanaSenSketch is the incremental form of the Sec. 5 BASWANA-SEN
+// emulation. The construction is multi-pass, so the sketch keeps a
+// replayable update log (Definition 2's r-adaptive sketching model),
+// coalesced as it grows, and builds the (2k-1)-spanner on demand, memoized
+// until the next update.
+type BaswanaSenSketch struct{ spannerLog[spanner.BSResult] }
+
+// NewBaswanaSenSketch creates a spanner sketch for n vertices with pass
+// count k (stretch 2k-1).
+func NewBaswanaSenSketch(n, k int, seed uint64) *BaswanaSenSketch {
+	return &BaswanaSenSketch{spannerLog[spanner.BSResult]{
+		bld: spanner.NewBSBuilder(n, k, seed), result: bsResult, st: stream.Stream{N: n},
+	}}
+}
 
 // RecurseConnectSketch is the incremental form of RECURSECONNECT
 // (Theorem 5.1): log k passes at stretch k^{log2 5}-1, with the update log,
 // memoization, and arena reuse of BaswanaSenSketch.
-type RecurseConnectSketch struct {
-	bld *spanner.RCBuilder
-	st  *stream.Stream
-	res *SpannerResult
-}
+type RecurseConnectSketch struct{ spannerLog[spanner.RCResult] }
 
 // NewRecurseConnectSketch creates a spanner sketch for n vertices with
 // stretch parameter k.
 func NewRecurseConnectSketch(n, k int, seed uint64) *RecurseConnectSketch {
-	return &RecurseConnectSketch{bld: spanner.NewRCBuilder(n, k, seed), st: &stream.Stream{N: n}}
+	return &RecurseConnectSketch{spannerLog[spanner.RCResult]{
+		bld: spanner.NewRCBuilder(n, k, seed), result: rcResult, st: stream.Stream{N: n},
+	}}
 }
-
-// Update appends a signed multiplicity change to edge {u, v} and
-// invalidates the memoized spanner.
-func (s *RecurseConnectSketch) Update(u, v int, delta int64) {
-	s.st.Updates = append(s.st.Updates, stream.Update{U: u, V: v, Delta: delta})
-	s.res = nil
-}
-
-// UpdateBatch appends a slice of updates.
-func (s *RecurseConnectSketch) UpdateBatch(ups []Update) {
-	s.st.Updates = append(s.st.Updates, ups...)
-	s.res = nil
-}
-
-// Ingest appends a whole stream.
-func (s *RecurseConnectSketch) Ingest(st *Stream) { s.UpdateBatch(st.Updates) }
-
-// SetIngestWorkers shards each pass's plan sweep across w goroutines.
-func (s *RecurseConnectSketch) SetIngestWorkers(w int) { s.bld.SetIngestWorkers(w) }
-
-// SetDecodeWorkers fans the per-supernode collection across w goroutines.
-func (s *RecurseConnectSketch) SetDecodeWorkers(w int) { s.bld.SetDecodeWorkers(w) }
-
-// Build constructs the spanner for the accumulated stream, memoized until
-// the next update (treat the returned graph as read-only).
-func (s *RecurseConnectSketch) Build() SpannerResult {
-	if s.res == nil {
-		r := s.bld.Build(s.st)
-		s.res = &SpannerResult{
-			Spanner: r.Spanner, Passes: r.Passes, StretchBound: r.StretchBound,
-			PhaseNanos: r.PhaseNanos, PlanEdges: r.PlanEdges,
-		}
-	}
-	return *s.res
-}
-
-// Footprint reports the space of the retained construction banks.
-func (s *RecurseConnectSketch) Footprint() Footprint { return s.bld.Footprint() }
 
 // MeasureStretch returns the worst observed distance ratio d_H/d_G over
 // BFS from `sources` random roots (+Inf if H fails to span G).

@@ -2,7 +2,6 @@ package agm
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"graphsketch/internal/hashing"
@@ -20,19 +19,6 @@ var (
 	ecMagic  = [4]byte{'A', 'G', 'E', '1'}
 	mstMagic = [4]byte{'A', 'G', 'T', '1'}
 )
-
-// ErrBadEncoding is returned for corrupt or incompatible encodings.
-var ErrBadEncoding = errors.New("agm: bad encoding")
-
-// wrapBad routes lower-layer codec errors into this package's sentinel so
-// errors.Is(err, ErrBadEncoding) classifies body corruption like header
-// corruption.
-func wrapBad(err error) error {
-	if err == nil || errors.Is(err, ErrBadEncoding) {
-		return err
-	}
-	return fmt.Errorf("%w: %v", ErrBadEncoding, err)
-}
 
 func appendHeader(buf []byte, magic [4]byte, a, b, c uint64) []byte {
 	buf = append(buf, magic[:]...)
@@ -53,13 +39,13 @@ func (fs *ForestSketch) MarshalBinaryCompact() ([]byte, error) {
 // plus the payload.
 func decodeFSHeader(data []byte) (n int, seed uint64, rounds int, rest []byte, err error) {
 	if len(data) < 28 || [4]byte(data[0:4]) != fsMagic {
-		return 0, 0, 0, nil, ErrBadEncoding
+		return 0, 0, 0, nil, fmt.Errorf("agm: no AGM3 header: %w", wire.ErrBadEncoding)
 	}
 	n = int(binary.LittleEndian.Uint64(data[4:]))
 	seed = binary.LittleEndian.Uint64(data[12:])
 	rounds = int(binary.LittleEndian.Uint64(data[20:]))
 	if n < 1 || n > 1<<24 || rounds != boruvkaRounds(n) {
-		return 0, 0, 0, nil, fmt.Errorf("%w: implausible shape n=%d rounds=%d", ErrBadEncoding, n, rounds)
+		return 0, 0, 0, nil, fmt.Errorf("agm: implausible shape n=%d rounds=%d: %w", n, rounds, wire.ErrBadEncoding)
 	}
 	if err := CheckForestBudget(n); err != nil {
 		return 0, 0, 0, nil, err
@@ -67,7 +53,7 @@ func decodeFSHeader(data []byte) (n int, seed uint64, rounds int, rest []byte, e
 	return n, seed, rounds, data[28:], nil
 }
 
-// CheckForestBudget reports ErrBadEncoding when ForestSketches on n
+// CheckForestBudget reports wire.ErrBadEncoding when ForestSketches on n
 // vertices, times the copies factors, would hold more cells than the wire
 // decode budget. Envelope decoders call it on their header-declared shape
 // BEFORE constructing anything — individually plausible header fields can
@@ -79,7 +65,7 @@ func CheckForestBudget(n int, copies ...int) error {
 		dims = append(dims, int64(c))
 	}
 	if err := wire.CheckCellBudget(dims...); err != nil {
-		return fmt.Errorf("%w: declared shape exceeds decode budget", ErrBadEncoding)
+		return fmt.Errorf("agm: declared shape exceeds decode budget: %w", wire.ErrBadEncoding)
 	}
 	return nil
 }
@@ -93,10 +79,10 @@ func (fs *ForestSketch) UnmarshalBinary(data []byte) error {
 	}
 	fresh := NewForestSketch(n, seed)
 	if rest, err = fresh.DecodeState(rest); err != nil {
-		return fmt.Errorf("%w: bad arena state", ErrBadEncoding)
+		return fmt.Errorf("agm: bad arena state: %w", err)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
+		return fmt.Errorf("agm: %d trailing bytes: %w", len(rest), wire.ErrBadEncoding)
 	}
 	*fs = *fresh
 	return nil
@@ -113,14 +99,14 @@ func (fs *ForestSketch) MergeBinary(data []byte) error {
 		return err
 	}
 	if n != fs.n || seed != fs.seed || rounds != fs.rounds {
-		return fmt.Errorf("%w: merge parameter mismatch (n=%d seed=%d rounds=%d vs n=%d seed=%d rounds=%d)",
-			ErrBadEncoding, n, seed, rounds, fs.n, fs.seed, fs.rounds)
+		return fmt.Errorf("agm: merge parameter mismatch (n=%d seed=%d rounds=%d vs n=%d seed=%d rounds=%d): %w",
+			n, seed, rounds, fs.n, fs.seed, fs.rounds, wire.ErrBadEncoding)
 	}
 	if rest, err = fs.MergeState(rest); err != nil {
-		return wrapBad(err)
+		return fmt.Errorf("agm: %w", err)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
+		return fmt.Errorf("agm: %d trailing bytes: %w", len(rest), wire.ErrBadEncoding)
 	}
 	return nil
 }
@@ -134,13 +120,13 @@ func (ec *EdgeConnectSketch) MarshalBinaryCompact() ([]byte, error) {
 
 func decodeECHeader(data []byte) (n, k int, seed uint64, rest []byte, err error) {
 	if len(data) < 28 || [4]byte(data[0:4]) != ecMagic {
-		return 0, 0, 0, nil, ErrBadEncoding
+		return 0, 0, 0, nil, fmt.Errorf("agm: no AGE1 header: %w", wire.ErrBadEncoding)
 	}
 	n = int(binary.LittleEndian.Uint64(data[4:]))
 	k = int(binary.LittleEndian.Uint64(data[12:]))
 	seed = binary.LittleEndian.Uint64(data[20:])
 	if n < 1 || n > 1<<24 || k < 1 || k > 1<<16 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: implausible shape n=%d k=%d", ErrBadEncoding, n, k)
+		return 0, 0, 0, nil, fmt.Errorf("agm: implausible shape n=%d k=%d: %w", n, k, wire.ErrBadEncoding)
 	}
 	if err := CheckForestBudget(n, k); err != nil {
 		return 0, 0, 0, nil, err
@@ -156,10 +142,10 @@ func (ec *EdgeConnectSketch) UnmarshalBinary(data []byte) error {
 	}
 	fresh := NewEdgeConnectSketch(n, k, seed)
 	if rest, err = fresh.DecodeState(rest); err != nil {
-		return wrapBad(err)
+		return fmt.Errorf("agm: %w", err)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
+		return fmt.Errorf("agm: %d trailing bytes: %w", len(rest), wire.ErrBadEncoding)
 	}
 	*ec = *fresh
 	return nil
@@ -173,13 +159,13 @@ func (ec *EdgeConnectSketch) MergeBinary(data []byte) error {
 		return err
 	}
 	if n != ec.n || k != ec.k || seed != ec.seed {
-		return fmt.Errorf("%w: merge parameter mismatch", ErrBadEncoding)
+		return fmt.Errorf("agm: merge parameter mismatch: %w", wire.ErrBadEncoding)
 	}
 	if rest, err = ec.MergeState(rest); err != nil {
-		return wrapBad(err)
+		return fmt.Errorf("agm: %w", err)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
+		return fmt.Errorf("agm: %d trailing bytes: %w", len(rest), wire.ErrBadEncoding)
 	}
 	return nil
 }
@@ -193,13 +179,13 @@ func (m *MSTSketch) MarshalBinaryCompact() ([]byte, error) {
 
 func decodeMSTHeader(data []byte) (n, classes int, seed uint64, rest []byte, err error) {
 	if len(data) < 28 || [4]byte(data[0:4]) != mstMagic {
-		return 0, 0, 0, nil, ErrBadEncoding
+		return 0, 0, 0, nil, fmt.Errorf("agm: no AGT1 header: %w", wire.ErrBadEncoding)
 	}
 	n = int(binary.LittleEndian.Uint64(data[4:]))
 	classes = int(binary.LittleEndian.Uint64(data[12:]))
 	seed = binary.LittleEndian.Uint64(data[20:])
 	if n < 1 || n > 1<<24 || classes < 1 || classes > 64 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: implausible shape n=%d classes=%d", ErrBadEncoding, n, classes)
+		return 0, 0, 0, nil, fmt.Errorf("agm: implausible shape n=%d classes=%d: %w", n, classes, wire.ErrBadEncoding)
 	}
 	if err := CheckForestBudget(n, classes); err != nil {
 		return 0, 0, 0, nil, err
@@ -215,10 +201,10 @@ func (m *MSTSketch) UnmarshalBinary(data []byte) error {
 	}
 	fresh := newMSTSketchClasses(n, classes, seed)
 	if rest, err = fresh.DecodeState(rest); err != nil {
-		return wrapBad(err)
+		return fmt.Errorf("agm: %w", err)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
+		return fmt.Errorf("agm: %d trailing bytes: %w", len(rest), wire.ErrBadEncoding)
 	}
 	*m = *fresh
 	return nil
@@ -232,13 +218,13 @@ func (m *MSTSketch) MergeBinary(data []byte) error {
 		return err
 	}
 	if n != m.n || classes != m.classes || seed != m.seed {
-		return fmt.Errorf("%w: merge parameter mismatch", ErrBadEncoding)
+		return fmt.Errorf("agm: merge parameter mismatch: %w", wire.ErrBadEncoding)
 	}
 	if rest, err = m.MergeState(rest); err != nil {
-		return wrapBad(err)
+		return fmt.Errorf("agm: %w", err)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
+		return fmt.Errorf("agm: %d trailing bytes: %w", len(rest), wire.ErrBadEncoding)
 	}
 	return nil
 }

@@ -2,12 +2,12 @@ package mincut
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
 	"graphsketch/internal/agm"
 	"graphsketch/internal/sketchcore"
+	"graphsketch/internal/wire"
 )
 
 // Wire envelope: magic "MCS1", the full filled Config (N, Epsilon bits, K,
@@ -15,17 +15,6 @@ import (
 // level's k-EDGECONNECT sketch. Configuration round-trips exactly, so a
 // decoded sketch is mergeable with the original.
 var mcMagic = [4]byte{'M', 'C', 'S', '1'}
-
-// ErrBadEncoding is returned for corrupt or incompatible encodings.
-var ErrBadEncoding = errors.New("mincut: bad encoding")
-
-// wrapBad routes lower-layer codec errors into this package's sentinel.
-func wrapBad(err error) error {
-	if err == nil || errors.Is(err, ErrBadEncoding) {
-		return err
-	}
-	return fmt.Errorf("%w: %v", ErrBadEncoding, err)
-}
 
 // MarshalBinaryCompact serializes the sketch — bytes proportional to its
 // non-zero state, the per-site coordinator payload.
@@ -46,7 +35,7 @@ func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
 
 func decodeHeader(data []byte) (Config, []byte, error) {
 	if len(data) < 44 || [4]byte(data[0:4]) != mcMagic {
-		return Config{}, nil, ErrBadEncoding
+		return Config{}, nil, fmt.Errorf("mincut: no MCS1 header: %w", wire.ErrBadEncoding)
 	}
 	cfg := Config{
 		N:       int(binary.LittleEndian.Uint64(data[4:])),
@@ -57,10 +46,10 @@ func decodeHeader(data []byte) (Config, []byte, error) {
 	}
 	if cfg.N < 1 || cfg.N > 1<<24 || cfg.K < 1 || cfg.K > 1<<16 ||
 		cfg.Levels < 1 || cfg.Levels > 128 || !(cfg.Epsilon > 0) {
-		return Config{}, nil, fmt.Errorf("%w: implausible config %+v", ErrBadEncoding, cfg)
+		return Config{}, nil, fmt.Errorf("mincut: implausible config %+v: %w", cfg, wire.ErrBadEncoding)
 	}
 	if err := agm.CheckForestBudget(cfg.N, cfg.Levels, cfg.K); err != nil {
-		return Config{}, nil, wrapBad(err)
+		return Config{}, nil, fmt.Errorf("mincut: %w", err)
 	}
 	return cfg, data[44:], nil
 }
@@ -73,15 +62,15 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	fresh := New(cfg)
 	if fresh.cfg != cfg {
-		return fmt.Errorf("%w: config does not round-trip", ErrBadEncoding)
+		return fmt.Errorf("mincut: config does not round-trip: %w", wire.ErrBadEncoding)
 	}
 	for _, ec := range fresh.ecs {
 		if rest, err = ec.DecodeState(rest); err != nil {
-			return wrapBad(err)
+			return fmt.Errorf("mincut: %w", err)
 		}
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
+		return fmt.Errorf("mincut: %d trailing bytes: %w", len(rest), wire.ErrBadEncoding)
 	}
 	*s = *fresh
 	return nil
@@ -95,16 +84,16 @@ func (s *Sketch) MergeBinary(data []byte) error {
 		return err
 	}
 	if cfg != s.cfg {
-		return fmt.Errorf("%w: merge config mismatch", ErrBadEncoding)
+		return fmt.Errorf("mincut: merge config mismatch: %w", wire.ErrBadEncoding)
 	}
 	s.decoded = false
 	for _, ec := range s.ecs {
 		if rest, err = ec.MergeState(rest); err != nil {
-			return wrapBad(err)
+			return fmt.Errorf("mincut: %w", err)
 		}
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
+		return fmt.Errorf("mincut: %d trailing bytes: %w", len(rest), wire.ErrBadEncoding)
 	}
 	return nil
 }
@@ -119,7 +108,7 @@ func (s *Sketch) NumBanks() int { return len(s.ecs) }
 // bank-wise concatenation reproduces the envelope body.
 func (s *Sketch) AppendBankState(buf []byte, bank int) ([]byte, error) {
 	if bank < 0 || bank >= len(s.ecs) {
-		return nil, fmt.Errorf("%w: bank %d out of [0,%d)", ErrBadEncoding, bank, len(s.ecs))
+		return nil, fmt.Errorf("mincut: bank %d out of [0,%d): %w", bank, len(s.ecs), wire.ErrBadEncoding)
 	}
 	return s.ecs[bank].AppendState(buf), nil
 }
@@ -131,15 +120,15 @@ func (s *Sketch) AppendBankState(buf []byte, bank int) ([]byte, error) {
 // trusting a bank-wise install.
 func (s *Sketch) ReplaceBankState(bank int, data []byte) error {
 	if bank < 0 || bank >= len(s.ecs) {
-		return fmt.Errorf("%w: bank %d out of [0,%d)", ErrBadEncoding, bank, len(s.ecs))
+		return fmt.Errorf("mincut: bank %d out of [0,%d): %w", bank, len(s.ecs), wire.ErrBadEncoding)
 	}
 	s.decoded = false
 	rest, err := s.ecs[bank].DecodeState(data)
 	if err != nil {
-		return wrapBad(err)
+		return fmt.Errorf("mincut: %w", err)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after bank %d", ErrBadEncoding, len(rest), bank)
+		return fmt.Errorf("mincut: %d trailing bytes after bank %d: %w", len(rest), bank, wire.ErrBadEncoding)
 	}
 	return nil
 }
@@ -149,15 +138,15 @@ func (s *Sketch) ReplaceBankState(bank int, data []byte) error {
 // data fully.
 func (s *Sketch) MergeBankState(bank int, data []byte) error {
 	if bank < 0 || bank >= len(s.ecs) {
-		return fmt.Errorf("%w: bank %d out of [0,%d)", ErrBadEncoding, bank, len(s.ecs))
+		return fmt.Errorf("mincut: bank %d out of [0,%d): %w", bank, len(s.ecs), wire.ErrBadEncoding)
 	}
 	s.decoded = false
 	rest, err := s.ecs[bank].MergeState(data)
 	if err != nil {
-		return wrapBad(err)
+		return fmt.Errorf("mincut: %w", err)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after bank %d", ErrBadEncoding, len(rest), bank)
+		return fmt.Errorf("mincut: %d trailing bytes after bank %d: %w", len(rest), bank, wire.ErrBadEncoding)
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package spanner
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"graphsketch/internal/hashing"
@@ -18,9 +17,6 @@ import (
 // coordinator that merges and then decodes one construction step.
 
 var spgMagic = [4]byte{'S', 'P', 'G', '1'}
-
-// ErrBadEncoding is returned for corrupt or incompatible encodings.
-var ErrBadEncoding = errors.New("spanner: bad encoding")
 
 // newGroupSamplerShape reconstructs a sampler from its wire shape (bucket
 // count rather than budget). buckets must be a groupBuckets output.
@@ -73,24 +69,24 @@ func (gs *GroupSampler) MarshalBinaryCompact() ([]byte, error) {
 // remaining bytes.
 func decodeHeader(data []byte) (universe, seed uint64, buckets int, rest []byte, err error) {
 	if len(data) < 36 || [4]byte(data[0:4]) != spgMagic {
-		return 0, 0, 0, nil, ErrBadEncoding
+		return 0, 0, 0, nil, fmt.Errorf("spanner: no SPG1 header: %w", wire.ErrBadEncoding)
 	}
 	universe = binary.LittleEndian.Uint64(data[4:])
 	seed = binary.LittleEndian.Uint64(data[12:])
 	reps := binary.LittleEndian.Uint64(data[20:])
 	bkt := binary.LittleEndian.Uint64(data[28:])
 	if reps != groupSamplerReps {
-		return 0, 0, 0, nil, fmt.Errorf("%w: unsupported rep count %d", ErrBadEncoding, reps)
+		return 0, 0, 0, nil, fmt.Errorf("spanner: unsupported rep count %d: %w", reps, wire.ErrBadEncoding)
 	}
 	// groupBuckets outputs are O(budget) and real passes use budgets far
 	// below 2^22; combined with the cell-budget check below this keeps a
 	// corrupted count from driving a multi-GiB grid allocation.
 	if bkt < uint64(groupBuckets(1)) || bkt > 1<<22 || bkt%2 != 0 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: implausible bucket count %d", ErrBadEncoding, bkt)
+		return 0, 0, 0, nil, fmt.Errorf("spanner: implausible bucket count %d: %w", bkt, wire.ErrBadEncoding)
 	}
 	levels := hashing.SamplerLevels(universe)
 	if err := wire.CheckCellBudget(groupSamplerReps, int64(bkt), bucketSamplerReps, int64(levels)); err != nil {
-		return 0, 0, 0, nil, fmt.Errorf("%w: declared shape exceeds decode budget", ErrBadEncoding)
+		return 0, 0, 0, nil, fmt.Errorf("spanner: declared shape exceeds decode budget: %w", wire.ErrBadEncoding)
 	}
 	return universe, seed, int(bkt), data[36:], nil
 }
@@ -105,10 +101,10 @@ func (gs *GroupSampler) UnmarshalBinary(data []byte) error {
 	fresh := newGroupSamplerShape(universe, buckets, seed)
 	rest, err = fresh.cells.DecodeStateTagged(rest)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadEncoding, err)
+		return fmt.Errorf("spanner: %w", err)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
+		return fmt.Errorf("spanner: %d trailing bytes: %w", len(rest), wire.ErrBadEncoding)
 	}
 	*gs = *fresh
 	return nil
@@ -124,14 +120,14 @@ func (gs *GroupSampler) MergeBinary(data []byte) error {
 		return err
 	}
 	if universe != gs.universe || seed != gs.seed || buckets != gs.buckets {
-		return fmt.Errorf("%w: parameter mismatch", ErrBadEncoding)
+		return fmt.Errorf("spanner: parameter mismatch: %w", wire.ErrBadEncoding)
 	}
 	rest, err = gs.cells.MergeStateTagged(rest)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadEncoding, err)
+		return fmt.Errorf("spanner: %w", err)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
+		return fmt.Errorf("spanner: %d trailing bytes: %w", len(rest), wire.ErrBadEncoding)
 	}
 	return nil
 }

@@ -91,14 +91,14 @@ func TestAssembleMatchesFlowReference(t *testing.T) {
 // count and sketch flavor.
 func TestSparsifyParallelBitIdentical(t *testing.T) {
 	st := stream.UniformUpdates(40, 12_000, 17)
-	ref := NewSimple(SimpleConfig{N: 40, Seed: 23})
+	ref := NewSimple(SimpleConfig{N: 40, K: 4, Seed: 23})
 	ref.Ingest(st)
 	want, err := ref.sparsifyLevels(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 9} {
-		s := NewSimple(SimpleConfig{N: 40, Seed: 23})
+		s := NewSimple(SimpleConfig{N: 40, K: 4, Seed: 23})
 		s.Ingest(st)
 		got, err := s.sparsifyLevels(workers)
 		if err != nil {
@@ -116,7 +116,7 @@ func TestSparsifyParallelBitIdentical(t *testing.T) {
 func TestSparsifyRepeatable(t *testing.T) {
 	st := stream.UniformUpdates(32, 8_000, 29)
 
-	s := NewSimple(SimpleConfig{N: 32, Seed: 31})
+	s := NewSimple(SimpleConfig{N: 32, K: 4, Seed: 31})
 	s.Ingest(st)
 	g1, err1 := s.Sparsify()
 	g2, err2 := s.Sparsify()
@@ -127,7 +127,7 @@ func TestSparsifyRepeatable(t *testing.T) {
 		t.Fatalf("simple: second Sparsify did not return the cached graph")
 	}
 
-	b := New(Config{N: 32, Seed: 31})
+	b := New(Config{N: 32, RecoveryK: 8, RoughK: 4, Seed: 31})
 	b.Ingest(st)
 	bg1, err1 := b.Sparsify()
 	bg2, err2 := b.Sparsify()
@@ -139,7 +139,7 @@ func TestSparsifyRepeatable(t *testing.T) {
 	}
 
 	wst := stream.WeightedGNP(32, 0.4, 15, 7)
-	w := NewWeighted(WeightedConfig{N: 32, MaxWeight: 15, Seed: 31})
+	w := NewWeighted(WeightedConfig{N: 32, MaxWeight: 15, K: 2, Seed: 31})
 	w.Ingest(wst)
 	wg1, err1 := w.Sparsify()
 	wg2, err2 := w.Sparsify()

@@ -3,6 +3,7 @@ package sparsify
 import (
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"graphsketch/internal/graph"
@@ -24,6 +25,11 @@ func goldenHash(g *graph.Graph) string {
 // bit-neutral; any change to these digests is a correctness regression, not
 // a tuning drift.
 func TestSparsifyGolden(t *testing.T) {
+	// The golden configs are the package's largest sketches. Collect them
+	// before the next test: otherwise the heap goal this test leaves behind
+	// (twice its live heap) lets the following tests allocate fresh pages
+	// for a gigabyte or more before their garbage is reclaimed.
+	t.Cleanup(runtime.GC)
 	st := stream.UniformUpdates(48, 20_000, 7)
 
 	sp := NewSimple(SimpleConfig{N: 48, Seed: 7})

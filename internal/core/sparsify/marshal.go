@@ -2,13 +2,13 @@ package sparsify
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
 	"graphsketch/internal/agm"
 	"graphsketch/internal/sketchcore"
 	"graphsketch/internal/sparserec"
+	"graphsketch/internal/wire"
 )
 
 // Wire envelopes: magic + the full filled config (floats as IEEE bits) +
@@ -21,17 +21,6 @@ var (
 	betterMagic   = [4]byte{'S', 'P', 'B', '1'}
 	weightedMagic = [4]byte{'S', 'P', 'W', '1'}
 )
-
-// ErrBadEncoding is returned for corrupt or incompatible encodings.
-var ErrBadEncoding = errors.New("sparsify: bad encoding")
-
-// wrapBad routes lower-layer codec errors into this package's sentinel.
-func wrapBad(err error) error {
-	if err == nil || errors.Is(err, ErrBadEncoding) {
-		return err
-	}
-	return fmt.Errorf("%w: %v", ErrBadEncoding, err)
-}
 
 // ---------------------------------------------------------------------------
 // Simple (Fig 2)
@@ -79,7 +68,7 @@ func (s *Simple) NumBanks() int { return len(s.ecs) }
 // exactly the bytes AppendState writes for that level.
 func (s *Simple) AppendBankState(buf []byte, bank int) ([]byte, error) {
 	if bank < 0 || bank >= len(s.ecs) {
-		return nil, fmt.Errorf("%w: bank %d out of [0,%d)", ErrBadEncoding, bank, len(s.ecs))
+		return nil, fmt.Errorf("sparsify: bank %d out of [0,%d): %w", bank, len(s.ecs), wire.ErrBadEncoding)
 	}
 	return s.ecs[bank].AppendState(buf), nil
 }
@@ -89,15 +78,15 @@ func (s *Simple) AppendBankState(buf []byte, bank int) ([]byte, error) {
 // fully (see mincut.Sketch.ReplaceBankState for the trust contract).
 func (s *Simple) ReplaceBankState(bank int, data []byte) error {
 	if bank < 0 || bank >= len(s.ecs) {
-		return fmt.Errorf("%w: bank %d out of [0,%d)", ErrBadEncoding, bank, len(s.ecs))
+		return fmt.Errorf("sparsify: bank %d out of [0,%d): %w", bank, len(s.ecs), wire.ErrBadEncoding)
 	}
 	s.decoded = false
 	rest, err := s.ecs[bank].DecodeState(data)
 	if err != nil {
-		return wrapBad(err)
+		return fmt.Errorf("sparsify: %w", err)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after bank %d", ErrBadEncoding, len(rest), bank)
+		return fmt.Errorf("sparsify: %d trailing bytes after bank %d: %w", len(rest), bank, wire.ErrBadEncoding)
 	}
 	return nil
 }
@@ -106,15 +95,15 @@ func (s *Simple) ReplaceBankState(bank int, data []byte) error {
 // same-config sketch into one level bank, consuming data fully.
 func (s *Simple) MergeBankState(bank int, data []byte) error {
 	if bank < 0 || bank >= len(s.ecs) {
-		return fmt.Errorf("%w: bank %d out of [0,%d)", ErrBadEncoding, bank, len(s.ecs))
+		return fmt.Errorf("sparsify: bank %d out of [0,%d): %w", bank, len(s.ecs), wire.ErrBadEncoding)
 	}
 	s.decoded = false
 	rest, err := s.ecs[bank].MergeState(data)
 	if err != nil {
-		return wrapBad(err)
+		return fmt.Errorf("sparsify: %w", err)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after bank %d", ErrBadEncoding, len(rest), bank)
+		return fmt.Errorf("sparsify: %d trailing bytes after bank %d: %w", len(rest), bank, wire.ErrBadEncoding)
 	}
 	return nil
 }
@@ -163,7 +152,7 @@ func appendSimpleHeader(buf []byte, cfg SimpleConfig) []byte {
 
 func decodeSimpleHeader(data []byte) (SimpleConfig, []byte, error) {
 	if len(data) < 48 {
-		return SimpleConfig{}, nil, ErrBadEncoding
+		return SimpleConfig{}, nil, fmt.Errorf("sparsify: short SPS1 header: %w", wire.ErrBadEncoding)
 	}
 	cfg := SimpleConfig{
 		N:        int(binary.LittleEndian.Uint64(data[0:])),
@@ -176,7 +165,7 @@ func decodeSimpleHeader(data []byte) (SimpleConfig, []byte, error) {
 	if cfg.N < 1 || cfg.N > 1<<24 || cfg.K < 1 || cfg.K > 1<<24 ||
 		cfg.KForests < 1 || cfg.KForests > 1<<16 || cfg.Levels < 1 || cfg.Levels > 128 ||
 		!(cfg.Epsilon > 0) {
-		return SimpleConfig{}, nil, fmt.Errorf("%w: implausible Simple config", ErrBadEncoding)
+		return SimpleConfig{}, nil, fmt.Errorf("sparsify: implausible Simple config: %w", wire.ErrBadEncoding)
 	}
 	if err := cfg.checkBudget(); err != nil {
 		return SimpleConfig{}, nil, err
@@ -188,7 +177,10 @@ func decodeSimpleHeader(data []byte) (SimpleConfig, []byte, error) {
 // cells would exceed the wire decode budget, before NewSimple allocates it.
 func (c SimpleConfig) checkBudget(copies ...int) error {
 	c.fill()
-	return wrapBad(agm.CheckForestBudget(c.N, append(copies, c.Levels, c.KForests)...))
+	if err := agm.CheckForestBudget(c.N, append(copies, c.Levels, c.KForests)...); err != nil {
+		return fmt.Errorf("sparsify: %w", err)
+	}
+	return nil
 }
 
 // MarshalBinaryCompact serializes the sketch: magic, config, then every
@@ -202,7 +194,7 @@ func (s *Simple) MarshalBinaryCompact() ([]byte, error) {
 // UnmarshalBinary reconstructs the sketch from its envelope.
 func (s *Simple) UnmarshalBinary(data []byte) error {
 	if len(data) < 4 || [4]byte(data[0:4]) != simpleMagic {
-		return ErrBadEncoding
+		return fmt.Errorf("sparsify: no SPS1 header: %w", wire.ErrBadEncoding)
 	}
 	cfg, rest, err := decodeSimpleHeader(data[4:])
 	if err != nil {
@@ -210,13 +202,13 @@ func (s *Simple) UnmarshalBinary(data []byte) error {
 	}
 	fresh := NewSimple(cfg)
 	if fresh.cfg != cfg {
-		return fmt.Errorf("%w: config does not round-trip", ErrBadEncoding)
+		return fmt.Errorf("sparsify: config does not round-trip: %w", wire.ErrBadEncoding)
 	}
 	if rest, err = fresh.DecodeState(rest); err != nil {
-		return wrapBad(err)
+		return fmt.Errorf("sparsify: %w", err)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
+		return fmt.Errorf("sparsify: %d trailing bytes: %w", len(rest), wire.ErrBadEncoding)
 	}
 	*s = *fresh
 	return nil
@@ -225,20 +217,20 @@ func (s *Simple) UnmarshalBinary(data []byte) error {
 // MergeBinary folds a serialized Simple sketch (same config) into s.
 func (s *Simple) MergeBinary(data []byte) error {
 	if len(data) < 4 || [4]byte(data[0:4]) != simpleMagic {
-		return ErrBadEncoding
+		return fmt.Errorf("sparsify: no SPS1 header: %w", wire.ErrBadEncoding)
 	}
 	cfg, rest, err := decodeSimpleHeader(data[4:])
 	if err != nil {
 		return err
 	}
 	if cfg != s.cfg {
-		return fmt.Errorf("%w: merge config mismatch", ErrBadEncoding)
+		return fmt.Errorf("sparsify: merge config mismatch: %w", wire.ErrBadEncoding)
 	}
 	if rest, err = s.MergeState(rest); err != nil {
-		return wrapBad(err)
+		return fmt.Errorf("sparsify: %w", err)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
+		return fmt.Errorf("sparsify: %d trailing bytes: %w", len(rest), wire.ErrBadEncoding)
 	}
 	return nil
 }
@@ -268,7 +260,7 @@ func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
 
 func decodeBetterHeader(data []byte) (Config, []byte, error) {
 	if len(data) < 52 || [4]byte(data[0:4]) != betterMagic {
-		return Config{}, nil, ErrBadEncoding
+		return Config{}, nil, fmt.Errorf("sparsify: no SPB1 header: %w", wire.ErrBadEncoding)
 	}
 	cfg := Config{
 		N:         int(binary.LittleEndian.Uint64(data[4:])),
@@ -280,13 +272,13 @@ func decodeBetterHeader(data []byte) (Config, []byte, error) {
 	}
 	if cfg.N < 1 || cfg.N > 1<<24 || cfg.RecoveryK < 1 || cfg.RecoveryK > 1<<20 ||
 		cfg.RoughK < 0 || cfg.Levels < 1 || cfg.Levels > 128 || !(cfg.Epsilon > 0) {
-		return Config{}, nil, fmt.Errorf("%w: implausible Fig 3 config", ErrBadEncoding)
+		return Config{}, nil, fmt.Errorf("sparsify: implausible Fig 3 config: %w", wire.ErrBadEncoding)
 	}
 	if err := cfg.roughConfig().checkBudget(); err != nil {
 		return Config{}, nil, err
 	}
 	if err := sparserec.CheckBankBudget(cfg.N, cfg.RecoveryK, cfg.Levels); err != nil {
-		return Config{}, nil, wrapBad(err)
+		return Config{}, nil, fmt.Errorf("sparsify: %w", err)
 	}
 	return cfg, data[52:], nil
 }
@@ -323,13 +315,13 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	fresh := New(cfg)
 	if fresh.cfg != cfg {
-		return fmt.Errorf("%w: config does not round-trip", ErrBadEncoding)
+		return fmt.Errorf("sparsify: config does not round-trip: %w", wire.ErrBadEncoding)
 	}
 	if rest, err = fresh.decodeOrMerge(rest, false); err != nil {
-		return wrapBad(err)
+		return fmt.Errorf("sparsify: %w", err)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
+		return fmt.Errorf("sparsify: %d trailing bytes: %w", len(rest), wire.ErrBadEncoding)
 	}
 	*s = *fresh
 	return nil
@@ -342,14 +334,14 @@ func (s *Sketch) MergeBinary(data []byte) error {
 		return err
 	}
 	if cfg != s.cfg {
-		return fmt.Errorf("%w: merge config mismatch", ErrBadEncoding)
+		return fmt.Errorf("sparsify: merge config mismatch: %w", wire.ErrBadEncoding)
 	}
 	s.decoded = false
 	if rest, err = s.decodeOrMerge(rest, true); err != nil {
-		return wrapBad(err)
+		return fmt.Errorf("sparsify: %w", err)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
+		return fmt.Errorf("sparsify: %d trailing bytes: %w", len(rest), wire.ErrBadEncoding)
 	}
 	return nil
 }
@@ -411,7 +403,7 @@ func (w *Weighted) MarshalBinaryCompact() ([]byte, error) {
 
 func decodeWeightedHeader(data []byte) (WeightedConfig, []byte, error) {
 	if len(data) < 44 || [4]byte(data[0:4]) != weightedMagic {
-		return WeightedConfig{}, nil, ErrBadEncoding
+		return WeightedConfig{}, nil, fmt.Errorf("sparsify: no SPW1 header: %w", wire.ErrBadEncoding)
 	}
 	cfg := WeightedConfig{
 		N:         int(binary.LittleEndian.Uint64(data[4:])),
@@ -422,7 +414,7 @@ func decodeWeightedHeader(data []byte) (WeightedConfig, []byte, error) {
 	}
 	if cfg.N < 1 || cfg.N > 1<<24 || cfg.MaxWeight < 1 || cfg.MaxWeight > 1<<40 ||
 		cfg.K < 0 || cfg.K > 1<<16 {
-		return WeightedConfig{}, nil, fmt.Errorf("%w: implausible weighted config", ErrBadEncoding)
+		return WeightedConfig{}, nil, fmt.Errorf("sparsify: implausible weighted config: %w", wire.ErrBadEncoding)
 	}
 	// Every class shares one Levels and KForests; only its threshold differs.
 	if err := cfg.classConfig(0).checkBudget(cfg.classes()); err != nil {
@@ -439,15 +431,15 @@ func (w *Weighted) UnmarshalBinary(data []byte) error {
 	}
 	fresh := NewWeighted(cfg)
 	if fresh.cfg != cfg {
-		return fmt.Errorf("%w: config does not round-trip", ErrBadEncoding)
+		return fmt.Errorf("sparsify: config does not round-trip: %w", wire.ErrBadEncoding)
 	}
 	for _, s := range fresh.ws {
 		if rest, err = s.DecodeState(rest); err != nil {
-			return wrapBad(err)
+			return fmt.Errorf("sparsify: %w", err)
 		}
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
+		return fmt.Errorf("sparsify: %d trailing bytes: %w", len(rest), wire.ErrBadEncoding)
 	}
 	*w = *fresh
 	return nil
@@ -460,16 +452,16 @@ func (w *Weighted) MergeBinary(data []byte) error {
 		return err
 	}
 	if cfg != w.cfg {
-		return fmt.Errorf("%w: merge config mismatch", ErrBadEncoding)
+		return fmt.Errorf("sparsify: merge config mismatch: %w", wire.ErrBadEncoding)
 	}
 	w.decoded = false
 	for _, s := range w.ws {
 		if rest, err = s.MergeState(rest); err != nil {
-			return wrapBad(err)
+			return fmt.Errorf("sparsify: %w", err)
 		}
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
+		return fmt.Errorf("sparsify: %d trailing bytes: %w", len(rest), wire.ErrBadEncoding)
 	}
 	return nil
 }

@@ -54,7 +54,7 @@ func TestSimpleWireRoundTripAndMerge(t *testing.T) {
 func TestBetterWireRoundTripAndMerge(t *testing.T) {
 	const n = 24
 	st := stream.UniformUpdates(n, 3000, 17)
-	cfg := Config{N: n, Seed: 17}
+	cfg := Config{N: n, RecoveryK: 8, RoughK: 4, Seed: 17}
 
 	whole := New(cfg)
 	whole.Ingest(st)

@@ -10,7 +10,7 @@ import (
 // ingest + merge must equal sequential ingest exactly.
 func TestSimpleIngestParallelBitIdentical(t *testing.T) {
 	st := stream.GNP(24, 0.4, 7).WithChurn(1500, 8)
-	cfg := SimpleConfig{N: 24, Epsilon: 0.5, Seed: 3}
+	cfg := SimpleConfig{N: 24, Epsilon: 0.5, K: 4, Seed: 3}
 	seq := NewSimple(cfg)
 	seq.Ingest(st)
 	par := NewSimple(cfg)
@@ -24,7 +24,7 @@ func TestSimpleIngestParallelBitIdentical(t *testing.T) {
 // + per-level recovery banks) must also merge bit-identically.
 func TestSketchIngestParallelBitIdentical(t *testing.T) {
 	st := stream.PlantedPartition(24, 2, 0.7, 0.1, 5).WithChurn(1500, 6)
-	cfg := Config{N: 24, Epsilon: 0.5, Seed: 9}
+	cfg := Config{N: 24, Epsilon: 0.5, RecoveryK: 8, RoughK: 4, Seed: 9}
 	seq := New(cfg)
 	seq.Ingest(st)
 	par := New(cfg)
@@ -51,7 +51,7 @@ func TestSketchIngestParallelBitIdentical(t *testing.T) {
 // per-site sketches equivalent to a whole-stream sketch.
 func TestWeightedAddMergesDistributedSites(t *testing.T) {
 	st := stream.WeightedGNP(20, 0.4, 30, 13)
-	cfg := WeightedConfig{N: 20, Epsilon: 0.5, MaxWeight: 30, Seed: 17}
+	cfg := WeightedConfig{N: 20, Epsilon: 0.5, MaxWeight: 30, K: 2, Seed: 17}
 	whole := NewWeighted(cfg)
 	whole.Ingest(st)
 	merged := NewWeighted(cfg)
@@ -69,7 +69,7 @@ func TestWeightedAddMergesDistributedSites(t *testing.T) {
 // weighted sparsifier.
 func TestWeightedIngestParallelBitIdentical(t *testing.T) {
 	st := stream.WeightedGNP(20, 0.4, 30, 23)
-	cfg := WeightedConfig{N: 20, Epsilon: 0.5, MaxWeight: 30, Seed: 29}
+	cfg := WeightedConfig{N: 20, Epsilon: 0.5, MaxWeight: 30, K: 2, Seed: 29}
 	seq := NewWeighted(cfg)
 	seq.Ingest(st)
 	par := NewWeighted(cfg)

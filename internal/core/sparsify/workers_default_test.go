@@ -18,10 +18,10 @@ func TestIngestWorkersDefaultEngages(t *testing.T) {
 	const n = 64
 	st := stream.UniformUpdates(n, 40000, 3)
 
-	seq := NewSimple(SimpleConfig{N: n, Seed: 9})
+	seq := NewSimple(SimpleConfig{N: n, K: 2, Seed: 9})
 	seq.Ingest(st)
 
-	par := NewSimple(SimpleConfig{N: n, Seed: 9})
+	par := NewSimple(SimpleConfig{N: n, K: 2, Seed: 9})
 	before := sketchcore.ShardSpawns()
 	par.IngestParallel(st, 0)
 	spawned := sketchcore.ShardSpawns() - before

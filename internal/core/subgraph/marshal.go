@@ -2,7 +2,6 @@ package subgraph
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
 
@@ -15,17 +14,6 @@ import (
 // support-size estimator's recovery sketches. All hashes and per-slot
 // seeds are reconstructed from the header.
 var sgMagic = [4]byte{'S', 'G', 'S', '1'}
-
-// ErrBadEncoding is returned for corrupt or incompatible encodings.
-var ErrBadEncoding = errors.New("subgraph: bad encoding")
-
-// wrapBad routes lower-layer codec errors into this package's sentinel.
-func wrapBad(err error) error {
-	if err == nil || errors.Is(err, ErrBadEncoding) {
-		return err
-	}
-	return fmt.Errorf("%w: %v", ErrBadEncoding, err)
-}
 
 // MarshalBinaryCompact serializes the sketch: bytes proportional to its
 // non-zero state.
@@ -43,20 +31,20 @@ func (s *Sketch) MarshalBinaryCompact() ([]byte, error) {
 
 func decodeHeader(data []byte) (n, k, samples int, seed uint64, rest []byte, err error) {
 	if len(data) < 36 || [4]byte(data[0:4]) != sgMagic {
-		return 0, 0, 0, 0, nil, ErrBadEncoding
+		return 0, 0, 0, 0, nil, fmt.Errorf("subgraph: no SGS1 header: %w", wire.ErrBadEncoding)
 	}
 	n = int(binary.LittleEndian.Uint64(data[4:]))
 	k = int(binary.LittleEndian.Uint64(data[12:]))
 	samples = int(binary.LittleEndian.Uint64(data[20:]))
 	seed = binary.LittleEndian.Uint64(data[28:])
 	if n < 1 || n > 1<<20 || k < 2 || k > 5 || samples < 1 || samples > 1<<20 {
-		return 0, 0, 0, 0, nil, fmt.Errorf("%w: implausible shape n=%d k=%d samples=%d", ErrBadEncoding, n, k, samples)
+		return 0, 0, 0, 0, nil, fmt.Errorf("subgraph: implausible shape n=%d k=%d samples=%d: %w", n, k, samples, wire.ErrBadEncoding)
 	}
 	// The sampler universe C(n, k) is below n^k (or wraps in 64 bits), which
 	// bounds its level count without building New's binomial table.
 	levels := min(k*bits.Len(uint(n))+1, 65)
 	if err := wire.CheckCellBudget(int64(samples), samplerRepsSubgraph, int64(levels)); err != nil {
-		return 0, 0, 0, 0, nil, fmt.Errorf("%w: declared shape exceeds decode budget", ErrBadEncoding)
+		return 0, 0, 0, 0, nil, fmt.Errorf("subgraph: declared shape exceeds decode budget: %w", wire.ErrBadEncoding)
 	}
 	return n, k, samples, seed, data[36:], nil
 }
@@ -69,13 +57,13 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	fresh := New(n, k, samples, seed)
 	if rest, err = fresh.samplers.DecodeStateTagged(rest); err != nil {
-		return wrapBad(err)
+		return fmt.Errorf("subgraph: %w", err)
 	}
 	if rest, err = fresh.norm.DecodeState(rest); err != nil {
-		return wrapBad(err)
+		return fmt.Errorf("subgraph: %w", err)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
+		return fmt.Errorf("subgraph: %d trailing bytes: %w", len(rest), wire.ErrBadEncoding)
 	}
 	*s = *fresh
 	return nil
@@ -88,17 +76,17 @@ func (s *Sketch) MergeBinary(data []byte) error {
 		return err
 	}
 	if n != s.n || k != s.k || samples != s.samples || seed != s.seed {
-		return fmt.Errorf("%w: merge parameter mismatch", ErrBadEncoding)
+		return fmt.Errorf("subgraph: merge parameter mismatch: %w", wire.ErrBadEncoding)
 	}
 	s.decoded = false
 	if rest, err = s.samplers.MergeStateTagged(rest); err != nil {
-		return wrapBad(err)
+		return fmt.Errorf("subgraph: %w", err)
 	}
 	if rest, err = s.norm.MergeState(rest); err != nil {
-		return wrapBad(err)
+		return fmt.Errorf("subgraph: %w", err)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
+		return fmt.Errorf("subgraph: %d trailing bytes: %w", len(rest), wire.ErrBadEncoding)
 	}
 	return nil
 }

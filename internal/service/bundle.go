@@ -13,7 +13,10 @@ import (
 	"math"
 
 	"graphsketch"
+	"graphsketch/internal/core/mincut"
+	"graphsketch/internal/core/sparsify"
 	"graphsketch/internal/hashing"
+	"graphsketch/internal/sketchcore"
 	"graphsketch/internal/stream"
 	"graphsketch/internal/wire"
 )
@@ -47,8 +50,8 @@ func DefaultBundleConfig(n int, seed uint64) BundleConfig {
 // budget accounting.
 type Bundle struct {
 	cfg BundleConfig
-	mc  *graphsketch.MinCutSketch
-	sp  *graphsketch.SimpleSparsifier
+	mc  *mincut.Sketch
+	sp  *sparsify.Simple
 	// spLog is the coalesced live edge set as a replayable stream — the
 	// Baswana–Sen construction is r-adaptive (multi-pass), so it cannot run
 	// off a linear sketch alone. Appends accumulate and re-coalesce once
@@ -75,8 +78,8 @@ type Bundle struct {
 func NewBundle(cfg BundleConfig) *Bundle {
 	b := &Bundle{
 		cfg:      cfg,
-		mc:       graphsketch.NewMinCutSketchK(cfg.N, cfg.K, cfg.Seed),
-		sp:       graphsketch.NewSimpleSparsifier(cfg.N, cfg.Eps, cfg.Seed),
+		mc:       mincut.New(mincut.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed}),
+		sp:       sparsify.NewSimple(sparsify.SimpleConfig{N: cfg.N, Epsilon: cfg.Eps, Seed: cfg.Seed}),
 		pristine: true,
 	}
 	// Empty sketches: the occupancy-guided footprint walk touches no cell.
@@ -183,9 +186,10 @@ func (b *Bundle) ResidentBytes() int64 { return b.sketchBytes + int64(len(b.spLo
 //	[mcBanks+spBanks, +logBankCount) spanner-log chunks keyed by
 //	                                 EdgeIndex(u,v,N) % logBankCount
 //
-// Sketch banks are headerless tagged cell states (AppendBank); log chunks
-// are uvarint count + (u, v, zigzag delta) triples over the COALESCED log,
-// so every bank encoding is canonical for its state. The payload is:
+// Sketch banks are headerless tagged cell states (AppendBankState); log
+// chunks are uvarint count + (u, v, zigzag delta) triples over the
+// COALESCED log, so every bank encoding is canonical for its state. The
+// payload is:
 //
 //	config header  5 uvarints (N, K, Eps bits, SpannerK, Seed)
 //	totalBanks     uvarint
@@ -200,7 +204,7 @@ func (b *Bundle) ResidentBytes() int64 { return b.sketchBytes + int64(len(b.spLo
 // bank-granular install.
 //
 // A leaf is linear in its bank's state, not a hash of its bytes: a sketch
-// bank's is the fold of its arenas' graphsketch.Digest, a log chunk's the
+// bank's is the fold of its arenas' sketchcore.Digest, a log chunk's the
 // sum over its entries of delta * R(edge) mod 2^64. Every write keeps them
 // current, so Manifest sums about 1,440 per-arena accumulators and reads
 // eight chunk sums — it never encodes a bank.
@@ -259,38 +263,37 @@ func (b *Bundle) NumBanks() int {
 }
 
 // sketchBanks is the bank surface the bundle uses on each of its two
-// sketches.
+// sketches. A bank's digest is the sum of its arenas' (sketchcore.SumDigests
+// for the maintained one, ScanDigests for the one read off the cells).
 type sketchBanks interface {
-	AppendBank(buf []byte, bank int) ([]byte, error)
-	MergeBank(bank int, data []byte) error
-	ReplaceBank(bank int, data []byte) error
-	BankDigest(bank int) graphsketch.Digest
-	ScanBankDigest(bank int) graphsketch.Digest
-	RotBank(bank int, data []byte) error
+	NumBanks() int
+	AppendBankState(buf []byte, bank int) ([]byte, error)
+	MergeBankState(bank int, data []byte) error
+	ReplaceBankState(bank int, data []byte) error
+	BankArenas(bank int) []*sketchcore.Arena
 }
 
 // sketchBank resolves bundle bank id to the sketch holding it and the
 // bank's index there; for a log chunk ok is false and idx is the chunk.
 func (b *Bundle) sketchBank(id int) (sk sketchBanks, idx int, ok bool) {
-	mcN, spN := b.mc.NumBanks(), b.sp.NumBanks()
-	switch {
-	case id < mcN:
-		return b.mc, id, true
-	case id < mcN+spN:
-		return b.sp, id - mcN, true
+	for _, sk := range [...]sketchBanks{b.mc, b.sp} {
+		if id < sk.NumBanks() {
+			return sk, id, true
+		}
+		id -= sk.NumBanks()
 	}
-	return nil, id - mcN - spN, false
+	return nil, id, false
 }
 
 // appendBank appends bank id's canonical bytes. The spanner log must
 // already be coalesced when a log bank is encoded.
 func (b *Bundle) appendBank(buf []byte, id int) ([]byte, error) {
 	if id < 0 || id >= b.NumBanks() {
-		return nil, fmt.Errorf("service: bank %d out of [0,%d): %w", id, b.NumBanks(), graphsketch.ErrBadEncoding)
+		return nil, fmt.Errorf("service: bank %d out of [0,%d): %w", id, b.NumBanks(), wire.ErrBadEncoding)
 	}
 	sk, idx, ok := b.sketchBank(id)
 	if ok {
-		return sk.AppendBank(buf, idx)
+		return sk.AppendBankState(buf, idx)
 	}
 	ups := make([]stream.Update, 0, len(b.spLog)/logBankCount+1)
 	for _, u := range b.spLog {
@@ -308,20 +311,21 @@ func decodeLogBank(data []byte) ([]stream.Update, error) {
 		return nil, fmt.Errorf("service: log bank: %w", err)
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("service: log bank trailing bytes: %w", graphsketch.ErrBadEncoding)
+		return nil, fmt.Errorf("service: log bank trailing bytes: %w", wire.ErrBadEncoding)
 	}
 	return ups, nil
 }
 
 // leaves returns every bank's digest in bank order: sketch banks read
-// through digest (maintained or scanned), log chunks from logDig.
-func (b *Bundle) leaves(digest func(sketchBanks, int) graphsketch.Digest, logDig [logBankCount]uint64) []graphsketch.Digest {
-	out := make([]graphsketch.Digest, b.NumBanks())
+// through digest (maintained or scanned) over their arenas, log chunks from
+// logDig.
+func (b *Bundle) leaves(digest func([]*sketchcore.Arena) sketchcore.Digest, logDig [logBankCount]uint64) []sketchcore.Digest {
+	out := make([]sketchcore.Digest, b.NumBanks())
 	for id := range out {
 		if sk, idx, ok := b.sketchBank(id); ok {
-			out[id] = digest(sk, idx)
+			out[id] = digest(sk.BankArenas(idx))
 		} else {
-			out[id] = graphsketch.Digest{W: logDig[idx]}
+			out[id] = sketchcore.Digest{W: logDig[idx]}
 		}
 	}
 	return out
@@ -338,7 +342,7 @@ func (b *Bundle) Manifest() (wire.Manifest, error) {
 
 // manifest is Manifest without the error it never returns.
 func (b *Bundle) manifest() wire.Manifest {
-	dig := b.leaves(sketchBanks.BankDigest, b.logDig)
+	dig := b.leaves(sketchcore.SumDigests, b.logDig)
 	man := wire.Manifest{Banks: make([]uint64, len(dig))}
 	for id, d := range dig {
 		man.Banks[id] = d.Fold()
@@ -354,8 +358,8 @@ func (b *Bundle) manifest() wire.Manifest {
 // maintained leaves are left untouched so repair logic can still read the
 // pre-rot manifest.
 func (b *Bundle) VerifyDigests() error {
-	kept := b.leaves(sketchBanks.BankDigest, b.logDig)
-	scanned := b.leaves(sketchBanks.ScanBankDigest, b.logDigests(b.spLog))
+	kept := b.leaves(sketchcore.SumDigests, b.logDig)
+	scanned := b.leaves(sketchcore.ScanDigests, b.logDigests(b.spLog))
 	for id := range kept {
 		if scanned[id] != kept[id] {
 			return fmt.Errorf("service: bank %d digest mismatch (state %016x, maintained %016x): %w",
@@ -370,8 +374,13 @@ func (b *Bundle) VerifyDigests() error {
 // rotted reality before diffing against a peer's — a maintained pre-rot
 // leaf would hide exactly the bank that needs pulling.
 func (b *Bundle) RecomputeDigests() {
-	b.mc.RescanDigests()
-	b.sp.RescanDigests()
+	for id := 0; id < b.NumBanks(); id++ {
+		if sk, idx, ok := b.sketchBank(id); ok {
+			for _, a := range sk.BankArenas(idx) {
+				a.RescanDigest()
+			}
+		}
+	}
 	b.logDig = b.logDigests(b.spLog)
 }
 
@@ -399,7 +408,7 @@ func (b *Bundle) MarshalBanks(ids []int) ([]byte, error) {
 	}
 	for _, id := range ids {
 		if id < 0 || id >= total {
-			return nil, fmt.Errorf("service: bank %d out of [0,%d): %w", id, total, graphsketch.ErrBadEncoding)
+			return nil, fmt.Errorf("service: bank %d out of [0,%d): %w", id, total, wire.ErrBadEncoding)
 		}
 		if !want[id] {
 			want[id] = true
@@ -455,7 +464,7 @@ func (b *Bundle) decodePayload(data []byte) (*bundlePayload, error) {
 			return nil, fmt.Errorf("service: bundle header: %w", err)
 		}
 		if got != wantV {
-			return nil, fmt.Errorf("service: bundle config mismatch (%d != %d): %w", got, wantV, graphsketch.ErrBadEncoding)
+			return nil, fmt.Errorf("service: bundle config mismatch (%d != %d): %w", got, wantV, wire.ErrBadEncoding)
 		}
 		data = rest
 	}
@@ -464,11 +473,11 @@ func (b *Bundle) decodePayload(data []byte) (*bundlePayload, error) {
 		return nil, fmt.Errorf("service: bundle bank count: %w", err)
 	}
 	if total != uint64(b.NumBanks()) {
-		return nil, fmt.Errorf("service: bundle has %d banks, want %d: %w", total, b.NumBanks(), graphsketch.ErrBadEncoding)
+		return nil, fmt.Errorf("service: bundle has %d banks, want %d: %w", total, b.NumBanks(), wire.ErrBadEncoding)
 	}
 	presentCount, data, err := wire.Uvarint(data)
 	if err != nil || presentCount > total {
-		return nil, fmt.Errorf("service: bundle present count: %w", graphsketch.ErrBadEncoding)
+		return nil, fmt.Errorf("service: bundle present count: %w", wire.ErrBadEncoding)
 	}
 	p := &bundlePayload{total: int(total), present: make(map[int][]byte, presentCount)}
 	prev := -1
@@ -478,12 +487,12 @@ func (b *Bundle) decodePayload(data []byte) (*bundlePayload, error) {
 			return nil, fmt.Errorf("service: bundle bank id: %w", err)
 		}
 		if int64(id) <= int64(prev) || id >= total {
-			return nil, fmt.Errorf("service: bundle bank ids not ascending: %w", graphsketch.ErrBadEncoding)
+			return nil, fmt.Errorf("service: bundle bank ids not ascending: %w", wire.ErrBadEncoding)
 		}
 		prev = int(id)
 		n, rest, err := wire.Uvarint(rest)
 		if err != nil || n > uint64(len(rest)) {
-			return nil, fmt.Errorf("service: bundle bank %d length: %w", id, graphsketch.ErrBadEncoding)
+			return nil, fmt.Errorf("service: bundle bank %d length: %w", id, wire.ErrBadEncoding)
 		}
 		p.present[int(id)] = rest[:n]
 		data = rest[n:]
@@ -493,10 +502,10 @@ func (b *Bundle) decodePayload(data []byte) (*bundlePayload, error) {
 		return nil, fmt.Errorf("service: bundle manifest: %w", err)
 	}
 	if len(p.man.Banks) != p.total {
-		return nil, fmt.Errorf("service: bundle manifest covers %d banks, want %d: %w", len(p.man.Banks), p.total, graphsketch.ErrBadEncoding)
+		return nil, fmt.Errorf("service: bundle manifest covers %d banks, want %d: %w", len(p.man.Banks), p.total, wire.ErrBadEncoding)
 	}
 	if len(data) != 0 {
-		return nil, fmt.Errorf("service: bundle trailing bytes: %w", graphsketch.ErrBadEncoding)
+		return nil, fmt.Errorf("service: bundle trailing bytes: %w", wire.ErrBadEncoding)
 	}
 	return p, nil
 }
@@ -510,18 +519,18 @@ func (b *Bundle) decodePayload(data []byte) (*bundlePayload, error) {
 // bundle they can throw away.
 func (b *Bundle) foldBank(p *bundlePayload, id int, replace bool) error {
 	bankB := p.present[id]
-	var got graphsketch.Digest
+	var got sketchcore.Digest
 	var err error
 	sk, idx, ok := b.sketchBank(id)
 	switch {
 	case ok && replace:
-		err = sk.ReplaceBank(idx, bankB)
-		got = sk.BankDigest(idx)
+		err = sk.ReplaceBankState(idx, bankB)
+		got = sketchcore.SumDigests(sk.BankArenas(idx))
 	case ok:
 		// The digest is linear: what the merge read is what it added.
-		before := sk.BankDigest(idx)
-		err = sk.MergeBank(idx, bankB)
-		got = sk.BankDigest(idx).Sub(before)
+		before := sketchcore.SumDigests(sk.BankArenas(idx))
+		err = sk.MergeBankState(idx, bankB)
+		got = sketchcore.SumDigests(sk.BankArenas(idx)).Sub(before)
 	default:
 		var ups []stream.Update
 		if ups, err = decodeLogBank(bankB); err == nil {
@@ -585,7 +594,7 @@ func (b *Bundle) merged(data []byte) (*Bundle, error) {
 
 func (b *Bundle) mergePayload(p *bundlePayload) (*Bundle, error) {
 	if len(p.present) != p.total {
-		return nil, fmt.Errorf("service: merge needs a full payload (%d/%d banks): %w", len(p.present), p.total, graphsketch.ErrBadEncoding)
+		return nil, fmt.Errorf("service: merge needs a full payload (%d/%d banks): %w", len(p.present), p.total, wire.ErrBadEncoding)
 	}
 	next := b
 	if !b.pristine {
@@ -679,14 +688,15 @@ func (b *Bundle) assemble(data []byte, rebuildLeaves bool) (next *Bundle, full b
 // InjectBankRot deterministically corrupts one bank's live in-memory state
 // WITHOUT moving its maintained digest — the chaos hook the scrub tests and
 // the sim's bit-rot matrix use to model silent memory rot. It must bypass
-// every maintained write path (RotBank, a raw log append), or the digest
-// would absorb the rot and no scrub could see it. Sketch banks absorb a
+// every maintained write path (sketchcore.WithoutDigest around a bank
+// merge, a raw log append), or the digest would absorb the rot and no
+// scrub could see it. Sketch banks absorb a
 // synthetic nonzero single-edge state (linearity keeps the bytes decodable
 // while guaranteeing the canonical encoding changes); log chunks gain a
 // phantom update keyed to the chunk.
 func (b *Bundle) InjectBankRot(bank int, seed uint64) error {
 	if bank < 0 || bank >= b.NumBanks() {
-		return fmt.Errorf("service: bank %d out of [0,%d): %w", bank, b.NumBanks(), graphsketch.ErrBadEncoding)
+		return fmt.Errorf("service: bank %d out of [0,%d): %w", bank, b.NumBanks(), wire.ErrBadEncoding)
 	}
 	b.pristine = false
 	sk, idx, ok := b.sketchBank(bank)
@@ -723,7 +733,7 @@ func (b *Bundle) InjectBankRot(bank int, seed uint64) error {
 			return err
 		}
 		if !bytes.Equal(bankB, emptyB) {
-			return sk.RotBank(idx, bankB)
+			return sketchcore.WithoutDigest(sk.BankArenas(idx), func() error { return sk.MergeBankState(idx, bankB) })
 		}
 	}
 	return fmt.Errorf("service: could not synthesize rot for bank %d", bank)

@@ -38,7 +38,7 @@ func DecodeUpdates(sealed []byte) ([]stream.Update, error) {
 		return nil, err
 	}
 	if len(rest) != 0 {
-		return nil, graphsketch.ErrBadEncoding
+		return nil, wire.ErrBadEncoding
 	}
 	return ups, nil
 }
@@ -224,7 +224,7 @@ func (s *Server) httpStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrUnknownTenant):
 		return http.StatusNotFound
-	case errors.Is(err, ErrBadTenantName), errors.Is(err, graphsketch.ErrBadEncoding), errors.Is(err, wire.ErrBadEncoding):
+	case errors.Is(err, ErrBadTenantName), errors.Is(err, wire.ErrBadEncoding):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrPositionConflict):
 		return http.StatusConflict
@@ -282,7 +282,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	at := -1
 	if q := r.URL.Query().Get("at"); q != "" {
 		if _, err := fmt.Sscanf(q, "%d", &at); err != nil {
-			s.fail(w, fmt.Errorf("bad at=%q: %w", q, graphsketch.ErrBadEncoding))
+			s.fail(w, fmt.Errorf("bad at=%q: %w", q, wire.ErrBadEncoding))
 			return
 		}
 	}
@@ -313,7 +313,7 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	pos := -1
 	if _, err := fmt.Sscanf(q.Get("pos"), "%d", &pos); err != nil || pos < 0 {
-		s.fail(w, fmt.Errorf("bad pos=%q: %w", q.Get("pos"), graphsketch.ErrBadEncoding))
+		s.fail(w, fmt.Errorf("bad pos=%q: %w", q.Get("pos"), wire.ErrBadEncoding))
 		return
 	}
 	var epoch uint64
@@ -321,7 +321,7 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	var root uint64
 	if h := q.Get("root"); h != "" {
 		if root, err = strconv.ParseUint(h, 16, 64); err != nil {
-			s.fail(w, fmt.Errorf("bad root=%q: %w", h, graphsketch.ErrBadEncoding))
+			s.fail(w, fmt.Errorf("bad root=%q: %w", h, wire.ErrBadEncoding))
 			return
 		}
 	}
@@ -370,7 +370,7 @@ func (s *Server) handlePayload(w http.ResponseWriter, r *http.Request) {
 			}
 			id, err := strconv.Atoi(f)
 			if err != nil {
-				s.fail(w, fmt.Errorf("bad banks=%q: %w", q.Get("banks"), graphsketch.ErrBadEncoding))
+				s.fail(w, fmt.Errorf("bad banks=%q: %w", q.Get("banks"), wire.ErrBadEncoding))
 				return
 			}
 			banks = append(banks, id)
@@ -453,7 +453,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		_, errV := fmt.Sscanf(q.Get("v"), "%d", &v)
 		n := ep.Bundle.Config().N
 		if errU != nil || errV != nil || u < 0 || v < 0 || u >= n || v >= n {
-			s.fail(w, fmt.Errorf("spanner-edge wants u=&v= in [0,%d): %w", n, graphsketch.ErrBadEncoding))
+			s.fail(w, fmt.Errorf("spanner-edge wants u=&v= in [0,%d): %w", n, wire.ErrBadEncoding))
 			return
 		}
 		in, res := ep.SpannerEdge(u, v)
@@ -481,7 +481,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			ReplSyncEpoch:     t.syncEpoch.Load(),
 		})
 	default:
-		s.fail(w, fmt.Errorf("unknown query %q: %w", op, graphsketch.ErrBadEncoding))
+		s.fail(w, fmt.Errorf("unknown query %q: %w", op, wire.ErrBadEncoding))
 	}
 }
 

@@ -22,10 +22,6 @@ type SyncConfig struct {
 	// JitterSeed seeds the pull clients' backoff jitter and the per-peer
 	// round backoff (tests pin it).
 	JitterSeed uint64
-	// NoDelta disables bank-granular delta pulls; every convergence is a
-	// full payload pull (the pre-digest-tree behavior, kept as an escape
-	// hatch and a baseline for the sim's byte accounting).
-	NoDelta bool
 }
 
 func (c SyncConfig) withDefaults() SyncConfig {
@@ -292,7 +288,7 @@ func (y *Syncer) syncTenant(ctx context.Context, peer *Client, name string, roun
 	// same width, pull only the diverged banks. A fenced tenant's leaves are
 	// recomputed from its (partly rotted) bytes first — a maintained
 	// pre-rot leaf would hide exactly the bank that needs pulling.
-	if !y.cfg.NoDelta && t != nil && pi.HasManifest {
+	if t != nil && pi.HasManifest {
 		if local, _, merr := y.srv.ManifestNow(ctx, name, fenced); merr == nil && len(local.Banks) == len(pi.Manifest.Banks) {
 			if diverged := local.Diff(pi.Manifest); len(diverged) < len(local.Banks) {
 				sealed, pos, epoch, root, perr := peer.PayloadBanksAt(name, diverged)
@@ -305,7 +301,7 @@ func (y *Syncer) syncTenant(ctx context.Context, peer *Client, name string, roun
 			}
 		}
 	}
-	// Full rung: first contact, width mismatch, NoDelta, or a delta that
+	// Full rung: first contact, width mismatch, or a delta that
 	// could not prove byte-identity (a race with local ingest, a stale
 	// manifest). Byte-identity with the peer is the postcondition either way.
 	sealed, pos, epoch, root, err := peer.PayloadBanksAt(name, nil)

@@ -2,11 +2,13 @@ package sketchcore
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"graphsketch/internal/hashing"
 	"graphsketch/internal/l0"
 	"graphsketch/internal/stream"
+	"graphsketch/internal/wire"
 )
 
 // TestArenaMatchesL0Sampler: a shared-mode arena slot must behave
@@ -337,11 +339,11 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	for _, tag := range []byte{0x00, 0x02} {
 		mut := append([]byte{tag}, enc[1:]...)
-		if _, err := b.DecodeStateTagged(mut); !errors.Is(err, ErrBadEncoding) {
-			t.Fatalf("tag %#x: decode = %v, want ErrBadEncoding", tag, err)
+		if _, err := b.DecodeStateTagged(mut); !errors.Is(err, wire.ErrBadEncoding) || !strings.HasPrefix(err.Error(), "sketchcore: ") {
+			t.Fatalf("tag %#x: decode = %v, want a sketchcore: wire.ErrBadEncoding", tag, err)
 		}
-		if _, err := b.MergeStateTagged(mut); !errors.Is(err, ErrBadEncoding) {
-			t.Fatalf("tag %#x: merge = %v, want ErrBadEncoding", tag, err)
+		if _, err := b.MergeStateTagged(mut); !errors.Is(err, wire.ErrBadEncoding) || !strings.HasPrefix(err.Error(), "sketchcore: ") {
+			t.Fatalf("tag %#x: merge = %v, want a sketchcore: wire.ErrBadEncoding", tag, err)
 		}
 	}
 }

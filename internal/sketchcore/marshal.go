@@ -1,14 +1,10 @@
 package sketchcore
 
 import (
-	"errors"
 	"fmt"
 
 	"graphsketch/internal/wire"
 )
-
-// ErrBadEncoding is returned for corrupt or truncated arena state.
-var ErrBadEncoding = errors.New("sketchcore: bad encoding")
 
 // occupancyScan is the single occupancy-guided walk behind wire-size and
 // occupancy accounting: unoccupied 64-slot spans contribute their zero-run
@@ -134,7 +130,7 @@ func (a *Arena) decodeCells(data []byte, replace bool) ([]byte, Digest, error) {
 	})
 	d := cd.digest()
 	if err != nil {
-		return nil, d, fmt.Errorf("%w: %v", ErrBadEncoding, err)
+		return nil, d, fmt.Errorf("sketchcore: %w", err)
 	}
 	return rest, d, nil
 }

@@ -2,7 +2,6 @@ package sparserec
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"graphsketch/internal/hashing"
@@ -14,9 +13,6 @@ import (
 // tagged run-length cell payload, with the fingerprint base reconstructed
 // from the seed.
 var srkMagic = [4]byte{'S', 'R', 'K', '2'}
-
-// ErrBadEncoding is returned for corrupt or incompatible encodings.
-var ErrBadEncoding = errors.New("sparserec: bad encoding")
 
 // cellAt serves wire.AppendRuns/RunsSize over the sketch's row-major cells.
 func (s *Sketch) cellAt(i int) (int64, int64, uint64) {
@@ -51,7 +47,7 @@ func (s *Sketch) decodeCells(data []byte, merge bool) ([]byte, error) {
 		}
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadEncoding, err)
+		return nil, fmt.Errorf("sparserec: %w", err)
 	}
 	return rest, nil
 }
@@ -111,40 +107,40 @@ func (s *Sketch) appendHeader(buf []byte) []byte {
 // envelope.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if len(data) < 36 || [4]byte(data[0:4]) != srkMagic {
-		return ErrBadEncoding
+		return fmt.Errorf("sparserec: no SRK2 header: %w", wire.ErrBadEncoding)
 	}
 	k := int(binary.LittleEndian.Uint64(data[4:]))
 	seed := binary.LittleEndian.Uint64(data[12:])
 	rows := int(binary.LittleEndian.Uint64(data[20:]))
 	m := int(binary.LittleEndian.Uint64(data[28:]))
 	if k < 1 || k > 1<<20 || rows < 1 || rows > 64 || m < 1 || m > 1<<24 {
-		return fmt.Errorf("%w: implausible shape k=%d rows=%d m=%d", ErrBadEncoding, k, rows, m)
+		return fmt.Errorf("sparserec: implausible shape k=%d rows=%d m=%d: %w", k, rows, m, wire.ErrBadEncoding)
 	}
 	if err := CheckBankBudget(1, k, 1); err != nil {
 		return err
 	}
 	fresh := New(k, seed)
 	if fresh.rows != rows || fresh.m != m {
-		return fmt.Errorf("%w: shape mismatch for k=%d", ErrBadEncoding, k)
+		return fmt.Errorf("sparserec: shape mismatch for k=%d: %w", k, wire.ErrBadEncoding)
 	}
 	rest, err := fresh.DecodeCells(data[36:])
 	if err != nil {
 		return err
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, len(rest))
+		return fmt.Errorf("sparserec: %d trailing bytes: %w", len(rest), wire.ErrBadEncoding)
 	}
 	*s = *fresh
 	return nil
 }
 
-// CheckBankBudget reports ErrBadEncoding when copies banks of n sketches
+// CheckBankBudget reports wire.ErrBadEncoding when copies banks of n sketches
 // with budget k would exceed the wire decode cell budget: the check an
 // envelope decoder makes on header-declared shapes before building them.
 func CheckBankBudget(n, k, copies int) error {
 	rows, m := tableShape(k)
 	if err := wire.CheckCellBudget(int64(copies), int64(n), int64(rows), int64(m)); err != nil {
-		return fmt.Errorf("%w: declared shape exceeds decode budget", ErrBadEncoding)
+		return fmt.Errorf("sparserec: declared shape exceeds decode budget: %w", wire.ErrBadEncoding)
 	}
 	return nil
 }
@@ -184,7 +180,7 @@ func (b *Bank) decodeState(data []byte, merge bool) ([]byte, error) {
 		b.markNode(i / rowCells)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadEncoding, err)
+		return nil, fmt.Errorf("sparserec: %w", err)
 	}
 	return rest, nil
 }

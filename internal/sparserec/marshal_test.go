@@ -2,7 +2,10 @@ package sparserec
 
 import (
 	"errors"
+	"strings"
 	"testing"
+
+	"graphsketch/internal/wire"
 )
 
 func TestMarshalRoundTrip(t *testing.T) {
@@ -41,8 +44,8 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 		"retired tag":   append(append(append([]byte{}, enc[:36]...), 0x00), enc[37:]...),
 		"implausible k": append(append([]byte{}, enc[:4]...), make([]byte, 32)...),
 	} {
-		if err := back.UnmarshalBinary(bad); !errors.Is(err, ErrBadEncoding) {
-			t.Fatalf("%s: UnmarshalBinary = %v, want ErrBadEncoding", name, err)
+		if err := back.UnmarshalBinary(bad); !errors.Is(err, wire.ErrBadEncoding) || !strings.HasPrefix(err.Error(), "sparserec: ") {
+			t.Fatalf("%s: UnmarshalBinary = %v, want a sparserec: wire.ErrBadEncoding", name, err)
 		}
 	}
 }

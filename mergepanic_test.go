@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"graphsketch/internal/l0"
@@ -192,8 +193,8 @@ func TestWireErrorSurface(t *testing.T) {
 		}
 		srk1 := append([]byte("SRK1"), srk[4:]...)
 		var back sparserec.Sketch
-		if err := back.UnmarshalBinary(srk1); !errors.Is(err, sparserec.ErrBadEncoding) {
-			t.Fatalf("SRK1: %v, want sparserec.ErrBadEncoding", err)
+		if err := back.UnmarshalBinary(srk1); !errors.Is(err, wire.ErrBadEncoding) || !strings.HasPrefix(err.Error(), "sparserec: ") {
+			t.Fatalf("SRK1: %v, want a sparserec: wire.ErrBadEncoding", err)
 		}
 		for _, legacy := range [][]byte{
 			append([]byte("AGM2"), payload[4:]...),
