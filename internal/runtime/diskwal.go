@@ -438,6 +438,15 @@ func (w *DiskWAL) Recover(factory Factory) (Sketch, int, error) {
 	return w.mem.recover(factory)
 }
 
+// Suffix returns the updates appended since stream position from, exactly
+// as they were appended, so that a sketch at from that applies them lands
+// on DurableUpdates(). It reads the mirror, which holds only bytes already
+// written to the log file. The error wraps ErrNoSuffix when no such list
+// exists: from is before the snapshot or past the end of the log, from is
+// not a record boundary, or a compacted record (one replaying fewer
+// updates than the positions it spans) lies after from.
+func (w *DiskWAL) Suffix(from int) ([]stream.Update, error) { return w.mem.suffix(from) }
+
 // VerifyDisk is the scrubber's at-rest integrity check: it re-reads
 // snapshot.bin and wal.log from disk and compares them byte-for-byte
 // against the in-memory mirror (which wrote them), re-validating the

@@ -290,3 +290,91 @@ func TestDiskWALCompactWriteError(t *testing.T) {
 		t.Fatalf("disk and mirror diverged after a failed compact: %v", err)
 	}
 }
+
+// TestDiskWALSuffix: the suffix reader returns exactly the updates appended
+// after a record boundary, survives a reopen, and refuses every position it
+// cannot serve exactly: inside a record, before the snapshot, past the end,
+// and before a compacted record.
+func TestDiskWALSuffix(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenDiskWAL(dir, 16, DiskConfig{Policy: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := []stream.Update{{U: 1, V: 2, Delta: 1}, {U: 3, V: 4, Delta: 2}}
+	b := []stream.Update{{U: 1, V: 2, Delta: -1}, {U: 5, V: 6, Delta: 1}, {U: 7, V: 8, Delta: -3}}
+	c := []stream.Update{{U: 9, V: 10, Delta: 1}}
+	for _, ups := range [][]stream.Update{a, b, c} {
+		if err := w.Append(ups); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat := func(parts ...[]stream.Update) []stream.Update {
+		var out []stream.Update
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	exact := func(w *DiskWAL, from int, want []stream.Update) {
+		t.Helper()
+		got, err := w.Suffix(from)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Suffix(%d) = %v, %v; want %v", from, got, err, want)
+		}
+	}
+	gone := func(w *DiskWAL, from int) {
+		t.Helper()
+		if got, err := w.Suffix(from); !errors.Is(err, ErrNoSuffix) {
+			t.Fatalf("Suffix(%d) = %v, %v; want ErrNoSuffix", from, got, err)
+		}
+	}
+	exact(w, 0, cat(a, b, c))
+	exact(w, 2, cat(b, c))
+	exact(w, 5, c)
+	exact(w, 6, nil)
+	gone(w, 1)
+	gone(w, 4)
+	gone(w, 7)
+	gone(w, -1)
+
+	// A reopen replays the same records, so the boundaries survive it.
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w, err = OpenDiskWAL(dir, 16, DiskConfig{Policy: FsyncNever}); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { w.Close() }()
+	exact(w, 2, cat(b, c))
+
+	// The snapshot covers [0, 6): only positions from 6 on have a suffix.
+	if err := w.Snapshot(&recSketch{ups: cat(a, b, c)}); err != nil {
+		t.Fatal(err)
+	}
+	d := []stream.Update{{U: 3, V: 4, Delta: -2}, {U: 11, V: 12, Delta: 1}}
+	e := []stream.Update{{U: 11, V: 12, Delta: -1}}
+	for _, ups := range [][]stream.Update{d, e} {
+		if err := w.Append(ups); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gone(w, 2)
+	gone(w, 5)
+	exact(w, 6, cat(d, e))
+	exact(w, 8, e)
+
+	// Compaction folds d and e into one record of one update spanning three
+	// positions: nothing from 6 on can be served, but the end still can.
+	if err := w.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	gone(w, 6)
+	gone(w, 8)
+	exact(w, 9, nil)
+	if err := w.Append(c); err != nil {
+		t.Fatal(err)
+	}
+	exact(w, 9, c)
+	gone(w, 6)
+}

@@ -29,6 +29,11 @@ var ErrWALCorrupt = errors.New("wal: corrupt record (bit-rot, not torn tail)")
 // (the next Append retries it before it writes).
 var ErrTookEffect = errors.New("wal: took effect, but did not finish")
 
+// ErrNoSuffix reports that the log cannot give the exact updates after a
+// position: the snapshot covers it, it falls inside a record, or a
+// compacted record lies between it and the end of the log.
+var ErrNoSuffix = errors.New("wal: no exact log suffix from that position")
+
 // recStatus classifies one framed-record decode.
 type recStatus int
 
@@ -138,6 +143,33 @@ func (w *mirror) replayLog() (all []stream.Update, endPos, validLen int, corrupt
 		data = rest
 	}
 	return all, endPos, validLen, false
+}
+
+// suffix returns the updates of the records covering [from, pos), in log
+// order. See DiskWAL.Suffix for when there is none.
+func (w *mirror) suffix(from int) ([]stream.Update, error) {
+	if from < w.snapPos || from > w.pos {
+		return nil, fmt.Errorf("wal: position %d outside the log [%d, %d]: %w", from, w.snapPos, w.pos, ErrNoSuffix)
+	}
+	var out []stream.Update
+	at := w.snapPos
+	for data := w.log; len(data) > 0; {
+		ups, pos, rest, status := decodeBatch(data)
+		if status != recOK {
+			return nil, fmt.Errorf("wal: log suffix at position %d: %w", at, ErrWALCorrupt)
+		}
+		switch {
+		case pos <= from:
+		case at < from:
+			return nil, fmt.Errorf("wal: position %d is inside the record [%d, %d): %w", from, at, pos, ErrNoSuffix)
+		case pos-at != len(ups):
+			return nil, fmt.Errorf("wal: record [%d, %d) is compacted to %d updates: %w", at, pos, len(ups), ErrNoSuffix)
+		default:
+			out = append(out, ups...)
+		}
+		at, data = pos, rest
+	}
+	return out, nil
 }
 
 // installSnapshot replaces the state wholesale with a validated sealed

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 
 	"graphsketch"
 	"graphsketch/internal/core/mincut"
@@ -98,6 +99,32 @@ func (b *Bundle) UpdateBatch(ups []stream.Update) {
 	b.mc.UpdateBatch(ups)
 	b.sp.UpdateBatch(ups)
 	b.appendLog(ups)
+}
+
+// updateVerified applies ups and keeps them only if the manifest root then
+// equals root; otherwise it undoes them and returns ErrDigestMismatch. It
+// returns the undo for a caller whose next step (making the batch durable)
+// can still fail. The undo is exact: the sketches are linear, so the negated
+// batch returns every cell and maintained digest to its old value, and the
+// spanner log is put back as it was. A delta of math.MinInt64 has no
+// negation; decodeLogSuffix refuses one.
+func (b *Bundle) updateVerified(ups []stream.Update, root uint64) (undo func(), err error) {
+	spLog, coalesced, logDig, pristine := slices.Clone(b.spLog), b.coalesced, b.logDig, b.pristine
+	b.UpdateBatch(ups)
+	undo = func() {
+		neg := make([]stream.Update, len(ups))
+		for i, u := range ups {
+			neg[i] = stream.Update{U: u.U, V: u.V, Delta: -u.Delta}
+		}
+		b.mc.UpdateBatch(neg)
+		b.sp.UpdateBatch(neg)
+		b.spLog, b.coalesced, b.logDig, b.pristine = spLog, coalesced, logDig, pristine
+	}
+	if got := b.manifest().Root(); got != root {
+		undo()
+		return nil, fmt.Errorf("service: log suffix leads to root %016x, the peer served %016x: %w", got, root, ErrDigestMismatch)
+	}
+	return undo, nil
 }
 
 // appendLog appends a batch to the spanner log, moving its chunks' digests.

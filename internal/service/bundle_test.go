@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -177,4 +178,27 @@ func TestBundleSpannerPanicsOnCorruptLog(t *testing.T) {
 		}
 	}()
 	b.Spanner()
+}
+
+// TestUpdateBatchScratchHeap pins the per-arena ApplyPlan scratch to the
+// batch: the first 256-update batch into a serve-default bundle (about 1,440
+// arenas) may grow the live heap by at most 16 MB. Scratch sized to the
+// kernel's 4,096-edge chunk in every arena cost about 165 MB here.
+func TestUpdateBatchScratchHeap(t *testing.T) {
+	cfg, _, toggles := publishFixture()
+	b := NewBundle(cfg)
+	heap := func() uint64 {
+		var ms goruntime.MemStats
+		goruntime.GC()
+		goruntime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	b.UpdateBatch(toggles)
+	grown := int64(heap()) - int64(before)
+	goruntime.KeepAlive(b)
+	t.Logf("first %d-update batch grew the heap by %.1f MB", len(toggles), float64(grown)/(1<<20))
+	if grown > 16<<20 {
+		t.Fatalf("first %d-update batch grew the heap by %.1f MB, want at most 16 MB", len(toggles), float64(grown)/(1<<20))
+	}
 }

@@ -490,6 +490,18 @@ func (c *Client) PayloadBanksAt(tenant string, banks []int) (sealed []byte, pos 
 		}
 		path += "?banks=" + strings.Join(ids, ",")
 	}
+	return c.stamped(path)
+}
+
+// LogAt pulls the tenant's log suffix since position from: the sealed batch
+// and the position, epoch and manifest root the peer's state had at its end.
+// A peer with no exact suffix answers 410, returned as the server's error.
+func (c *Client) LogAt(tenant string, from int) (sealed []byte, pos int, epoch uint64, root uint64, err error) {
+	return c.stamped(fmt.Sprintf("/v1/tenants/%s/log?from=%d", tenant, from))
+}
+
+// stamped GETs a sealed body and the X-Gsketch-* stamps that describe it.
+func (c *Client) stamped(path string) (sealed []byte, pos int, epoch uint64, root uint64, err error) {
 	var raw []byte
 	hdr, err := c.ladder(http.MethodGet, path, nil, &raw, classify)
 	if err != nil {
@@ -497,7 +509,7 @@ func (c *Client) PayloadBanksAt(tenant string, banks []int) (sealed []byte, pos 
 	}
 	pos, err = strconv.Atoi(hdr.Get("X-Gsketch-Pos"))
 	if err != nil {
-		return nil, 0, 0, 0, fmt.Errorf("service: payload missing position stamp: %w", err)
+		return nil, 0, 0, 0, fmt.Errorf("service: %s missing position stamp: %w", path, err)
 	}
 	epoch, _ = strconv.ParseUint(hdr.Get("X-Gsketch-Epoch"), 10, 64)
 	root, _ = strconv.ParseUint(hdr.Get("X-Gsketch-Root"), 16, 64)

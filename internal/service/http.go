@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"graphsketch"
+	"graphsketch/internal/runtime"
 	"graphsketch/internal/stream"
 	"graphsketch/internal/wire"
 )
@@ -175,6 +176,8 @@ type MetricsResponse struct {
 	SyncDeltaPulls     int64            `json:"sync_delta_pulls"`
 	SyncDeltaBytes     int64            `json:"sync_delta_bytes"`
 	SyncDeltaFullBytes int64            `json:"sync_delta_full_bytes"`
+	SyncLogPulls       int64            `json:"sync_log_pulls"`
+	WALSnapshotFailed  int64            `json:"wal_snapshot_failed"`
 	Quarantined        []string         `json:"quarantined,omitempty"`
 	SyncPeers          []PeerSyncStatus `json:"sync_peers,omitempty"`
 	Tenants            []string         `json:"tenants"`
@@ -193,6 +196,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/tenants/{tenant}/sync", s.handleSync)
 	mux.HandleFunc("POST /v1/tenants/{tenant}/flush", s.handleFlush)
 	mux.HandleFunc("GET /v1/tenants/{tenant}/payload", s.handlePayload)
+	mux.HandleFunc("GET /v1/tenants/{tenant}/log", s.handleLog)
 	mux.HandleFunc("GET /v1/tenants/{tenant}/position", s.handlePosition)
 	mux.HandleFunc("GET /v1/tenants/{tenant}/query/{op}", s.handleQuery)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -236,6 +240,9 @@ func (s *Server) httpStatus(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, ErrDigestMismatch):
 		return http.StatusBadRequest
+	case errors.Is(err, runtime.ErrNoSuffix):
+		// No exact log suffix: the caller pulls banks or the full payload.
+		return http.StatusGone
 	case errors.Is(err, errKilledQueued):
 		// Like a deadline, the outcome is unknown: not a refusal.
 		return http.StatusGatewayTimeout
@@ -381,6 +388,31 @@ func (s *Server) handlePayload(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
+	writeStamped(w, sealed, pos, epoch, root)
+}
+
+// handleLog serves the tenant's log suffix since ?from=P: the updates as one
+// sealed batch, and in the X-Gsketch-* headers the live position, epoch and
+// manifest root they lead to, so the puller can verify what it applies. 410
+// Gone when there is no exact suffix or it outweighs the snapshot.
+func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query().Get("from")
+	from, err := strconv.Atoi(q)
+	if err != nil || from < 0 {
+		s.fail(w, fmt.Errorf("bad from=%q: %w", q, wire.ErrBadEncoding))
+		return
+	}
+	sealed, pos, epoch, root, err := s.LogSuffix(r.Context(), r.PathValue("tenant"), from)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	writeStamped(w, sealed, pos, epoch, root)
+}
+
+// writeStamped writes a sealed body with the position, epoch and manifest
+// root of the state it describes or leads to.
+func writeStamped(w http.ResponseWriter, sealed []byte, pos int, epoch, root uint64) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Gsketch-Pos", fmt.Sprint(pos))
 	w.Header().Set("X-Gsketch-Epoch", fmt.Sprint(epoch))
@@ -533,6 +565,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		SyncDeltaPulls:     s.met.SyncDeltaPulls.Load(),
 		SyncDeltaBytes:     s.met.SyncDeltaBytes.Load(),
 		SyncDeltaFullBytes: s.met.SyncDeltaFullBytes.Load(),
+		SyncLogPulls:       s.met.SyncLogPulls.Load(),
+		WALSnapshotFailed:  s.met.WALSnapshotFailed.Load(),
 		Quarantined:        s.QuarantinedTenants(),
 		SyncPeers:          s.peerSyncStatus(),
 		Tenants:            s.TenantNames(),

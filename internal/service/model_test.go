@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,10 +77,14 @@ type modelRun struct {
 	cfg    Config // a's; Dir survives reopen
 	a, b   *Server
 	bpos   int
+	bLog   peerLog
 	m      modelTenant
 	oracle *prefixOracle
 	cells  map[string]int // (full|banks)/(healthy|fenced) installs applied, across seeds
-	ctx    context.Context
+	// logCells counts log-pull outcomes across seeds: applied, and each
+	// reason a pull is refused.
+	logCells map[string]int
+	ctx      context.Context
 	// ackedDrop is set by the two ops allowed to move Acked() backward.
 	ackedDrop bool
 	lastAcked int
@@ -242,12 +247,190 @@ func (r *modelRun) ingest(rightAt bool) string {
 
 func (r *modelRun) ingestPeer() string {
 	k := 1 + r.rng.Intn(20)
+	r.ingestPeerK(k)
+	return fmt.Sprintf("peer-ingest(k=%d)", k)
+}
+
+// ingestPeerK feeds the peer its next k updates.
+func (r *modelRun) ingestPeerK(k int) {
 	got, err := r.b.Ingest(r.ctx, modelTenantName, r.bpos, r.oracle.st.Updates[r.bpos:r.bpos+k])
 	if err != nil || got != r.bpos+k {
 		r.t.Fatalf("peer ingest: got %d err %v", got, err)
 	}
 	r.bpos += k
-	return fmt.Sprintf("peer-ingest(k=%d)", k)
+	r.bLog.appended(r.bpos, k, r.cfg.SnapshotEvery)
+}
+
+// peerLog models the peer's WAL as far as a log pull can see it: where its
+// snapshot is, how many updates it has logged since (its SnapshotEvery
+// counter), the record boundaries after the snapshot, and the end of a
+// compacted record, if one is in the log.
+type peerLog struct {
+	snap, since int
+	bounds      map[int]bool
+	compactEnd  int
+}
+
+func newPeerLog() peerLog { return peerLog{bounds: map[int]bool{0: true}} }
+
+// appended records one ingest on the peer ending at pos.
+func (l *peerLog) appended(pos, k, snapshotEvery int) {
+	if l.since += k; l.since >= snapshotEvery {
+		*l = peerLog{snap: pos, bounds: map[int]bool{pos: true}}
+		return
+	}
+	l.bounds[pos] = true
+}
+
+// gone names why the peer has no exact suffix from position from ("" when
+// it has one).
+func (l *peerLog) gone(from, bpos int) string {
+	switch {
+	case from > bpos:
+		return "gone/ahead"
+	case from < l.snap:
+		return "gone/snapshot"
+	case !l.bounds[from]:
+		return "gone/boundary"
+	case from < l.compactEnd:
+		return "gone/compacted"
+	}
+	return ""
+}
+
+// compact compacts the peer's log, as DiskWAL.Compact does: its records
+// become one coalesced record, which counts as compacted when it replays
+// fewer updates than it spans.
+func (r *modelRun) compactPeer() {
+	t, err := r.b.Tenant(modelTenantName, false)
+	if err != nil {
+		r.t.Fatalf("peer tenant: %v", err)
+	}
+	if _, err := t.submit(r.ctx, op{reply: make(chan opResult, 1), fn: func(w *runtime.DiskWAL, _ *Bundle) error { return w.Compact() }}); err != nil {
+		r.t.Fatalf("peer compact: %v", err)
+	}
+	l := &r.bLog
+	if r.bpos == l.snap {
+		return
+	}
+	co := (&stream.Stream{N: r.oracle.st.N, Updates: r.oracle.st.Updates[l.snap:r.bpos]}).Coalesce()
+	l.bounds = map[int]bool{l.snap: true, r.bpos: true}
+	if len(co.Updates) != r.bpos-l.snap {
+		l.compactEnd = r.bpos
+	}
+}
+
+// mergedPeer returns a fresh server whose tenant holds the stream's first
+// from updates, then a merged payload (snapshotted at from), then k more
+// updates: a peer whose log from `from` is exact, but whose state is not the
+// prefix state the subject holds there.
+func (r *modelRun) mergedPeer(from, k int) *Server {
+	cfg := r.cfg
+	cfg.Dir = r.t.TempDir()
+	c := r.open(cfg)
+	if from > 0 {
+		if _, err := c.Ingest(r.ctx, modelTenantName, 0, r.oracle.st.Updates[:from]); err != nil {
+			r.t.Fatalf("merged peer ingest: %v", err)
+		}
+	}
+	other := NewBundle(cfg.Bundle)
+	other.UpdateBatch([]stream.Update{{U: 0, V: 1, Delta: 1}})
+	payload, err := other.MarshalBinaryCompact()
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if _, err := c.Merge(r.ctx, modelTenantName, SealPayload(payload)); err != nil {
+		r.t.Fatalf("merged peer merge: %v", err)
+	}
+	if _, err := c.Ingest(r.ctx, modelTenantName, from, r.oracle.st.Updates[from:from+k]); err != nil {
+		r.t.Fatalf("merged peer suffix: %v", err)
+	}
+	return c
+}
+
+// logPull pulls the peer's log from the subject's position — honest, with a
+// body byte flipped and re-sealed, with a lying root ("lie"), after
+// compacting the peer's log, or from a peer that merged at that position —
+// and lands it.
+func (r *modelRun) logPull(fault string) string {
+	from := r.m.pos
+	if from > r.bpos && fault != "merge" && r.rng.Intn(2) == 0 {
+		// Half the time a peer that is behind first catches up past the
+		// subject, with a record boundary at the subject's position.
+		r.ingestPeerK(from - r.bpos)
+		r.ingestPeerK(1 + r.rng.Intn(8))
+	}
+	peer, bpos := r.b, r.bpos
+	switch fault {
+	case "compacted":
+		r.compactPeer()
+	case "merge":
+		k := 1 + r.rng.Intn(8)
+		peer, bpos = r.mergedPeer(from, k), from+k
+		defer peer.Kill()
+	}
+	step := fmt.Sprintf("log-pull(from=%d,peer=%d,fault=%q)", from, bpos, fault)
+	sealed, pos, epoch, root, err := peer.LogSuffix(r.ctx, modelTenantName, from)
+	want := ""
+	if fault != "merge" {
+		want = r.bLog.gone(from, bpos)
+	}
+	if want != "" {
+		if !errors.Is(err, runtime.ErrNoSuffix) {
+			r.t.Fatalf("%s: err %v, want ErrNoSuffix (%s)", step, err, want)
+		}
+		r.logCells[want]++
+		return step
+	}
+	if err != nil || pos != bpos {
+		r.t.Fatalf("%s: served pos %d err %v, want %d", step, pos, err, bpos)
+	}
+	switch fault {
+	case "flip":
+		payload, err := DecodeSealed(sealed)
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		payload = bytes.Clone(payload)
+		// Every byte of a short batch over 8 vertices is a one-byte varint
+		// below 64: flipping 0x40 puts a vertex out of range, miscounts the
+		// batch, or changes a delta.
+		payload[r.rng.Intn(len(payload))] ^= 0x40
+		sealed = SealPayload(payload)
+	case "lie":
+		root ^= 0xdeadbeef
+	}
+
+	before := r.observe()
+	_, applied, err := r.a.installLog(r.ctx, modelTenantName, from, pos, epoch, root, sealed)
+	switch {
+	case r.m.fenced:
+		if !errors.Is(err, ErrQuarantined) {
+			r.t.Fatalf("%s on fenced tenant: applied %v err %v", step, applied, err)
+		}
+		r.unchanged(step, before)
+	case fault == "flip" || (pos > from && (fault == "lie" || fault == "merge")):
+		if err == nil || applied {
+			r.t.Fatalf("%s: damaged suffix accepted", step)
+		}
+		if fault != "flip" && !errors.Is(err, ErrDigestMismatch) {
+			r.t.Fatalf("%s: err %v, want ErrDigestMismatch", step, err)
+		}
+		r.unchanged(step, before)
+		r.logCells["reject/"+fault]++
+	case pos == from:
+		if err != nil || applied {
+			r.t.Fatalf("%s: empty suffix: applied %v err %v, want a skip", step, applied, err)
+		}
+		r.unchanged(step, before)
+	default:
+		if err != nil || !applied {
+			r.t.Fatalf("%s: applied %v err %v", step, applied, err)
+		}
+		r.m.pos = pos
+		r.logCells["applied"]++
+	}
+	return step
 }
 
 // install pulls the peer's payload — every bank, the banks that differ, or
@@ -388,8 +571,11 @@ func (r *modelRun) reopen() string {
 	return "reopen"
 }
 
+// logFaults weights the log-pull op's variants: "" is an honest pull.
+var logFaults = strings.Split(",,,,,,,,,,flip,flip,flip,flip,lie,lie,lie,compacted,compacted,compacted,compacted,merge,merge,merge,merge", ",")
+
 func (r *modelRun) step() string {
-	switch p := r.rng.Intn(100); {
+	switch p := r.rng.Intn(125); {
 	case p < 20:
 		return r.ingest(true)
 	case p < 27:
@@ -409,8 +595,10 @@ func (r *modelRun) step() string {
 		return r.rot()
 	case p < 94:
 		return r.flush()
-	default:
+	case p < 100:
 		return r.reopen()
+	default:
+		return r.logPull(logFaults[p-100])
 	}
 }
 
@@ -422,7 +610,7 @@ func TestTenantStateMachine(t *testing.T) {
 	// One fixed stream for every seed; long enough that no run exhausts it.
 	st := stream.GNP(bcfg.N, 0.5, 99).WithChurn(1200, 98)
 	oracle := newPrefixOracle(bcfg, st)
-	cells := map[string]int{}
+	cells, logCells := map[string]int{}, map[string]int{}
 	for seed := int64(1); seed <= seeds; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			cfg := Config{
@@ -432,7 +620,7 @@ func TestTenantStateMachine(t *testing.T) {
 				Fsync:         runtime.FsyncNever,
 				QueryTimeout:  time.Minute,
 			}
-			r := &modelRun{t: t, rng: rand.New(rand.NewSource(seed)), oracle: oracle, cells: cells, ctx: context.Background()}
+			r := &modelRun{t: t, rng: rand.New(rand.NewSource(seed)), oracle: oracle, cells: cells, logCells: logCells, bLog: newPeerLog(), ctx: context.Background()}
 			r.cfg = cfg
 			r.cfg.Dir = t.TempDir()
 			r.a = r.open(r.cfg)
@@ -450,4 +638,10 @@ func TestTenantStateMachine(t *testing.T) {
 		}
 	}
 	t.Logf("installs applied per cell: %v", cells)
+	for _, cell := range []string{"applied", "reject/flip", "reject/lie", "reject/merge", "gone/snapshot", "gone/boundary", "gone/compacted", "gone/ahead"} {
+		if logCells[cell] == 0 {
+			t.Errorf("log-pull outcome %s never seen: %v", cell, logCells)
+		}
+	}
+	t.Logf("log-pull outcomes: %v", logCells)
 }

@@ -24,6 +24,12 @@ func newReplicaNode(t *testing.T, dir string) *replicaNode {
 	if dir != "" {
 		cfg.Dir = dir
 	}
+	return startNode(t, cfg)
+}
+
+// startNode opens a server on cfg, recovers it and serves it over HTTP.
+func startNode(t *testing.T, cfg Config) *replicaNode {
+	t.Helper()
 	s, err := NewServer(cfg)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -122,6 +123,11 @@ type Metrics struct {
 	SyncDeltaPulls     atomic.Int64
 	SyncDeltaBytes     atomic.Int64
 	SyncDeltaFullBytes atomic.Int64
+	// SyncLogPulls counts the delta pulls that were log suffixes (the log
+	// rung). WALSnapshotFailed counts periodic snapshots that failed before
+	// their rename; the next is tried one SnapshotEvery later.
+	SyncLogPulls      atomic.Int64
+	WALSnapshotFailed atomic.Int64
 }
 
 // Epoch is one published point-in-time snapshot: a bundle clone frozen at
@@ -249,10 +255,20 @@ func (t *tenant) clearQuarantine() {
 type op struct {
 	ups      []stream.Update
 	expectAt int // required current position, -1 to skip the check
+	// pull marks ups as a peer's log suffix, kept only if it reproduces the
+	// peer's root (see tenant.appendPulled).
+	pull *logPull
 	// fn runs serialized with ingest in the writer goroutine (merge,
 	// payload capture, forced flush). Exactly one of ups/fn is set.
 	fn    func(w *runtime.DiskWAL, live *Bundle) error
 	reply chan opResult
+}
+
+// logPull is what a peer served with a log suffix: the manifest root and
+// epoch of its state at the end of the suffix, and the sealed body's size.
+type logPull struct {
+	root, epoch uint64
+	bytes       int
 }
 
 type opResult struct {
@@ -484,7 +500,10 @@ func (t *tenant) run(wal *runtime.DiskWAL, live *Bundle) {
 }
 
 // apply executes one op in the writer goroutine. Ingest is WAL-first: the
-// append must be durable before the sketch moves or the ack is sent.
+// append must be durable before the sketch moves or the ack is sent. A
+// pulled log suffix is the one exception, verified before it is durable
+// (appendPulled); after that both take the same snapshot, publish and
+// finish tail, so pulled updates count toward SnapshotEvery and EpochEvery.
 func (t *tenant) apply(o op, wal *runtime.DiskWAL, live *Bundle, sinceSnap, sincePub *int) {
 	if o.fn != nil {
 		err := o.fn(wal, live)
@@ -496,26 +515,68 @@ func (t *tenant) apply(o op, wal *runtime.DiskWAL, live *Bundle, sinceSnap, sinc
 		o.reply <- opResult{pos: wal.DurableUpdates(), err: ErrPositionConflict}
 		return
 	}
-	if err := wal.Append(o.ups); err != nil {
+	var err error
+	if o.pull != nil {
+		err = t.appendPulled(wal, live, o.ups, o.pull)
+	} else if err = wal.Append(o.ups); err == nil {
+		live.UpdateBatch(o.ups)
+	}
+	if err != nil {
 		o.reply <- opResult{pos: wal.DurableUpdates(), err: err}
 		return
 	}
-	live.UpdateBatch(o.ups)
 	*sinceSnap += len(o.ups)
 	*sincePub += len(o.ups)
 	if *sinceSnap >= t.srv.cfg.SnapshotEvery {
-		if err := wal.Snapshot(live); err == nil || errors.Is(err, runtime.ErrTookEffect) {
-			*sinceSnap = 0
+		// A snapshot that failed before its rename left the log whole, so
+		// nothing is lost: count it and try again a full interval later
+		// rather than paying a whole-state marshal on every batch.
+		if err := wal.Snapshot(live); err != nil && !errors.Is(err, runtime.ErrTookEffect) {
+			t.srv.met.WALSnapshotFailed.Add(1)
 		}
+		*sinceSnap = 0
 	}
 	if *sincePub >= t.srv.cfg.EpochEvery {
 		t.publish(wal, live)
 		*sincePub = 0
 	}
 	t.finish(wal, live)
-	t.srv.met.IngestBatches.Add(1)
-	t.srv.met.IngestUpdates.Add(int64(len(o.ups)))
+	if o.pull == nil {
+		t.srv.met.IngestBatches.Add(1)
+		t.srv.met.IngestUpdates.Add(int64(len(o.ups)))
+	}
 	o.reply <- opResult{pos: wal.DurableUpdates()}
+}
+
+// appendPulled lands a peer's log suffix in verify-before-durable order: ups
+// are applied in memory, and appended to the WAL only if the live manifest
+// root then equals the root the peer served with them. On a mismatch or a
+// failed append they are undone (Bundle.updateVerified), so a refused suffix
+// leaves state, WAL and position as they were. A fenced tenant takes none:
+// its repair is a verified install.
+func (t *tenant) appendPulled(wal *runtime.DiskWAL, live *Bundle, ups []stream.Update, p *logPull) error {
+	if t.quarantined.Load() {
+		return fmt.Errorf("%w: %s", ErrQuarantined, t.QuarantineReason())
+	}
+	undo, err := live.updateVerified(ups, p.root)
+	if err != nil {
+		return err
+	}
+	if err := wal.Append(ups); err != nil {
+		undo()
+		return err
+	}
+	met := &t.srv.met
+	met.SyncApplied.Add(1)
+	met.SyncDeltaPulls.Add(1)
+	met.SyncLogPulls.Add(1)
+	met.SyncDeltaBytes.Add(int64(p.bytes))
+	// The last snapshot stands in for the full pull the suffix replaced.
+	met.SyncDeltaFullBytes.Add(int64(wal.SnapshotBytes()))
+	t.syncEpoch.Store(p.epoch)
+	t.replBytesPending.Store(0)
+	t.replEpochsBehind.Store(0)
+	return nil
 }
 
 // finish refreshes the tenant's cross-goroutine mirrors after any op.
@@ -579,6 +640,10 @@ func (s *Server) Ingest(ctx context.Context, tenantName string, expectAt int, up
 		s.met.IngestRejected.Add(1)
 		return 0, ErrDraining
 	}
+	if err := checkVertices(ups, s.cfg.Bundle.N); err != nil {
+		s.met.IngestRejected.Add(1)
+		return 0, err
+	}
 	t, err := s.Tenant(tenantName, true)
 	if err != nil {
 		s.met.IngestRejected.Add(1)
@@ -593,6 +658,18 @@ func (s *Server) Ingest(ctx context.Context, tenantName string, expectAt int, up
 		return 0, err
 	}
 	return t.submit(ctx, op{ups: ups, expectAt: expectAt, reply: make(chan opResult, 1)})
+}
+
+// checkVertices refuses a batch naming a vertex outside [0, n). The kernel
+// would panic on it, and once written to the WAL it would panic every
+// replay of the log too, so it is refused before it is queued.
+func checkVertices(ups []stream.Update, n int) error {
+	for i, u := range ups {
+		if u.U < 0 || u.U >= n || u.V < 0 || u.V >= n {
+			return fmt.Errorf("service: update %d: vertex (%d,%d) outside [0,%d): %w", i, u.U, u.V, n, wire.ErrBadEncoding)
+		}
+	}
+	return nil
 }
 
 // Merge folds a sealed bundle payload into a tenant (serialized with its
@@ -668,6 +745,42 @@ func (s *Server) PayloadBanks(ctx context.Context, tenantName string, banks []in
 		}
 		root = live.manifest().Root()
 		sealed = wire.Seal(b)
+		if ep := t.snap.Load(); ep != nil {
+			epoch = ep.Seq
+		}
+		return nil
+	}})
+	if err != nil {
+		return nil, 0, 0, 0, err
+	}
+	return sealed, pos, epoch, root, nil
+}
+
+// LogSuffix serves the tenant's log since stream position from, for a
+// peer's log rung: the updates as one sealed batch (EncodeUpdates), with the
+// live position, epoch and manifest root they lead to, all read in one
+// writer op. The error wraps runtime.ErrNoSuffix when the WAL has no exact
+// suffix from there (DiskWAL.Suffix) or when the suffix would be larger
+// than the last snapshot, so that a bank or full pull is the cheaper way. A
+// quarantined tenant serves nothing.
+func (s *Server) LogSuffix(ctx context.Context, tenantName string, from int) (sealed []byte, pos int, epoch, root uint64, err error) {
+	t, err := s.Tenant(tenantName, false)
+	if err != nil {
+		return nil, 0, 0, 0, err
+	}
+	if t.Quarantined() {
+		return nil, 0, 0, 0, fmt.Errorf("%w: %s", ErrQuarantined, t.QuarantineReason())
+	}
+	pos, err = t.submit(ctx, op{reply: make(chan opResult, 1), fn: func(w *runtime.DiskWAL, live *Bundle) error {
+		ups, err := w.Suffix(from)
+		if err != nil {
+			return err
+		}
+		sealed = EncodeUpdates(ups)
+		if snap := w.SnapshotBytes(); snap > 0 && len(sealed) > snap {
+			return fmt.Errorf("service: log suffix of %d bytes outweighs the %d-byte snapshot: %w", len(sealed), snap, runtime.ErrNoSuffix)
+		}
+		root = live.manifest().Root()
 		if ep := t.snap.Load(); ep != nil {
 			epoch = ep.Seq
 		}
@@ -879,6 +992,74 @@ func (t *tenant) install(w *runtime.DiskWAL, live *Bundle, pos int, epoch, root 
 		met.SyncDeltaFullBytes.Add(int64(len(durable)))
 	}
 	return true, durErr
+}
+
+// installLog lands a peer's log suffix (LogSuffix's answer to ?from=from)
+// on a healthy tenant at position from: decoded and checked like ingest,
+// then appended by the writer only if it reproduces root (appendPulled).
+// It reports whether state moved (false: an empty suffix). Any error leaves
+// the tenant as it was; the syncer then falls through to a bank or full
+// pull.
+func (s *Server) installLog(ctx context.Context, tenantName string, from, pos int, epoch, root uint64, sealed []byte) (acked int, applied bool, err error) {
+	if s.draining.Load() {
+		return 0, false, ErrDraining
+	}
+	t, err := s.Tenant(tenantName, false)
+	if err != nil {
+		return 0, false, err
+	}
+	if t.Quarantined() {
+		return 0, false, fmt.Errorf("%w: %s", ErrQuarantined, t.QuarantineReason())
+	}
+	ups, err := decodeLogSuffix(sealed, s.cfg.Bundle.N)
+	if err == nil && from+len(ups) != pos {
+		err = fmt.Errorf("service: %d updates from position %d cannot end at %d: %w", len(ups), from, pos, wire.ErrBadEncoding)
+	}
+	if err != nil {
+		s.met.SyncFailed.Add(1)
+		return 0, false, err
+	}
+	if len(ups) == 0 {
+		s.met.SyncSkipped.Add(1)
+		return t.Acked(), false, nil
+	}
+	if err := s.admit(t); err != nil {
+		return 0, false, err
+	}
+	acked, err = t.submit(ctx, op{ups: ups, expectAt: from, pull: &logPull{root: root, epoch: epoch, bytes: len(sealed)}, reply: make(chan opResult, 1)})
+	if err != nil {
+		s.met.SyncFailed.Add(1)
+		if errors.Is(err, ErrDigestMismatch) {
+			s.met.SyncDigestReject.Add(1)
+		}
+		return acked, false, err
+	}
+	return acked, true, nil
+}
+
+// decodeLogSuffix opens a log-suffix body and checks it for the log rung:
+// one sealed batch with nothing after it, every vertex in [0, n) (as ingest
+// checks), and no delta of math.MinInt64, whose negation overflows — the
+// rung undoes a refused suffix by negating it. Every error wraps
+// wire.ErrBadEncoding.
+func decodeLogSuffix(sealed []byte, n int) ([]stream.Update, error) {
+	payload, rest, err := wire.Open(sealed)
+	if err != nil {
+		return nil, fmt.Errorf("service: log suffix: %w", err)
+	}
+	ups, tail, err := stream.DecodeBatch(payload)
+	if err != nil {
+		return nil, fmt.Errorf("service: log suffix: %w", err)
+	}
+	if len(tail) != 0 || len(rest) != 0 {
+		return nil, fmt.Errorf("service: log suffix trailing bytes: %w", wire.ErrBadEncoding)
+	}
+	for i, u := range ups {
+		if u.Delta == math.MinInt64 {
+			return nil, fmt.Errorf("service: log suffix update %d: delta %d has no negation: %w", i, u.Delta, wire.ErrBadEncoding)
+		}
+	}
+	return ups, checkVertices(ups, n)
 }
 
 // Flush forces a WAL snapshot for a tenant (exposed for the drain path and

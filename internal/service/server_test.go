@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"graphsketch/internal/runtime"
 	"graphsketch/internal/stream"
+	"graphsketch/internal/wire"
 )
 
 func testConfig(t *testing.T) Config {
@@ -373,5 +375,118 @@ func TestMergeFailedSnapshotLeavesState(t *testing.T) {
 	}
 	if got, _, _ := state(); !bytes.Equal(got, SealPayload(want)) {
 		t.Fatal("the tenant does not hold exactly one fold of the payload")
+	}
+}
+
+// TestIngestRejectsOutOfRangeVertex: a batch naming a vertex outside [0, N)
+// is refused with a 400 before it is queued. Written to the WAL it would
+// panic the writer in the kernel, and every restart replaying the record
+// would panic again.
+func TestIngestRejectsOutOfRangeVertex(t *testing.T) {
+	cfg := testConfig(t)
+	s, c := newTestServer(t, cfg)
+	t.Cleanup(s.Kill)
+	st := bundleStream(36)
+	half := len(st.Updates) / 2
+	if _, err := c.Ingest("acme", 0, st.Updates[:half]); err != nil {
+		t.Fatal(err)
+	}
+	logPath := runtime.LogPath(s.tenantDir("acme"))
+	logBefore, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := cfg.Bundle.N
+	for _, bad := range [][]stream.Update{
+		{{U: 0, V: 1, Delta: 1}, {U: 2, V: n, Delta: 1}},
+		{{U: n + 7, V: 3, Delta: -1}},
+		{{U: -1, V: 3, Delta: 1}},
+	} {
+		_, err := c.Ingest("acme", half, bad)
+		var ae *apiError
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+			t.Fatalf("ingest of %v: err %v, want a 400", bad, err)
+		}
+		if _, err := s.Ingest(context.Background(), "acme", half, bad); !errors.Is(err, wire.ErrBadEncoding) {
+			t.Fatalf("Server.Ingest of %v: err %v, want ErrBadEncoding", bad, err)
+		}
+		if p, err := c.Position("acme"); err != nil || p != half {
+			t.Fatalf("position after a refused batch: %d err %v, want %d", p, err, half)
+		}
+		if logNow, err := os.ReadFile(logPath); err != nil || !bytes.Equal(logNow, logBefore) {
+			t.Fatalf("a refused batch reached the WAL (err %v)", err)
+		}
+	}
+	if got := s.met.IngestRejected.Load(); got != 6 {
+		t.Fatalf("IngestRejected = %d, want 6", got)
+	}
+	if pos, err := c.Ingest("acme", half, st.Updates[half:]); err != nil || pos != len(st.Updates) {
+		t.Fatalf("ingest after the refusals: pos %d err %v", pos, err)
+	}
+	if _, err := c.MinCut("acme"); err != nil {
+		t.Fatalf("query after the refusals: %v", err)
+	}
+}
+
+// TestPeriodicSnapshotFailureCounted: a periodic snapshot that fails before
+// its rename is counted in wal_snapshot_failed and retried at the next
+// SnapshotEvery boundary, not on every batch. Acks are unaffected, the log
+// keeps every update, and a reopen recovers them exactly.
+func TestPeriodicSnapshotFailureCounted(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.SnapshotEvery = 100
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Kill)
+	ctx := context.Background()
+	if _, err := s.Tenant("t", true); err != nil {
+		t.Fatal(err)
+	}
+	// A non-empty directory where the snapshot goes: every rename fails.
+	snap := runtime.SnapshotPath(s.tenantDir("t"))
+	if err := os.MkdirAll(filepath.Join(snap, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	st := bundleStream(37)
+	ups := st.Updates[:300]
+	for pos := 0; pos < len(ups); pos += 10 {
+		if got, err := s.Ingest(ctx, "t", pos, ups[pos:pos+10]); err != nil || got != pos+10 {
+			t.Fatalf("ingest at %d: acked %d err %v", pos, got, err)
+		}
+	}
+	if got := s.met.WALSnapshotFailed.Load(); got != 3 {
+		t.Fatalf("wal_snapshot_failed = %d after three SnapshotEvery boundaries, want 3", got)
+	}
+	_, _, snapBytes, replay, err := s.WALStats(ctx, "t")
+	if err != nil || snapBytes != 0 || replay != len(ups) {
+		t.Fatalf("WAL after failed snapshots: snapshot %d bytes, replay %d (err %v), want 0 and %d", snapBytes, replay, err, len(ups))
+	}
+
+	s.Kill()
+	if err := os.RemoveAll(snap); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s2.Kill)
+	if err := s2.Preload(); err != nil {
+		t.Fatal(err)
+	}
+	sealed, pos, _, err := s2.Payload(ctx, "t")
+	if err != nil || pos != len(ups) {
+		t.Fatalf("recovered at %d (err %v), want %d", pos, err, len(ups))
+	}
+	whole := NewBundle(cfg.Bundle)
+	whole.UpdateBatch(ups)
+	want, err := whole.MarshalBinaryCompact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := DecodeSealed(sealed); !bytes.Equal(got, want) {
+		t.Fatal("recovered state is not the state of the acked updates")
 	}
 }

@@ -61,21 +61,35 @@ type PeerSyncStatus struct {
 // Syncer is the anti-entropy loop that makes a serve instance a replica:
 // every round it probes each eligible peer for the tenants it serves,
 // their durable positions, and their digest-manifest roots, and wherever a
-// peer is ahead it converges — by pulling only the diverged banks when the
-// manifests mostly agree (delta anti-entropy), or the full epoch-stamped
-// payload otherwise — and installing it the way Server.SyncApply does.
-// Tenants quarantined by the integrity scrubber are repaired from the first
-// healthy peer by the same pull: for them any healthy peer counts as ahead.
+// peer is ahead it converges by the first rung of a ladder that works:
+//
+//  1. the log rung: a healthy tenant that is behind pulls the peer's log
+//     since its own position (GET …/log?from=P) and lands it through
+//     Server.installLog, which applies it in memory and makes it durable
+//     only if the result reproduces the manifest root served with it. The
+//     peer answers 410 when it has no exact suffix (P predates its
+//     snapshot, is not a record boundary, or a compacted record follows
+//     it) or when the suffix outweighs its snapshot;
+//  2. the bank rung: pull only the banks whose digests differ, when the
+//     manifests mostly agree;
+//  3. the full rung: pull the whole epoch-stamped payload.
+//
+// A 410, a suffix that does not decode and a root mismatch all fall through
+// to the bank rung in the same round, so the bank and full rungs are the
+// repair path: first contact, a replica behind a peer's snapshot, a merge
+// (which never enters the log), or divergence. Tenants quarantined by the
+// integrity scrubber skip the log rung and are repaired from the first
+// healthy peer by the same bank or full pull: for them any healthy peer
+// counts as ahead.
 //
 // The protocol needs nothing beyond pull + position dedup because the
 // payloads are linear-sketch states: a payload at position P is the
 // complete, canonical state of the stream prefix [0,P), so installing the
-// highest-position payload converges a follower in one round no matter
-// how many pulls it missed — there is no log shipping to catch up on and
-// no ordering to reconstruct. The digest tree strengthens that: every
-// install re-verifies the bytes against the root the peer advertised, and
-// a delta install additionally proves the assembled state reproduces that
-// root before anything is swapped in.
+// highest-position payload converges a follower in one round no matter how
+// many pulls it missed, and a state at P plus the log suffix after P is the
+// state at the suffix's end. The digest tree checks every rung: a log
+// suffix, a bank payload and a full payload alike land only if the state
+// they build reproduces the root the peer advertised.
 type Syncer struct {
 	srv *Server
 	cfg SyncConfig
@@ -97,8 +111,9 @@ type SyncRound struct {
 	Skipped  int   // installs deduped by position
 	Failed   int   // probes or pulls that errored (partitioned peer, etc.)
 	Repaired int   // quarantined tenants restored from a peer this round
-	Deltas   int   // convergences satisfied by bank-granular delta pulls
-	Bytes    int64 // sealed payload bytes transferred
+	Deltas   int   // convergences satisfied by log-suffix or bank-granular delta pulls
+	Logs     int   // of those, convergences satisfied by log-suffix pulls
+	Bytes    int64 // sealed payload and log-suffix bytes transferred
 }
 
 // NewSyncer builds a syncer for srv against cfg.Peers and registers its
@@ -284,10 +299,17 @@ func (y *Syncer) syncTenant(ctx context.Context, peer *Client, name string, roun
 		}
 	}
 
-	// The ladder. Delta rung: when both sides have digest manifests of the
-	// same width, pull only the diverged banks. A fenced tenant's leaves are
-	// recomputed from its (partly rotted) bytes first — a maintained
-	// pre-rot leaf would hide exactly the bank that needs pulling.
+	// The ladder. Log rung: a healthy tenant that is behind replays the
+	// peer's log since its own position.
+	if t != nil && !fenced {
+		if done, ok := y.logRung(ctx, peer, name, t.Acked(), round); done {
+			return ok
+		}
+	}
+	// Bank rung: when both sides have digest manifests of the same width,
+	// pull only the diverged banks. A fenced tenant's leaves are recomputed
+	// from its (partly rotted) bytes first — a maintained pre-rot leaf would
+	// hide exactly the bank that needs pulling.
 	if t != nil && pi.HasManifest {
 		if local, _, merr := y.srv.ManifestNow(ctx, name, fenced); merr == nil && len(local.Banks) == len(pi.Manifest.Banks) {
 			if diverged := local.Diff(pi.Manifest); len(diverged) < len(local.Banks) {
@@ -313,6 +335,35 @@ func (y *Syncer) syncTenant(ctx context.Context, peer *Client, name string, roun
 	}
 	y.land(ctx, name, pos, epoch, root, sealed, false, fenced, round)
 	return true
+}
+
+// logRung pulls the peer's log since from and lands it. done reports that
+// the pair needs nothing more this round, with ok syncTenant's verdict
+// (false: the peer did not answer); otherwise the bank rung takes over — the
+// peer answered but had no suffix to give (410), or the suffix was refused.
+func (y *Syncer) logRung(ctx context.Context, peer *Client, name string, from int, round *SyncRound) (done, ok bool) {
+	sealed, pos, epoch, root, err := peer.LogAt(name, from)
+	if err != nil {
+		var ae *apiError
+		if errors.As(err, &ae) {
+			return false, false
+		}
+		return true, y.peerFailed(round)
+	}
+	round.Pulled++
+	round.Bytes += int64(len(sealed))
+	_, applied, err := y.srv.installLog(ctx, name, from, pos, epoch, root, sealed)
+	switch {
+	case err != nil:
+		return false, false
+	case !applied:
+		round.Skipped++
+	default:
+		round.Applied++
+		round.Deltas++
+		round.Logs++
+	}
+	return true, true
 }
 
 // peerFailed counts a probe or pull the peer did not answer.

@@ -1,6 +1,8 @@
 package sketchcore
 
 import (
+	"math/bits"
+
 	"graphsketch/internal/hashing"
 	"graphsketch/internal/onesparse"
 	"graphsketch/internal/stream"
@@ -337,11 +339,20 @@ func (p *EdgePlan) Edges() int { return len(p.idx) }
 // edge and its negation interleaved as termPair[2e]/termPair[2e+1] (so the
 // phase-2 sweep indexes it directly with the entry's packed edge<<1|sign),
 // the raw z^idx powers the pair pass consumes, and the per-(edge, rep)
-// level bytes.
+// level bytes. It grows with the chunks the arena is actually given
+// (scratchEdges), because a bundle holds about 1,440 arenas and most batches
+// stage far fewer than planChunk edges into any one of them.
 type planScratch struct {
 	pow      []uint64
 	termPair []uint64
 	lvl      []byte
+}
+
+// scratchEdges is the edge capacity planScratch grows to for a chunk of
+// edges: the next power of two, so a run of growing batches reallocates a
+// logarithmic number of times, capped at planChunk, the largest chunk.
+func scratchEdges(edges int) int {
+	return min(1<<bits.Len(uint(edges-1)), planChunk)
 }
 
 // ApplyPlan replays a staged plan into the bank in two phases, bit-identical
@@ -378,11 +389,12 @@ func (a *Arena) ApplyPlan(p *EdgePlan) {
 	// Phase 1: batch-evaluate terms and levels into dense scratch.
 	sc := &a.batch
 	if cap(sc.pow) < edges {
-		sc.pow = make([]uint64, planChunk)
-		sc.termPair = make([]uint64, 2*planChunk)
+		n := scratchEdges(edges)
+		sc.pow = make([]uint64, n)
+		sc.termPair = make([]uint64, 2*n)
 	}
 	if cap(sc.lvl) < edges*reps {
-		sc.lvl = make([]byte, planChunk*reps)
+		sc.lvl = make([]byte, scratchEdges(edges)*reps)
 	}
 	pow := sc.pow[:edges]
 	termPair := sc.termPair[:2*edges]
