@@ -118,11 +118,15 @@ func (s *Sketch) AppendBankState(buf []byte, bank int) ([]byte, error) {
 // fully. Banks are headerless, so cross-level installs are the caller's to
 // prevent — the service verifies the assembled state's digest root before
 // trusting a bank-wise install.
+//
+// ReplaceBankState and MergeBankState write only their bank, so distinct
+// banks may be written from concurrent goroutines. They leave the decode
+// cache alone for that reason: the caller calls Invalidate once, outside
+// any fan-out, before a pass of bank writes.
 func (s *Sketch) ReplaceBankState(bank int, data []byte) error {
 	if bank < 0 || bank >= len(s.ecs) {
 		return fmt.Errorf("mincut: bank %d out of [0,%d): %w", bank, len(s.ecs), wire.ErrBadEncoding)
 	}
-	s.decoded = false
 	rest, err := s.ecs[bank].DecodeState(data)
 	if err != nil {
 		return fmt.Errorf("mincut: %w", err)
@@ -140,7 +144,6 @@ func (s *Sketch) MergeBankState(bank int, data []byte) error {
 	if bank < 0 || bank >= len(s.ecs) {
 		return fmt.Errorf("mincut: bank %d out of [0,%d): %w", bank, len(s.ecs), wire.ErrBadEncoding)
 	}
-	s.decoded = false
 	rest, err := s.ecs[bank].MergeState(data)
 	if err != nil {
 		return fmt.Errorf("mincut: %w", err)
@@ -150,6 +153,10 @@ func (s *Sketch) MergeBankState(bank int, data []byte) error {
 	}
 	return nil
 }
+
+// Invalidate drops the decode cache, so the next MinCut decodes the
+// current state. Bank writes (ReplaceBankState, MergeBankState) need it.
+func (s *Sketch) Invalidate() { s.decoded = false }
 
 // BankArenas returns one level bank's arenas in wire order: the cells
 // AppendBankState encodes, whose maintained digests (sketchcore.Digest)

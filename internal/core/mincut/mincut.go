@@ -113,9 +113,7 @@ func New(cfg Config) *Sketch {
 func (s *Sketch) Clone() *Sketch {
 	c := &Sketch{cfg: s.cfg, levelMix: s.levelMix, decWorkers: s.decWorkers}
 	c.ecs = make([]*agm.EdgeConnectSketch, len(s.ecs))
-	for i, ec := range s.ecs {
-		c.ecs[i] = ec.Clone()
-	}
+	sketchcore.ForkJoin(len(s.ecs), func(i int) { c.ecs[i] = s.ecs[i].Clone() })
 	return c
 }
 
@@ -158,13 +156,12 @@ func (s *Sketch) UpdateBatch(ups []stream.Update) {
 			return s.subLevel(up.U, up.V), true
 		},
 		func(sorted []stream.Update, cum []int) {
-			for i := 0; i < s.cfg.Levels; i++ {
-				ge := cum[i]
-				if ge == 0 {
-					break // nesting: nothing at level i means nothing above
-				}
-				s.ecs[i].UpdateBatch(sorted[:ge])
+			// Nesting: nothing at level i means nothing above.
+			levels := 0
+			for levels < s.cfg.Levels && cum[levels] > 0 {
+				levels++
 			}
+			sketchcore.ForkJoin(levels, func(i int) { s.ecs[i].UpdateBatch(sorted[:cum[i]]) })
 		})
 }
 

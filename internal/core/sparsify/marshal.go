@@ -75,12 +75,12 @@ func (s *Simple) AppendBankState(buf []byte, bank int) ([]byte, error) {
 
 // ReplaceBankState replaces one level bank's contents with tagged state
 // bytes produced by AppendBankState on a same-config sketch, consuming data
-// fully (see mincut.Sketch.ReplaceBankState for the trust contract).
+// fully (see mincut.Sketch.ReplaceBankState for the trust contract and for
+// concurrent writes to distinct banks, which need Invalidate).
 func (s *Simple) ReplaceBankState(bank int, data []byte) error {
 	if bank < 0 || bank >= len(s.ecs) {
 		return fmt.Errorf("sparsify: bank %d out of [0,%d): %w", bank, len(s.ecs), wire.ErrBadEncoding)
 	}
-	s.decoded = false
 	rest, err := s.ecs[bank].DecodeState(data)
 	if err != nil {
 		return fmt.Errorf("sparsify: %w", err)
@@ -97,7 +97,6 @@ func (s *Simple) MergeBankState(bank int, data []byte) error {
 	if bank < 0 || bank >= len(s.ecs) {
 		return fmt.Errorf("sparsify: bank %d out of [0,%d): %w", bank, len(s.ecs), wire.ErrBadEncoding)
 	}
-	s.decoded = false
 	rest, err := s.ecs[bank].MergeState(data)
 	if err != nil {
 		return fmt.Errorf("sparsify: %w", err)
@@ -107,6 +106,10 @@ func (s *Simple) MergeBankState(bank int, data []byte) error {
 	}
 	return nil
 }
+
+// Invalidate drops the decode cache, so the next Sparsify decodes the
+// current state. Bank writes (ReplaceBankState, MergeBankState) need it.
+func (s *Simple) Invalidate() { s.decoded = false }
 
 // BankArenas returns one level bank's arenas in wire order; see
 // mincut.Sketch.BankArenas.

@@ -185,7 +185,8 @@ func (w *DiskWAL) loadSnapshot(n int) (uint64, error) {
 	if _, _, err := wire.Open(sealed); err != nil {
 		return 0, fmt.Errorf("wal: snapshot envelope %s: %v: %w", SnapshotPath(w.dir), err, ErrWALCorrupt)
 	}
-	w.mem.snapshot = append([]byte(nil), sealed...)
+	// The mirror keeps the read buffer itself: nothing else holds it.
+	w.mem.snapshot = sealed
 	w.mem.snapPos = int(covered)
 	w.mem.pos = int(covered)
 	w.gen = gen
@@ -240,7 +241,9 @@ func (w *DiskWAL) loadLog(n int, snapGen uint64) error {
 		valid = len(body) - len(next)
 		rest = next
 	}
-	w.mem.log = append([]byte(nil), body[:valid]...)
+	// As with the snapshot, the mirror keeps the read buffer; appends may
+	// overwrite the torn tail past valid, which the file loses too.
+	w.mem.log = body[:valid]
 	w.mem.logUpdates = count
 	w.mem.pos = endPos
 	if valid < len(body) {

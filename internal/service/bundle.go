@@ -9,6 +9,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -92,6 +93,8 @@ func NewBundle(cfg BundleConfig) *Bundle {
 func (b *Bundle) Config() BundleConfig { return b.cfg }
 
 // UpdateBatch applies one batch to every member sketch and the spanner log.
+// Each sketch fans its levels out across GOMAXPROCS goroutines (one owner
+// per level), so the cells are the ones a one-goroutine pass would write.
 func (b *Bundle) UpdateBatch(ups []stream.Update) {
 	if len(ups) == 0 {
 		return
@@ -150,7 +153,7 @@ func (b *Bundle) coalesceLog() {
 // Clone deep-copies the bundle — the epoch-snapshot primitive. The clone
 // shares nothing mutable with the original, so queries against it never
 // block (or observe) ingest. The maintained digests travel with the cells
-// they describe.
+// they describe. Each sketch clones its levels on GOMAXPROCS goroutines.
 func (b *Bundle) Clone() *Bundle {
 	return &Bundle{
 		cfg:         b.cfg,
@@ -298,7 +301,11 @@ type sketchBanks interface {
 	MergeBankState(bank int, data []byte) error
 	ReplaceBankState(bank int, data []byte) error
 	BankArenas(bank int) []*sketchcore.Arena
+	Invalidate()
 }
+
+// sketchBankCount is the number of sketch banks; the log chunks follow them.
+func (b *Bundle) sketchBankCount() int { return b.mc.NumBanks() + b.sp.NumBanks() }
 
 // sketchBank resolves bundle bank id to the sketch holding it and the
 // bank's index there; for a log chunk ok is false and idx is the chunk.
@@ -344,16 +351,17 @@ func decodeLogBank(data []byte) ([]stream.Update, error) {
 }
 
 // leaves returns every bank's digest in bank order: sketch banks read
-// through digest (maintained or scanned) over their arenas, log chunks from
-// logDig.
+// through digest (maintained or scanned) over their arenas, one goroutine
+// per bank, log chunks from logDig.
 func (b *Bundle) leaves(digest func([]*sketchcore.Arena) sketchcore.Digest, logDig [logBankCount]uint64) []sketchcore.Digest {
 	out := make([]sketchcore.Digest, b.NumBanks())
-	for id := range out {
-		if sk, idx, ok := b.sketchBank(id); ok {
-			out[id] = digest(sk.BankArenas(idx))
-		} else {
-			out[id] = sketchcore.Digest{W: logDig[idx]}
-		}
+	nsk := b.sketchBankCount()
+	sketchcore.ForkJoin(nsk, func(id int) {
+		sk, idx, _ := b.sketchBank(id)
+		out[id] = digest(sk.BankArenas(idx))
+	})
+	for c, w := range logDig {
+		out[nsk+c] = sketchcore.Digest{W: w}
 	}
 	return out
 }
@@ -401,13 +409,12 @@ func (b *Bundle) VerifyDigests() error {
 // rotted reality before diffing against a peer's — a maintained pre-rot
 // leaf would hide exactly the bank that needs pulling.
 func (b *Bundle) RecomputeDigests() {
-	for id := 0; id < b.NumBanks(); id++ {
-		if sk, idx, ok := b.sketchBank(id); ok {
-			for _, a := range sk.BankArenas(idx) {
-				a.RescanDigest()
-			}
+	sketchcore.ForkJoin(b.sketchBankCount(), func(id int) {
+		sk, idx, _ := b.sketchBank(id)
+		for _, a := range sk.BankArenas(idx) {
+			a.RescanDigest()
 		}
-	}
+	})
 	b.logDig = b.logDigests(b.spLog)
 }
 
@@ -422,7 +429,8 @@ func (b *Bundle) appendConfigHeader(buf []byte) []byte {
 
 // MarshalBanks encodes a banked payload carrying the requested banks (ids
 // ascending, duplicates ignored) plus the full manifest. nil asks for every
-// bank — the full payload MarshalBinaryCompact returns.
+// bank — the full payload MarshalBinaryCompact returns. The banks encode
+// concurrently, each into its own buffer, and are joined in bank order.
 func (b *Bundle) MarshalBanks(ids []int) ([]byte, error) {
 	total := b.NumBanks()
 	want := make([]bool, total)
@@ -443,19 +451,27 @@ func (b *Bundle) MarshalBanks(ids []int) ([]byte, error) {
 		}
 	}
 	b.coalesceLog()
-	out := b.appendConfigHeader(nil)
+	order := make([]int, 0, present)
+	for id, ok := range want {
+		if ok {
+			order = append(order, id)
+		}
+	}
+	banks := make([][]byte, len(order))
+	errs := make([]error, len(order))
+	sketchcore.ForkJoin(len(order), func(i int) { banks[i], errs[i] = b.appendBank(nil, order[i]) })
+	size := 0
+	for i, bankB := range banks {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		size += 2*binary.MaxVarintLen64 + len(bankB)
+	}
+	out := b.appendConfigHeader(make([]byte, 0, 8*binary.MaxVarintLen64+size+24+8*total))
 	out = wire.AppendUvarint(out, uint64(total))
 	out = wire.AppendUvarint(out, uint64(present))
-	var bankB []byte
-	for id, ok := range want {
-		if !ok {
-			continue
-		}
-		var err error
-		if bankB, err = b.appendBank(bankB[:0], id); err != nil {
-			return nil, err
-		}
-		out = wire.AppendUvarint(out, uint64(id))
+	for i, bankB := range banks {
+		out = wire.AppendUvarint(out, uint64(order[i]))
 		out = wire.AppendUvarint(out, uint64(len(bankB)))
 		out = append(out, bankB...)
 	}
@@ -537,13 +553,47 @@ func (b *Bundle) decodePayload(data []byte) (*bundlePayload, error) {
 	return p, nil
 }
 
+// foldBanks folds every bank present in p into b (foldBank). The sketch
+// banks fan out across goroutines, one owner per bank; the log chunks share
+// spLog and logDig, so they fold after the join, on the calling goroutine.
+// The error is the lowest-numbered failing bank's, the one a sequential
+// fold would stop at. On error b holds a partial fold; callers fold into a
+// bundle they can throw away.
+func (b *Bundle) foldBanks(p *bundlePayload, replace bool) error {
+	nsk := b.sketchBankCount()
+	var ids []int
+	for id := 0; id < nsk; id++ {
+		if _, ok := p.present[id]; ok {
+			ids = append(ids, id)
+		}
+	}
+	b.mc.Invalidate()
+	b.sp.Invalidate()
+	errs := make([]error, len(ids))
+	sketchcore.ForkJoin(len(ids), func(i int) { errs[i] = b.foldBank(p, ids[i], replace) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	for id := nsk; id < p.total; id++ {
+		if _, ok := p.present[id]; ok {
+			if err := b.foldBank(p, id, replace); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // foldBank merges (or, with replace, installs) payload bank id into b and
 // checks the digest of what it read against the payload's leaf, so the
 // bytes are decoded once for both. A bank whose bytes do not decode
 // contradicts its leaf as surely as one that decodes to other cells: the
 // error is ErrDigestMismatch either way, and also ErrBadEncoding when
-// decoding failed. On error b holds a partial fold; callers fold into a
-// bundle they can throw away.
+// decoding failed. A sketch bank writes only its own arenas (the caller
+// drops the sketches' decode caches), so distinct sketch banks may fold
+// concurrently.
 func (b *Bundle) foldBank(p *bundlePayload, id int, replace bool) error {
 	bankB := p.present[id]
 	var got sketchcore.Digest
@@ -627,13 +677,11 @@ func (b *Bundle) mergePayload(p *bundlePayload) (*Bundle, error) {
 	if !b.pristine {
 		next = b.Clone()
 	}
-	for id := 0; id < p.total; id++ {
-		if err := next.foldBank(p, id, false); err != nil {
-			if b.pristine {
-				*b = *NewBundle(b.cfg)
-			}
-			return nil, err
+	if err := next.foldBanks(p, false); err != nil {
+		if b.pristine {
+			*b = *NewBundle(b.cfg)
 		}
+		return nil, err
 	}
 	next.pristine = false
 	return next, nil
@@ -659,13 +707,8 @@ func (b *Bundle) InstallBanks(data []byte) error {
 // requires the result to reproduce p's root. In place: the receiver is a
 // clone assemble throws away on error.
 func (b *Bundle) replaceBanks(p *bundlePayload) error {
-	for id := 0; id < p.total; id++ {
-		if _, ok := p.present[id]; !ok {
-			continue
-		}
-		if err := b.foldBank(p, id, true); err != nil {
-			return err
-		}
+	if err := b.foldBanks(p, true); err != nil {
+		return err
 	}
 	if got := b.manifest(); got.Root() != p.man.Root() {
 		return fmt.Errorf("service: assembled state root %x != payload root %x: %w", got.Root(), p.man.Root(), ErrDeltaInsufficient)
@@ -760,6 +803,7 @@ func (b *Bundle) InjectBankRot(bank int, seed uint64) error {
 			return err
 		}
 		if !bytes.Equal(bankB, emptyB) {
+			sk.Invalidate()
 			return sketchcore.WithoutDigest(sk.BankArenas(idx), func() error { return sk.MergeBankState(idx, bankB) })
 		}
 	}

@@ -69,6 +69,18 @@ func BenchmarkBundleUpdateBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkBundleUpdateBatchSmall is a trickle-sized batch (8 updates), so
+// the fixed cost of fanning a batch out across the levels shows.
+func BenchmarkBundleUpdateBatchSmall(b *testing.B) {
+	live, d := benchBundle(b)
+	d.ups = d.ups[:8]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.step(live)
+	}
+}
+
 // BenchmarkBundleManifest is the publish's digest step after a batch. Its
 // cost does not depend on what the batch changed, so one step up front
 // stands for all of them.
@@ -92,6 +104,18 @@ func BenchmarkBundleClone(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink += int64(live.Clone().NumBanks())
+	}
+}
+
+// BenchmarkBundleClonePristine clones a factory-fresh bundle: tenant
+// creation's first epoch, whose arenas hold no occupied slot.
+func BenchmarkBundleClonePristine(b *testing.B) {
+	cfg, _, _ := publishFixture()
+	fresh := NewBundle(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += int64(fresh.Clone().NumBanks())
 	}
 }
 

@@ -256,11 +256,30 @@ func (c *Client) attempt(endpoint, method, path string, body []byte) (int, []byt
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	return resp.StatusCode, data, resp.Header, nil
+}
+
+// maxPresize caps the buffer readBody allocates on the strength of a
+// Content-Length header: a longer body still reads in full, growing as it
+// comes, but a lying header cannot make the client allocate more than this
+// up front. A serve-default full payload is about 9.4 MB.
+const maxPresize = 16 << 20
+
+// readBody reads r to EOF into a buffer presized from the declared length
+// (-1 when unknown), so a full payload lands in one allocation instead of
+// io.ReadAll's doubling series. The MinRead spare lets the final read see
+// EOF without growing the buffer.
+func readBody(r io.Reader, declared int64) ([]byte, error) {
+	size := min(max(declared, 0), maxPresize)
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // do runs the retry/failover ladder for one logical request. Each try runs

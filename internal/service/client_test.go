@@ -1,11 +1,16 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -449,4 +454,82 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestPayloadContentLength: a /payload response declares its length, so it
+// is not chunked and the client can read it into one buffer.
+func TestPayloadContentLength(t *testing.T) {
+	s, c := newTestServer(t, testConfig(t))
+	defer s.Drain(context.Background())
+	if _, err := c.Ingest("acme", 0, bundleStream(5).Updates[:200]); err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	sealed, _, _, _, err := s.PayloadBanks(context.Background(), "acme", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.HC.Get(c.Base + "/v1/tenants/acme/payload")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ContentLength != int64(len(sealed)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("Content-Length %d, transfer encoding %v; want %d, none", resp.ContentLength, resp.TransferEncoding, len(sealed))
+	}
+	if !bytes.Equal(body, sealed) {
+		t.Fatal("served body differs from the sealed payload")
+	}
+}
+
+// lyingLength answers every request with body and the declared length.
+type lyingLength struct {
+	body     string
+	declared int64
+}
+
+func (l lyingLength) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode:    http.StatusOK,
+		Header:        http.Header{"X-Gsketch-Pos": {"7"}},
+		Body:          io.NopCloser(strings.NewReader(l.body)),
+		ContentLength: l.declared,
+		Request:       req,
+	}, nil
+}
+
+// TestClientLyingContentLength: a response declaring 1 TB but carrying a
+// few bytes reads as those bytes, and the presize stays bounded.
+func TestClientLyingContentLength(t *testing.T) {
+	c := &Client{Base: "http://peer.invalid", HC: &http.Client{Transport: lyingLength{body: "sealed bytes", declared: 1 << 40}}}
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	sealed, pos, _, err := c.PayloadAt("t")
+	goruntime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("payload: %v", err)
+	}
+	if string(sealed) != "sealed bytes" || pos != 7 {
+		t.Fatalf("got %q at %d, want the real body at 7", sealed, pos)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 2*maxPresize {
+		t.Fatalf("reading a 12-byte body allocated %d bytes", grown)
+	}
+}
+
+// TestReadBody: whatever length a body declares, readBody returns exactly
+// its bytes.
+func TestReadBody(t *testing.T) {
+	for _, size := range []int{0, 1, 511, 512, 513, 70000} {
+		body := bytes.Repeat([]byte{0xa5}, size)
+		for _, declared := range []int64{-1, 0, int64(size) / 2, int64(size), int64(size) + 9, maxPresize, 1 << 40, math.MaxInt64} {
+			got, err := readBody(bytes.NewReader(body), declared)
+			if err != nil || !bytes.Equal(got, body) {
+				t.Fatalf("size %d declared %d: got %d bytes, err %v", size, declared, len(got), err)
+			}
+		}
+	}
 }

@@ -417,6 +417,9 @@ func writeStamped(w http.ResponseWriter, sealed []byte, pos int, epoch, root uin
 	w.Header().Set("X-Gsketch-Pos", fmt.Sprint(pos))
 	w.Header().Set("X-Gsketch-Epoch", fmt.Sprint(epoch))
 	w.Header().Set("X-Gsketch-Root", fmt.Sprintf("%016x", root))
+	// A known length spares the body chunked framing and lets the client
+	// read it into one buffer of the right size.
+	w.Header().Set("Content-Length", strconv.Itoa(len(sealed)))
 	w.Write(sealed)
 }
 

@@ -548,10 +548,16 @@ func addInto(dst, src []acell) {
 // Clone returns a deep copy of the bank. Hash state (mixers, power tables)
 // is immutable and shared; cell state is copied, so mutating the clone
 // never perturbs the original. The per-slot table index and plan scratch
-// are unshared so clone and original can update independently.
+// are unshared so clone and original can update independently. A bank with
+// no occupied slot has all-zero cells, so its clone gets fresh zeroed cells
+// and copies none.
 func (a *Arena) Clone() *Arena {
 	c := *a
-	c.cells = append([]acell(nil), a.cells...)
+	if a.OccupiedSlots() == 0 {
+		c.cells = make([]acell, len(a.cells))
+	} else {
+		c.cells = append([]acell(nil), a.cells...)
+	}
 	c.pow = append([]*hashing.PowTable(nil), a.pow...)
 	c.occ = append([]uint64(nil), a.occ...)
 	c.plan = nil

@@ -150,6 +150,51 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestArenaCloneUnoccupied: the clone of an arena with no occupied slot
+// (never written, or Reset) skips the cell copy; it must still equal its
+// source, digest included, and a write to either one must leave the other
+// as it was.
+func TestArenaCloneUnoccupied(t *testing.T) {
+	shared := Config{Slots: 70, Universe: 256, Reps: 4, Seed: 21}
+	perSlot := Config{Slots: 3, Universe: 256, Reps: 2, SlotSeeds: []uint64{5, 6, 7}}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		prep func(*Arena)
+	}{
+		{"shared/new", shared, func(*Arena) {}},
+		{"shared/reset", shared, func(a *Arena) { a.UpdateEdge(1, 66, 17, 3); a.Reset() }},
+		{"per-slot/new", perSlot, func(*Arena) {}},
+	} {
+		a := New(tc.cfg)
+		tc.prep(a)
+		if a.OccupiedSlots() != 0 {
+			t.Fatalf("%s: fixture has occupied slots", tc.name)
+		}
+		c := a.Clone()
+		if !c.Equal(a) || c.OccupiedSlots() != 0 {
+			t.Fatalf("%s: clone differs from its unoccupied source", tc.name)
+		}
+		if a.shared && c.Digest() != a.Digest() {
+			t.Fatalf("%s: clone digest differs", tc.name)
+		}
+		want := New(tc.cfg)
+		c.Update(2, 99, 1)
+		if !a.Equal(want) || a.OccupiedSlots() != 0 {
+			t.Fatalf("%s: writing the clone moved the source", tc.name)
+		}
+		a.Update(1, 40, -2)
+		wantC := New(tc.cfg)
+		wantC.Update(2, 99, 1)
+		if !c.Equal(wantC) {
+			t.Fatalf("%s: writing the source moved the clone", tc.name)
+		}
+		if a.shared && c.Digest() != wantC.Digest() {
+			t.Fatalf("%s: clone digest moved with the source", tc.name)
+		}
+	}
+}
+
 // TestAddAndAddRange: Add must be slotwise vector addition; AddRange must
 // touch only the requested slots.
 func TestAddAndAddRange(t *testing.T) {

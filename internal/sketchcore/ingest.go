@@ -115,30 +115,46 @@ func ShardedIngest[S Updater](ups []stream.Update, workers int, self S,
 // shard-per-worker replay thrashes. Dynamic claiming balances the banks even
 // when workers does not divide the bank count.
 func ApplyPlanBanks(banks []*Arena, p *EdgePlan, workers int) {
-	if workers > len(banks) {
-		workers = len(banks)
+	forkJoin(len(banks), workers, func(i int) { banks[i].ApplyPlan(p) })
+}
+
+// ForkJoin runs fn(i) for every i in [0, n) on min(GOMAXPROCS, n)
+// goroutines, the caller's among them, and returns when all have finished.
+// Goroutines claim indices off an atomic counter, so uneven units balance
+// themselves; with one processor or one unit it is a plain loop. fn must be
+// safe to run concurrently for distinct i: the passes that use it give each
+// index sole ownership of what it writes (a level, a bank, an arena), which
+// makes their result bit-identical to the sequential loop by construction.
+func ForkJoin(n int, fn func(i int)) {
+	forkJoin(n, runtime.GOMAXPROCS(0), fn)
+}
+
+// forkJoin is ForkJoin on an explicit worker count.
+func forkJoin(n, workers int, fn func(i int)) {
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for _, b := range banks {
-			b.ApplyPlan(p)
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
 		return
 	}
 	var next atomic.Int64
+	claim := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(banks) {
-					return
-				}
-				banks[i].ApplyPlan(p)
-			}
+			claim()
 		}()
 	}
+	claim()
 	wg.Wait()
 }
 

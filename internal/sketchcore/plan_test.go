@@ -2,6 +2,8 @@ package sketchcore
 
 import (
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"graphsketch/internal/stream"
@@ -165,6 +167,25 @@ func TestApplyPlanBanksBitIdentical(t *testing.T) {
 		for i := range got {
 			if !got[i].Equal(ref[i]) {
 				t.Fatalf("workers=%d: bank %d diverged from sequential apply", workers, i)
+			}
+		}
+	}
+}
+
+// TestForkJoinEachIndexOnce: every index in [0, n) runs exactly once, for
+// unit counts below, at and above the processor count, and ForkJoin returns
+// only after all of them.
+func TestForkJoinEachIndexOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 2, 3, 17, 1000} {
+			runs := make([]atomic.Int32, n)
+			ForkJoin(n, func(i int) { runs[i].Add(1) })
+			for i := range runs {
+				if got := runs[i].Load(); got != 1 {
+					t.Fatalf("GOMAXPROCS=%d n=%d: index %d ran %d times", procs, n, i, got)
+				}
 			}
 		}
 	}
