@@ -210,9 +210,12 @@ func (c *ConnectivitySketch) Add(other *ConnectivitySketch) { c.sk.Add(other.sk)
 // step, bit-identical to sequential pairwise Add calls.
 func (c *ConnectivitySketch) MergeMany(others []*ConnectivitySketch) { c.sk.MergeMany(cores(others)) }
 
-// Clone returns a deep, independent copy: updating either sketch never
-// perturbs the other. This is the epoch-snapshot hook the concurrent
-// service uses — clone under the writer, query the clone concurrently.
+// Clone returns an independent copy: updating either sketch never perturbs
+// the other. The two share cells copy-on-write, so the clone costs
+// O(sampler banks) and the first write to either side copies what it
+// touches. This is the epoch-snapshot hook the concurrent service uses —
+// clone under the writer (Clone marks the receiver, so it is a write),
+// query the clone concurrently.
 func (c *ConnectivitySketch) Clone() *ConnectivitySketch {
 	return &ConnectivitySketch{newLinear(c.sk.Clone())}
 }
@@ -295,9 +298,11 @@ func (m *MinCutSketch) Add(other *MinCutSketch) { m.sk.Add(other.sk) }
 // occupancy-guided pass per bank; bit-identical to sequential Add calls.
 func (m *MinCutSketch) MergeMany(others []*MinCutSketch) { m.sk.MergeMany(cores(others)) }
 
-// Clone returns a deep, independent copy (the decode memo is not carried
-// over; the clone recomputes MinCut on first call). Epoch-snapshot hook:
-// queries run on the clone while the original keeps ingesting.
+// Clone returns an independent copy that shares cells copy-on-write (the
+// decode memo is not carried over; the clone recomputes MinCut on first
+// call). Epoch-snapshot hook: clone under the writer (Clone marks the
+// receiver, so it is a write), then query the clone while the original
+// keeps ingesting.
 func (m *MinCutSketch) Clone() *MinCutSketch { return &MinCutSketch{newLinear(m.sk.Clone())} }
 
 // MinCut runs the Fig 1 post-processing. Decode is read-only on the sketch
@@ -331,9 +336,11 @@ func (s *SimpleSparsifier) Add(other *SimpleSparsifier) { s.sk.Add(other.sk) }
 // occupancy-guided pass per bank; bit-identical to sequential Add calls.
 func (s *SimpleSparsifier) MergeMany(others []*SimpleSparsifier) { s.sk.MergeMany(cores(others)) }
 
-// Clone returns a deep, independent copy (the decode memo is not carried
-// over; the clone recomputes Sparsify on first call). Epoch-snapshot hook:
-// queries run on the clone while the original keeps ingesting.
+// Clone returns an independent copy that shares cells copy-on-write (the
+// decode memo is not carried over; the clone recomputes Sparsify on first
+// call). Epoch-snapshot hook: clone under the writer (Clone marks the
+// receiver, so it is a write), then query the clone while the original
+// keeps ingesting.
 func (s *SimpleSparsifier) Clone() *SimpleSparsifier {
 	return &SimpleSparsifier{newLinear(s.sk.Clone())}
 }

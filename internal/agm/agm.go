@@ -79,10 +79,11 @@ func NewForestSketch(n int, seed uint64) *ForestSketch {
 // N returns the vertex count.
 func (fs *ForestSketch) N() int { return fs.n }
 
-// Clone returns a deep copy: cell state is copied bank by bank (immutable
-// hash state stays shared), batch-staging scratch is unshared. Mutating
-// either sketch never perturbs the other — the epoch-snapshot primitive the
-// concurrent service's query path is built on.
+// Clone returns a copy: cell state is shared copy-on-write bank by bank
+// (sketchcore.Arena.Clone; immutable hash state stays shared), batch-staging
+// scratch is unshared. Mutating either sketch never perturbs the other —
+// the epoch-snapshot primitive the concurrent service's query path is built
+// on.
 func (fs *ForestSketch) Clone() *ForestSketch {
 	c := &ForestSketch{n: fs.n, rounds: fs.rounds, seed: fs.seed}
 	c.banks = make([]*sketchcore.Arena, len(fs.banks))

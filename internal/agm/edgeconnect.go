@@ -50,10 +50,10 @@ func NewEdgeConnectSketch(n, k int, seed uint64) *EdgeConnectSketch {
 // K returns the connectivity parameter.
 func (ec *EdgeConnectSketch) K() int { return ec.k }
 
-// Clone returns a deep copy of the k forest banks. The decode cache is not
-// carried over (the clone recomputes its witness on first use), so the
-// clone is safe to hand to a concurrent reader while the original keeps
-// ingesting.
+// Clone returns a copy of the k forest banks, sharing cells copy-on-write.
+// The decode cache is not carried over (the clone recomputes its witness on
+// first use), so the clone is safe to hand to a concurrent reader while the
+// original keeps ingesting.
 func (ec *EdgeConnectSketch) Clone() *EdgeConnectSketch {
 	c := &EdgeConnectSketch{n: ec.n, k: ec.k, seed: ec.seed}
 	c.banks = make([]*ForestSketch, len(ec.banks))

@@ -106,14 +106,20 @@ func New(cfg Config) *Sketch {
 	return s
 }
 
-// Clone returns a deep copy: every level's k-EDGECONNECT bank is cloned,
+// Clone returns a copy: every level's k-EDGECONNECT bank is cloned,
 // batch-sort scratch and the decode cache are unshared (the clone
-// recomputes MinCut on first call). Epoch-snapshot primitive for the
-// concurrent service: queries run on the clone while the original ingests.
+// recomputes MinCut on first call). The arenas share their cells
+// copy-on-write (sketchcore.Arena.Clone), so a clone costs O(arenas) and the
+// first write to either side pays for the arenas it touches. Clone marks
+// the receiver's arenas, so it must not run concurrently with other use of
+// s. Epoch-snapshot primitive for the concurrent service: queries run on
+// the clone while the original ingests.
 func (s *Sketch) Clone() *Sketch {
 	c := &Sketch{cfg: s.cfg, levelMix: s.levelMix, decWorkers: s.decWorkers}
 	c.ecs = make([]*agm.EdgeConnectSketch, len(s.ecs))
-	sketchcore.ForkJoin(len(s.ecs), func(i int) { c.ecs[i] = s.ecs[i].Clone() })
+	for i, ec := range s.ecs {
+		c.ecs[i] = ec.Clone()
+	}
 	return c
 }
 

@@ -70,19 +70,21 @@ type Bundle struct {
 	// power tables all sized and built at construction), so no update, merge
 	// or install moves it and ResidentBytes never has to read a cell.
 	sketchBytes int64
-	// pristine marks the NewBundle state: nothing has been folded in yet, so
-	// a failed MergeBytes can be undone by re-creating it instead of being
-	// staged on a clone. Clones never carry it.
-	pristine bool
+	// cloned marks a Clone since the last UpdateBatch, so the arenas may be
+	// shared with it. The next UpdateBatch copies the arenas it writes as it
+	// writes them, then takes its own copy of all the others (ownArenas):
+	// the batches of one epoch write every arena between them, and leaving
+	// those copies to later small batches would land them level by level,
+	// one goroutine per level, across many ops.
+	cloned bool
 }
 
 // NewBundle creates an empty bundle with the given shape.
 func NewBundle(cfg BundleConfig) *Bundle {
 	b := &Bundle{
-		cfg:      cfg,
-		mc:       mincut.New(mincut.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed}),
-		sp:       sparsify.NewSimple(sparsify.SimpleConfig{N: cfg.N, Epsilon: cfg.Eps, Seed: cfg.Seed}),
-		pristine: true,
+		cfg: cfg,
+		mc:  mincut.New(mincut.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed}),
+		sp:  sparsify.NewSimple(sparsify.SimpleConfig{N: cfg.N, Epsilon: cfg.Eps, Seed: cfg.Seed}),
 	}
 	// Empty sketches: the occupancy-guided footprint walk touches no cell.
 	b.sketchBytes = b.mc.Footprint().ResidentBytes + b.sp.Footprint().ResidentBytes
@@ -95,12 +97,16 @@ func (b *Bundle) Config() BundleConfig { return b.cfg }
 // UpdateBatch applies one batch to every member sketch and the spanner log.
 // Each sketch fans its levels out across GOMAXPROCS goroutines (one owner
 // per level), so the cells are the ones a one-goroutine pass would write.
+// The first batch after a Clone also copies every arena the clone shares.
 func (b *Bundle) UpdateBatch(ups []stream.Update) {
 	if len(ups) == 0 {
 		return
 	}
 	b.mc.UpdateBatch(ups)
 	b.sp.UpdateBatch(ups)
+	if b.cloned {
+		b.ownArenas()
+	}
 	b.appendLog(ups)
 }
 
@@ -112,7 +118,7 @@ func (b *Bundle) UpdateBatch(ups []stream.Update) {
 // spanner log is put back as it was. A delta of math.MinInt64 has no
 // negation; decodeLogSuffix refuses one.
 func (b *Bundle) updateVerified(ups []stream.Update, root uint64) (undo func(), err error) {
-	spLog, coalesced, logDig, pristine := slices.Clone(b.spLog), b.coalesced, b.logDig, b.pristine
+	spLog, coalesced, logDig := slices.Clone(b.spLog), b.coalesced, b.logDig
 	b.UpdateBatch(ups)
 	undo = func() {
 		neg := make([]stream.Update, len(ups))
@@ -121,7 +127,7 @@ func (b *Bundle) updateVerified(ups []stream.Update, root uint64) (undo func(), 
 		}
 		b.mc.UpdateBatch(neg)
 		b.sp.UpdateBatch(neg)
-		b.spLog, b.coalesced, b.logDig, b.pristine = spLog, coalesced, logDig, pristine
+		b.spLog, b.coalesced, b.logDig = spLog, coalesced, logDig
 	}
 	if got := b.manifest().Root(); got != root {
 		undo()
@@ -132,7 +138,6 @@ func (b *Bundle) updateVerified(ups []stream.Update, root uint64) (undo func(), 
 
 // appendLog appends a batch to the spanner log, moving its chunks' digests.
 func (b *Bundle) appendLog(ups []stream.Update) {
-	b.pristine = false
 	b.logDig = addDigests(b.logDig, b.logDigests(ups))
 	b.spLog = append(b.spLog, ups...)
 	if len(b.spLog) >= 64 && len(b.spLog) >= 2*b.coalesced {
@@ -150,12 +155,17 @@ func (b *Bundle) coalesceLog() {
 	b.coalesced = len(co.Updates)
 }
 
-// Clone deep-copies the bundle — the epoch-snapshot primitive. The clone
-// shares nothing mutable with the original, so queries against it never
-// block (or observe) ingest. The maintained digests travel with the cells
-// they describe. Each sketch clones its levels on GOMAXPROCS goroutines.
+// Clone copies the bundle — the epoch-snapshot primitive. The sketch arenas
+// are shared copy-on-write (sketchcore.Arena.Clone), so a clone costs
+// O(arenas) plus the spanner log; the next UpdateBatch of either side
+// copies them all, any other write only the arenas it writes. A clone that no
+// write follows copies nothing. Queries against the clone never block (or
+// observe) ingest. The maintained digests travel with the cells they
+// describe. Clone marks b's arenas shared, so it is a write to b.
 func (b *Bundle) Clone() *Bundle {
+	b.cloned = true
 	return &Bundle{
+		cloned:      true,
 		cfg:         b.cfg,
 		mc:          b.mc.Clone(),
 		sp:          b.sp.Clone(),
@@ -164,6 +174,18 @@ func (b *Bundle) Clone() *Bundle {
 		logDig:      b.logDig,
 		sketchBytes: b.sketchBytes,
 	}
+}
+
+// ownArenas gives every sketch arena its own cells (sketchcore.Arena.Own),
+// one goroutine per sketch bank.
+func (b *Bundle) ownArenas() {
+	b.cloned = false
+	sketchcore.ForkJoin(b.sketchBankCount(), func(id int) {
+		sk, idx, _ := b.sketchBank(id)
+		for _, a := range sk.BankArenas(idx) {
+			a.Own()
+		}
+	})
 }
 
 // MinCut estimates the global min cut from the bundle's epoch state.
@@ -646,10 +668,7 @@ func (b *Bundle) foldBank(p *bundlePayload, id int, replace bool) error {
 // and checked at Spanner() time — see there.
 //
 // All or nothing: a bank that fails to decode or to match its leaf leaves
-// the bundle as it was. A live bundle stages the fold on a clone and swaps
-// it in; a pristine one (recovery's and a full pull's factory-fresh target)
-// folds in place and is re-created empty on error, which spares copying a
-// whole bundle of zeros.
+// the bundle as it was. The fold is staged on a clone and swapped in.
 func (b *Bundle) MergeBytes(data []byte) error {
 	next, err := b.merged(data)
 	if err != nil {
@@ -660,7 +679,7 @@ func (b *Bundle) MergeBytes(data []byte) error {
 }
 
 // merged is MergeBytes without the swap: it returns the folded bundle and
-// leaves b as it was, except that a pristine b folds in place (next is b).
+// leaves b's state as it was.
 func (b *Bundle) merged(data []byte) (*Bundle, error) {
 	p, err := b.decodePayload(data)
 	if err != nil {
@@ -673,17 +692,10 @@ func (b *Bundle) mergePayload(p *bundlePayload) (*Bundle, error) {
 	if len(p.present) != p.total {
 		return nil, fmt.Errorf("service: merge needs a full payload (%d/%d banks): %w", len(p.present), p.total, wire.ErrBadEncoding)
 	}
-	next := b
-	if !b.pristine {
-		next = b.Clone()
-	}
+	next := b.Clone()
 	if err := next.foldBanks(p, false); err != nil {
-		if b.pristine {
-			*b = *NewBundle(b.cfg)
-		}
 		return nil, err
 	}
-	next.pristine = false
 	return next, nil
 }
 
@@ -717,18 +729,19 @@ func (b *Bundle) replaceBanks(p *bundlePayload) error {
 }
 
 // assemble builds the state a peer's payload describes, as a new bundle; of
-// b only the maintained leaves may change (rebuilt, never the state). Which
-// of the two constructions runs is read off the payload, not asked of the
-// caller:
+// b only the maintained leaves may change (rebuilt, never the state). The
+// present banks are replace-installed on a clone of b, which shares b's hash
+// state and copies none of its cells: a replaced arena takes fresh ones.
+// What must hold first is read off the payload, not asked of the caller:
 //
-//   - a full payload (every bank present) is folded into a factory-fresh
-//     bundle — never into b, where linearity would double-count;
-//   - a bank payload is grafted onto a clone of b, after every ABSENT bank's
-//     current leaf in b has been found equal to the peer's (checked before
-//     the clone: an insufficient delta costs a manifest, not a copy of the
-//     state). rebuildLeaves first recomputes b's leaves from its state, so
-//     that check sees b's bytes as they are now; a tenant whose bytes are
-//     suspect needs that, a healthy one does not pay for it.
+//   - a full payload (every bank present) replaces every bank, so nothing
+//     of b's state survives and nothing needs checking;
+//   - a bank payload keeps b's absent banks, so every ABSENT bank's current
+//     leaf in b must equal the peer's (checked before the clone: an
+//     insufficient delta costs a manifest). rebuildLeaves first recomputes
+//     b's leaves from its state, so that check sees b's bytes as they are
+//     now; a tenant whose bytes are suspect needs that, a healthy one does
+//     not pay for it.
 //
 // full reports which it was. Every present bank has been checked against its
 // manifest leaf either way; checking the result against a root advertised
@@ -738,21 +751,20 @@ func (b *Bundle) assemble(data []byte, rebuildLeaves bool) (next *Bundle, full b
 	if err != nil {
 		return nil, false, err
 	}
-	if len(p.present) == p.total {
-		next, err = NewBundle(b.cfg).mergePayload(p)
-		return next, true, err
-	}
-	if rebuildLeaves {
-		b.RecomputeDigests()
-	}
-	local := b.manifest()
-	for id := 0; id < p.total; id++ {
-		if _, ok := p.present[id]; !ok && local.Banks[id] != p.man.Banks[id] {
-			return nil, false, fmt.Errorf("service: bank %d diverges locally but is absent from delta payload: %w", id, ErrDeltaInsufficient)
+	full = len(p.present) == p.total
+	if !full {
+		if rebuildLeaves {
+			b.RecomputeDigests()
+		}
+		local := b.manifest()
+		for id := 0; id < p.total; id++ {
+			if _, ok := p.present[id]; !ok && local.Banks[id] != p.man.Banks[id] {
+				return nil, false, fmt.Errorf("service: bank %d diverges locally but is absent from delta payload: %w", id, ErrDeltaInsufficient)
+			}
 		}
 	}
 	next = b.Clone()
-	return next, false, next.replaceBanks(p)
+	return next, full, next.replaceBanks(p)
 }
 
 // InjectBankRot deterministically corrupts one bank's live in-memory state
@@ -768,7 +780,6 @@ func (b *Bundle) InjectBankRot(bank int, seed uint64) error {
 	if bank < 0 || bank >= b.NumBanks() {
 		return fmt.Errorf("service: bank %d out of [0,%d): %w", bank, b.NumBanks(), wire.ErrBadEncoding)
 	}
-	b.pristine = false
 	sk, idx, ok := b.sketchBank(bank)
 	if !ok {
 		for i := uint64(0); ; i++ {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"testing"
 
 	"graphsketch/internal/stream"
@@ -105,6 +106,65 @@ func BenchmarkBundleClone(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchSink += int64(live.Clone().NumBanks())
 	}
+}
+
+// BenchmarkBundleCloneThenUpdate is a publish and the batch after it. The
+// clone shares every arena with the live bundle, so the batch copies them:
+// the ones it writes as it writes them, then the rest. The
+// arenas-copied/op metric counts them (1,440 is the whole bundle).
+func BenchmarkBundleCloneThenUpdate(b *testing.B) {
+	for _, n := range []int{8, 256} {
+		b.Run(fmt.Sprintf("updates=%d", n), func(b *testing.B) {
+			live, d := benchBundle(b)
+			d.ups = d.ups[:n]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink += int64(live.Clone().NumBanks())
+				d.step(live)
+			}
+			b.StopTimer()
+			epoch := live.Clone()
+			d.step(live)
+			b.ReportMetric(float64(arenasCopied(live, epoch)), "arenas-copied/op")
+		})
+	}
+}
+
+// BenchmarkBundleEpochSmallBatches is one epoch of trickle ingest: a
+// publish, then EpochEvery (256) updates in 8-update batches. Each batch
+// writes a third of the arenas, and the epoch's batches write them all, so
+// this is where it shows when the copies the publish deferred are made.
+func BenchmarkBundleEpochSmallBatches(b *testing.B) {
+	live, d := benchBundle(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += int64(live.Clone().NumBanks())
+		for j := 0; j < len(d.ups); j += 8 {
+			live.UpdateBatch(d.ups[j : j+8])
+		}
+		for k := range d.ups {
+			d.ups[k].Delta = -d.ups[k].Delta
+		}
+	}
+}
+
+// arenasCopied counts the arenas of b that no longer share their cells with
+// the same arena of its clone.
+func arenasCopied(b, clone *Bundle) int {
+	n := 0
+	for id := 0; id < b.sketchBankCount(); id++ {
+		sk, idx, _ := b.sketchBank(id)
+		csk, _, _ := clone.sketchBank(id)
+		cas := csk.BankArenas(idx)
+		for i, a := range sk.BankArenas(idx) {
+			if !a.SharesCells(cas[i]) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // BenchmarkBundleClonePristine clones a factory-fresh bundle: tenant

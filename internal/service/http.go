@@ -177,6 +177,7 @@ type MetricsResponse struct {
 	SyncDeltaBytes     int64            `json:"sync_delta_bytes"`
 	SyncDeltaFullBytes int64            `json:"sync_delta_full_bytes"`
 	SyncLogPulls       int64            `json:"sync_log_pulls"`
+	SyncLogGone        int64            `json:"sync_log_gone"`
 	WALSnapshotFailed  int64            `json:"wal_snapshot_failed"`
 	Quarantined        []string         `json:"quarantined,omitempty"`
 	SyncPeers          []PeerSyncStatus `json:"sync_peers,omitempty"`
@@ -569,6 +570,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		SyncDeltaBytes:     s.met.SyncDeltaBytes.Load(),
 		SyncDeltaFullBytes: s.met.SyncDeltaFullBytes.Load(),
 		SyncLogPulls:       s.met.SyncLogPulls.Load(),
+		SyncLogGone:        s.met.SyncLogGone.Load(),
 		WALSnapshotFailed:  s.met.WALSnapshotFailed.Load(),
 		Quarantined:        s.QuarantinedTenants(),
 		SyncPeers:          s.peerSyncStatus(),

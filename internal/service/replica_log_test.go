@@ -266,8 +266,8 @@ func TestReplicaLogGone(t *testing.T) {
 		t.Fatalf("round behind the snapshot = %+v, want one bank or full pull", round)
 	}
 	samePayload(t, "behind the snapshot", primary, follower)
-	if met, _ := follower.c.Metrics(); met.SyncLogPulls != 0 {
-		t.Fatalf("sync_log_pulls = %d, want 0", met.SyncLogPulls)
+	if met, _ := follower.c.Metrics(); met.SyncLogPulls != 0 || met.SyncLogGone != 1 {
+		t.Fatalf("sync_log_pulls = %d, sync_log_gone = %d, want 0 and 1", met.SyncLogPulls, met.SyncLogGone)
 	}
 }
 

@@ -124,9 +124,13 @@ type Metrics struct {
 	SyncDeltaBytes     atomic.Int64
 	SyncDeltaFullBytes atomic.Int64
 	// SyncLogPulls counts the delta pulls that were log suffixes (the log
-	// rung). WALSnapshotFailed counts periodic snapshots that failed before
-	// their rename; the next is tried one SnapshotEvery later.
+	// rung), SyncLogGone the log pulls a peer answered 410 (no exact suffix:
+	// the position predates its snapshot, or the suffix outweighs it), each
+	// of which fell to the bank rung. WALSnapshotFailed counts periodic
+	// snapshots that failed before their rename; the next is tried one
+	// SnapshotEvery later.
 	SyncLogPulls      atomic.Int64
+	SyncLogGone       atomic.Int64
 	WALSnapshotFailed atomic.Int64
 }
 
@@ -136,7 +140,9 @@ type Metrics struct {
 // writer. The bundle's logical state is immutable here, but query
 // execution mutates decode scratch inside the sketches, so concurrent
 // queries on one epoch are serialized by the epoch's mutex — never
-// against the writer, which owns a different bundle.
+// against the writer, which owns a different bundle. The two bundles share
+// arenas copy-on-write; the writer copies an arena before it writes it, so
+// no cell an epoch reads ever moves.
 type Epoch struct {
 	Bundle *Bundle
 	Pos    int
@@ -703,10 +709,6 @@ func (s *Server) Merge(ctx context.Context, tenantName string, sealed []byte) (i
 		}
 		durErr := w.Snapshot(next)
 		if durErr != nil && !errors.Is(durErr, runtime.ErrTookEffect) {
-			if next == live {
-				// A pristine bundle folds in place, and pristine is empty.
-				*live = *NewBundle(live.cfg)
-			}
 			return durErr
 		}
 		*live = *next

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"net/http"
 	"sync"
 	"time"
 
@@ -346,6 +347,9 @@ func (y *Syncer) logRung(ctx context.Context, peer *Client, name string, from in
 	if err != nil {
 		var ae *apiError
 		if errors.As(err, &ae) {
+			if ae.Status == http.StatusGone {
+				y.srv.met.SyncLogGone.Add(1)
+			}
 			return false, false
 		}
 		return true, y.peerFailed(round)

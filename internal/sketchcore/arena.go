@@ -32,6 +32,7 @@ package sketchcore
 
 import (
 	"math/bits"
+	"slices"
 
 	"graphsketch/internal/hashing"
 	"graphsketch/internal/onesparse"
@@ -95,6 +96,11 @@ type Arena struct {
 	// zero stays marked (harmless: its zero row adds nothing); only Reset
 	// and a wire decode that replaces the state recompute the bitmap.
 	occ []uint64
+	// cow marks cells and occ as possibly shared with a Clone: the next
+	// write takes its own copy first (own). Clone marks both sides, and
+	// neither is told when the other stops sharing, so a marked arena may
+	// copy once more than it had to.
+	cow bool
 	// Shared-seed banks carry a maintained linear digest of their cells
 	// (see Digest): dk is the shape's multiplier tables (nil in per-slot
 	// mode, which keeps no digest), rhoW/rhoF the seed-derived scalars, and
@@ -184,7 +190,8 @@ func (a *Arena) seedSlots(slotSeeds []uint64) {
 // reseeds a prefix (live-vertex compaction shrinks the used prefix pass by
 // pass) must not update or sample past it until the next Reseed covers
 // those slots. Hash state is rewritten in place, so arenas previously
-// spawned with CloneEmpty must not be used past their origin's Reseed.
+// spawned with CloneEmpty or Clone must not be used past their origin's
+// Reseed.
 func (a *Arena) Reseed(slotSeeds []uint64) {
 	if a.shared {
 		panic("sketchcore: Reseed requires a per-slot arena")
@@ -206,6 +213,7 @@ func (a *Arena) CloneEmpty() *Arena {
 	c := *a
 	c.cells = make([]acell, len(a.cells))
 	c.occ = make([]uint64, len(a.occ))
+	c.cow = false
 	c.pow = append([]*hashing.PowTable(nil), a.pow...)
 	c.plan = nil
 	c.batch = planScratch{}
@@ -317,10 +325,48 @@ func (a *Arena) markAllSlots() {
 	}
 }
 
+// own gives a its own cells and occupancy before a write, if a Clone left
+// them shared: every method that writes either calls it first. An arena
+// with no occupied slot has all-zero cells, so it takes fresh zeroed ones
+// and copies none. Fan-outs that write disjoint ranges of one arena call it
+// before forking.
+func (a *Arena) own() {
+	if a.cow {
+		a.unshare() // out of line, so that own inlines into the write paths
+	}
+}
+
+func (a *Arena) unshare() {
+	a.cow = false
+	if a.OccupiedSlots() == 0 {
+		a.cells = make([]acell, len(a.cells))
+		a.occ = make([]uint64, len(a.occ))
+		return
+	}
+	a.cells = slices.Clone(a.cells)
+	a.occ = slices.Clone(a.occ)
+}
+
+// Own takes a's own copy of the cells a Clone shares, as the first write
+// would, so a caller can make the copies when and on which goroutines it
+// chooses rather than leave them to later writes.
+func (a *Arena) Own() { a.own() }
+
+// SharesCells reports whether a and b hold the same cell array: an arena
+// and its Clone do until either is written.
+func (a *Arena) SharesCells(b *Arena) bool {
+	return len(a.cells) > 0 && len(b.cells) > 0 && &a.cells[0] == &b.cells[0]
+}
+
 // Reset zeroes the arena's cell state, touching only occupied slot rows
 // (zeroing an arena that carries little state costs proportionally little
-// — the coordinator pattern of reusing one accumulator across batches).
+// — the coordinator pattern of reusing one accumulator across batches). A
+// shared arena drops the shared state unread and takes fresh zeroed cells.
 func (a *Arena) Reset() {
+	if a.cow {
+		a.occ = make([]uint64, len(a.occ))
+	}
+	a.own()
 	rowCells := a.reps * a.levels
 	for wi, w := range a.occ {
 		for w != 0 {
@@ -360,6 +406,7 @@ func (a *Arena) Update(slot int, index uint64, delta int64) {
 	if delta == 0 {
 		return
 	}
+	a.own()
 	a.markSlot(slot)
 	term := a.termOf(slot, index, delta)
 	is := int64(index) * delta
@@ -391,6 +438,7 @@ func (a *Arena) UpdateEdge(uSlot, vSlot int, index uint64, delta int64) {
 	if !a.shared {
 		panic("sketchcore: UpdateEdge requires a shared-seed arena")
 	}
+	a.own()
 	a.markSlot(uSlot)
 	a.markSlot(vSlot)
 	term := onesparse.FingerprintTermTab(a.pow[0], index, delta)
@@ -435,6 +483,7 @@ func (a *Arena) UpdateAll(index uint64, delta int64) {
 	if delta == 0 {
 		return
 	}
+	a.own()
 	a.markAllSlots()
 	if a.shared {
 		term := onesparse.FingerprintTermTab(a.pow[0], index, delta)
@@ -497,6 +546,7 @@ func (a *Arena) mustMatch(other *Arena) {
 // pays off on genuinely sparse sources lives in MergeMany.
 func (a *Arena) Add(other *Arena) {
 	a.mustMatch(other)
+	a.own()
 	rowCells := a.reps * a.levels
 	span := 64 * rowCells
 	for wi, w := range other.occ {
@@ -521,6 +571,7 @@ func (a *Arena) AddRange(other *Arena, lo, hi int) {
 	if lo < 0 || hi > a.slots || lo > hi {
 		panic("sketchcore: AddRange slot range out of bounds")
 	}
+	a.own()
 	for slot := lo; slot < hi; slot++ {
 		if other.SlotOccupied(slot) {
 			a.markSlot(slot)
@@ -545,21 +596,24 @@ func addInto(dst, src []acell) {
 	}
 }
 
-// Clone returns a deep copy of the bank. Hash state (mixers, power tables)
-// is immutable and shared; cell state is copied, so mutating the clone
-// never perturbs the original. The per-slot table index and plan scratch
-// are unshared so clone and original can update independently. A bank with
-// no occupied slot has all-zero cells, so its clone gets fresh zeroed cells
-// and copies none.
+// Clone returns a copy of the bank in O(1) of its cells: clone and source
+// share the cell state copy-on-write, and whichever is written first takes
+// its own copy (own), so mutating the clone never perturbs the original or
+// the other way round. Hash state (mixers, power tables) is immutable and
+// shared; the per-slot table index (which builds tables lazily) and plan
+// scratch are unshared so clone and original can update independently.
+//
+// Clone writes a: it marks a's cells shared. Like the write methods, it must
+// not run concurrently with other calls on a, except on an a that is already
+// marked (a clone not written since), which Clone only reads.
 func (a *Arena) Clone() *Arena {
-	c := *a
-	if a.OccupiedSlots() == 0 {
-		c.cells = make([]acell, len(a.cells))
-	} else {
-		c.cells = append([]acell(nil), a.cells...)
+	if !a.cow {
+		a.cow = true
 	}
-	c.pow = append([]*hashing.PowTable(nil), a.pow...)
-	c.occ = append([]uint64(nil), a.occ...)
+	c := *a
+	if !a.shared {
+		c.pow = append([]*hashing.PowTable(nil), a.pow...)
+	}
 	c.plan = nil
 	c.batch = planScratch{}
 	return &c

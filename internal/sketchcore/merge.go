@@ -35,6 +35,7 @@ func (a *Arena) MergeMany(others []*Arena) {
 	if len(others) == 0 {
 		return
 	}
+	a.own() // before the word ranges fan out
 	for _, o := range others {
 		a.dig = a.dig.Add(o.dig)
 	}

@@ -407,6 +407,7 @@ func (a *Arena) ApplyPlan(p *EdgePlan) {
 	a.dig = a.dig.Add(a.planDigest(p, termPair, lvl))
 
 	// Phase 2: tile-ordered sweep of the endpoint entries.
+	a.own()
 	for wi, w := range p.occ {
 		if w != 0 {
 			a.occ[wi] |= w
@@ -445,6 +446,7 @@ func (a *Arena) applyPlanEdgeMajor(p *EdgePlan) {
 	if edges == 0 {
 		return
 	}
+	a.own()
 	tab := a.pow[0]
 	mix := a.mix
 	levels := a.levels
