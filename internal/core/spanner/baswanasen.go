@@ -36,9 +36,9 @@ func BaswanaSen(st *stream.Stream, k int, seed uint64) BSResult {
 // BSBuilder is the reusable BASWANA-SEN construction: the join-sampler
 // arena and the group-sampler bank are allocated once and reseeded between
 // passes (and between builds), the stream is coalesced into one pass plan
-// swept per phase, and the retirement decode fans out across worker
-// goroutines. Each pass i knows the clustering from pass i-1 and builds two
-// sketch families:
+// swept per phase by slot-owned ranges (ownedSweep), and the retirement
+// decode fans out across worker goroutines. Each pass i knows the
+// clustering from pass i-1 and builds two sketch families:
 //
 //   - per live vertex, an l0-sampler over its edges into *sampled* trees
 //     (case: vertex joins a tree, contributing one tree edge);
@@ -71,6 +71,7 @@ type BSBuilder struct {
 	addedStamp        []int
 	stamp             int
 	candidates        []int
+	sweep             ownedSweep
 	dec               decodeScratch
 }
 
@@ -86,9 +87,9 @@ func NewBSBuilder(n, k int, seed uint64) *BSBuilder {
 	return &BSBuilder{n: n, k: k, seed: seed}
 }
 
-// SetIngestWorkers shards each pass's plan sweep across w goroutines
-// (w <= 0 defaults to GOMAXPROCS, w == 1 sequential; the merged state is
-// bit-identical by linearity).
+// SetIngestWorkers splits each pass's plan sweep into w slot-owned ranges
+// (w <= 0 defaults to GOMAXPROCS, w == 1 sequential; every cell has one
+// writer, so the state is bit-identical for every setting).
 func (b *BSBuilder) SetIngestWorkers(w int) { b.ingestWorkers = w }
 
 // SetDecodeWorkers fans the retirement decode (join sampling + group
@@ -189,27 +190,20 @@ func (b *BSBuilder) Build(st *stream.Stream) BSResult {
 		if live == 0 {
 			break // every vertex retired: no edge can join or be stored anymore
 		}
-		// Prefix reseed: slot compaction puts every live vertex below
-		// `live`, so hash rederivation cost tracks the surviving graph.
-		b.join.Reseed(b.joinSeeds[:live])
-		b.bank.ReseedPrefix(b.bankSeeds[:live])
-
-		// ---- the pass: one sharded sweep over the coalesced plan ----
-		self := &bsPassShard{
-			member: member, selected: selected, liveSlot: b.liveSlot,
-			join: b.join, bank: b.bank,
-		}
-		sketchcore.ShardedIngest(plan.Updates, b.ingestWorkers, self,
-			func() *bsPassShard {
-				return &bsPassShard{
-					member: member, selected: selected, liveSlot: b.liveSlot,
-					join: b.join.CloneEmpty(), bank: b.bank.CloneEmpty(),
-				}
-			},
-			func(sh *bsPassShard) {
-				b.join.Add(sh.join)
-				b.bank.Add(sh.bank)
-			})
+		// ---- the pass: one slot-owned sweep over the coalesced plan ----
+		// Each range zeroes and reseeds its own members (the last range
+		// also zeroes the slots past `live`). Slot compaction puts every
+		// live vertex below `live`, so hash rederivation cost tracks the
+		// surviving graph.
+		p := bsPass{member: member, selected: selected, liveSlot: b.liveSlot, join: b.join, bank: b.bank}
+		b.sweep.run(live, b.ingestWorkers, []*sketchcore.Arena{b.join, b.bank.cells}, func(lo, hi int, marks [][]uint64) {
+			end := b.rangeEnd(hi, live)
+			b.join.ResetSlots(lo, end)
+			b.bank.resetMembers(lo, end)
+			b.join.SeedSlots(lo, b.joinSeeds[lo:hi])
+			b.bank.seedMembers(b.bankSeeds, lo, hi)
+			p.sweep(plan.Updates, lo, hi, marks[0], marks[1])
+		})
 		passes++
 
 		// ---- post-pass: apply the Baswana-Sen phase ----
@@ -278,13 +272,12 @@ func (b *BSBuilder) Build(st *stream.Stream) BSResult {
 		live++
 	}
 	if live > 0 {
-		b.bank.ReseedPrefix(b.bankSeeds[:live])
-		self := &bsFinalShard{member: member, liveSlot: b.liveSlot, bank: b.bank}
-		sketchcore.ShardedIngest(plan.Updates, b.ingestWorkers, self,
-			func() *bsFinalShard {
-				return &bsFinalShard{member: member, liveSlot: b.liveSlot, bank: b.bank.CloneEmpty()}
-			},
-			func(sh *bsFinalShard) { b.bank.Add(sh.bank) })
+		p := bsPass{member: member, liveSlot: b.liveSlot, bank: b.bank}
+		b.sweep.run(live, b.ingestWorkers, []*sketchcore.Arena{b.bank.cells}, func(lo, hi int, marks [][]uint64) {
+			b.bank.resetMembers(lo, b.rangeEnd(hi, live))
+			b.bank.seedMembers(b.bankSeeds, lo, hi)
+			p.sweepFinal(plan.Updates, lo, hi, marks[0])
+		})
 		cands := b.candidates[:0]
 		for v := 0; v < n; v++ {
 			if member[v] != -1 {
@@ -319,12 +312,22 @@ func (b *BSBuilder) Build(st *stream.Stream) BSResult {
 	}
 }
 
+// rangeEnd is where a sweep range [lo, hi) of live members stops zeroing:
+// the last range also zeroes the members past `live`, which the previous
+// pass may have written.
+func (b *BSBuilder) rangeEnd(hi, live int) int {
+	if hi == live {
+		return b.n
+	}
+	return hi
+}
+
 // workers resolves the decode worker count.
 func (b *BSBuilder) workers() int { return resolveWorkers(b.decodeWorkers) }
 
-// bsPassShard is one shard's view of a BASWANA-SEN pass: the (read-only)
-// clustering plus this shard's join arena and group bank.
-type bsPassShard struct {
+// bsPass is one BASWANA-SEN pass's view for the slot-owned sweep: the
+// (read-only) clustering plus the join arena and group bank.
+type bsPass struct {
 	member   []int
 	selected []bool
 	liveSlot []int
@@ -332,59 +335,46 @@ type bsPassShard struct {
 	bank     *GroupBank
 }
 
-// Update feeds one edge update (the Updater interface; the batched path
-// below is what plan sweeps use).
-func (p *bsPassShard) Update(u, v int, delta int64) {
-	if u == v {
-		return
-	}
-	p.UpdateBatch([]stream.Update{{U: u, V: v, Delta: delta}})
-}
-
-// UpdateBatch sweeps a slice of coalesced plan edges: per edge, the
-// clustering filter runs once, then each live endpoint feeds its join
-// sampler (when the far tree is sampled) and its group sampler.
-func (p *bsPassShard) UpdateBatch(ups []stream.Update) {
+// sweep applies the plan edges' updates that land on live slots [lo, hi):
+// per edge, the clustering filter runs once, then each owned live endpoint
+// feeds its join sampler (when the far tree is sampled) and its group
+// sampler, recording the slots written in joinMarks and bankMarks.
+func (p *bsPass) sweep(ups []stream.Update, lo, hi int, joinMarks, bankMarks []uint64) {
 	member, selected, liveSlot := p.member, p.selected, p.liveSlot
 	for _, up := range ups {
 		mu, mv := member[up.U], member[up.V]
 		if mu == -1 || mv == -1 || mu == mv {
 			continue // retired endpoint or intra-tree edge: out of play
 		}
-		if selected[mv] {
-			p.join.Update(liveSlot[up.U], uint64(up.V), up.Delta)
+		if su := liveSlot[up.U]; su >= lo && su < hi {
+			if selected[mv] {
+				p.join.UpdateMarked(joinMarks, su, uint64(up.V), up.Delta)
+			}
+			p.bank.updateMarked(bankMarks, su, uint64(mv), uint64(up.V), up.Delta)
 		}
-		p.bank.Update(liveSlot[up.U], uint64(mv), uint64(up.V), up.Delta)
-		if selected[mu] {
-			p.join.Update(liveSlot[up.V], uint64(up.U), up.Delta)
+		if sv := liveSlot[up.V]; sv >= lo && sv < hi {
+			if selected[mu] {
+				p.join.UpdateMarked(joinMarks, sv, uint64(up.U), up.Delta)
+			}
+			p.bank.updateMarked(bankMarks, sv, uint64(mu), uint64(up.U), up.Delta)
 		}
-		p.bank.Update(liveSlot[up.V], uint64(mu), uint64(up.U), up.Delta)
 	}
 }
 
-// bsFinalShard is the final pass's shard view: group sampling only.
-type bsFinalShard struct {
-	member   []int
-	liveSlot []int
-	bank     *GroupBank
-}
-
-func (p *bsFinalShard) Update(u, v int, delta int64) {
-	if u == v {
-		return
-	}
-	p.UpdateBatch([]stream.Update{{U: u, V: v, Delta: delta}})
-}
-
-func (p *bsFinalShard) UpdateBatch(ups []stream.Update) {
+// sweepFinal is the final pass's sweep: group sampling only.
+func (p *bsPass) sweepFinal(ups []stream.Update, lo, hi int, bankMarks []uint64) {
 	member, liveSlot := p.member, p.liveSlot
 	for _, up := range ups {
 		mu, mv := member[up.U], member[up.V]
 		if mu == -1 || mv == -1 || mu == mv {
 			continue
 		}
-		p.bank.Update(liveSlot[up.U], uint64(mv), uint64(up.V), up.Delta)
-		p.bank.Update(liveSlot[up.V], uint64(mu), uint64(up.U), up.Delta)
+		if su := liveSlot[up.U]; su >= lo && su < hi {
+			p.bank.updateMarked(bankMarks, su, uint64(mv), uint64(up.V), up.Delta)
+		}
+		if sv := liveSlot[up.V]; sv >= lo && sv < hi {
+			p.bank.updateMarked(bankMarks, sv, uint64(mu), uint64(up.U), up.Delta)
+		}
 	}
 }
 

@@ -115,6 +115,39 @@ func TestSpannerWorkerCountsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSpannerSweepRangesBitIdentical: the slot-owned sweep splits the live
+// members into one range per ingest worker, and range ends need not fall on
+// an occupancy word (64 slots). At n = 100 and 1, 2 and 3 workers the ranges
+// split words of both the join arena and the group bank. The sparse stream
+// retires vertices every pass, so the live prefix shrinks and the next pass,
+// and the next build on a reused builder, must find the slots past it
+// zeroed. Every build, fresh or reused, alternating the two streams, must
+// match the retained scalar construction edge for edge.
+func TestSpannerSweepRangesBitIdentical(t *testing.T) {
+	streams := []*stream.Stream{
+		stream.GNP(100, 0.04, 51),
+		stream.GNP(100, 0.12, 52).WithChurn(600, 53),
+	}
+	reusedBS := spanner.NewBSBuilder(100, 3, 57)
+	reusedRC := spanner.NewRCBuilder(100, 4, 57)
+	for _, workers := range []int{1, 2, 3} {
+		for _, st := range streams {
+			wantBS := baseline.BaswanaSen(st, 3, 57)
+			wantRC := baseline.RecurseConnect(st, 4, 57)
+			for _, fresh := range []bool{true, false} {
+				bs, rc := reusedBS, reusedRC
+				if fresh {
+					bs, rc = spanner.NewBSBuilder(100, 3, 57), spanner.NewRCBuilder(100, 4, 57)
+				}
+				bs.SetIngestWorkers(workers)
+				rc.SetIngestWorkers(workers)
+				edgesEqual(t, "baswana-sen", bs.Build(st).Spanner, wantBS.Spanner)
+				edgesEqual(t, "recurse-connect", rc.Build(st).Spanner, wantRC.Spanner)
+			}
+		}
+	}
+}
+
 // TestBuilderReuseBitIdentical: a builder rebuilt on reseeded arenas (the
 // phase/build-reuse path) must reproduce a fresh builder's spanner, build
 // after build and across different streams.

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"graphsketch/internal/sketchcore"
 )
 
 // resolveWorkers maps a SetDecodeWorkers setting to an effective count
@@ -108,4 +110,50 @@ func (d *decodeScratch) run(n, workers int, fn func(w *decodeWorker, i int)) {
 // joined reports whether item i recorded a join sample, and its index.
 func (d *decodeScratch) joined(i int) (bool, uint64) {
 	return d.joinOK[i], d.joinIdx[i]
+}
+
+// ownedSweep is the slot-owned pass sweep under both builders. Live members
+// [0, live) split into one contiguous range per ingest worker, and each
+// range runs on sketchcore.ForkJoin: it zeroes and reseeds its own members,
+// scans the whole pass plan, and applies only the endpoint updates that land
+// on its members. Every cell thus has one writer and receives the updates a
+// one-goroutine sweep gives it, in plan order, so the state is bit-identical
+// for every worker count, and no shard bank is cloned or merged. Two ranges'
+// slots may share an occupancy word, so each range records its writes in its
+// own bitmap per arena, and the union becomes the occupancy after the join
+// (sketchcore.Arena.Remark).
+type ownedSweep struct {
+	marks  [][]uint64 // range r's bitmap for arena i at r*len(arenas)+i
+	gather [][]uint64 // one arena's bitmaps, for Remark
+}
+
+// run sweeps with the given ingest worker setting (0 = GOMAXPROCS), giving
+// the arenas their own cells before the fork. fn(lo, hi, marks) sweeps
+// members [lo, hi), recording into marks[i] what it writes to arenas[i];
+// it must ResetSlots its members first, and the last range (hi == live)
+// every slot past them too.
+func (s *ownedSweep) run(live, workers int, arenas []*sketchcore.Arena, fn func(lo, hi int, marks [][]uint64)) {
+	ranges := min(resolveWorkers(workers), live)
+	na := len(arenas)
+	for _, a := range arenas {
+		a.Own()
+	}
+	for len(s.marks) < ranges*na {
+		s.marks = append(s.marks, nil)
+	}
+	for j, m := range s.marks[:ranges*na] {
+		if words := arenas[j%na].MarkWords(); len(m) != words {
+			s.marks[j] = make([]uint64, words)
+		}
+	}
+	sketchcore.ForkJoin(ranges, func(r int) {
+		fn(r*live/ranges, (r+1)*live/ranges, s.marks[r*na:(r+1)*na])
+	})
+	for i, a := range arenas {
+		s.gather = s.gather[:0]
+		for r := 0; r < ranges; r++ {
+			s.gather = append(s.gather, s.marks[r*na+i])
+		}
+		a.Remark(s.gather)
+	}
 }

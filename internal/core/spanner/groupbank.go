@@ -53,7 +53,7 @@ func NewGroupBank(members int, universe uint64, budget int, memberSeeds []uint64
 	b.hash = make([]hashing.Mixer, members*b.reps)
 	b.seeds = make([]uint64, members)
 	b.slotSeed = make([]uint64, members*b.grid)
-	b.stageSeeds(memberSeeds)
+	b.stageSeeds(memberSeeds, 0, members)
 	b.cells = sketchcore.New(sketchcore.Config{
 		Slots:     members * b.grid,
 		Universe:  universe,
@@ -66,11 +66,12 @@ func NewGroupBank(members int, universe uint64, budget int, memberSeeds []uint64
 	return b
 }
 
-// stageSeeds fills the group hashes and the per-slot seed staging from
-// fresh member seeds.
-func (b *GroupBank) stageSeeds(memberSeeds []uint64) {
-	copy(b.seeds, memberSeeds)
-	for m, s := range memberSeeds {
+// stageSeeds fills members [lo, hi)'s group hashes and per-slot seed
+// staging from memberSeeds[lo:hi]. It writes only those members' entries.
+func (b *GroupBank) stageSeeds(memberSeeds []uint64, lo, hi int) {
+	copy(b.seeds[lo:hi], memberSeeds[lo:hi])
+	for m := lo; m < hi; m++ {
+		s := memberSeeds[m]
 		base := m * b.grid
 		for r := 0; r < b.reps; r++ {
 			b.hash[m*b.reps+r] = hashing.NewMixer(groupHashSeed(s, r))
@@ -81,6 +82,23 @@ func (b *GroupBank) stageSeeds(memberSeeds []uint64) {
 	}
 }
 
+// resetMembers zeroes members [lo, hi)'s occupied cells for the slot-owned
+// sweep (see sketchcore.Arena.ResetSlots).
+func (b *GroupBank) resetMembers(lo, hi int) {
+	b.cells.ResetSlots(lo*b.grid, hi*b.grid)
+}
+
+// seedMembers re-derives members [lo, hi)'s hashes from memberSeeds[lo:hi]
+// and leaves every cell as it is: Reseed's per-range half, for the
+// slot-owned sweep, whose goroutines each reseed their own member range.
+// Members past the ranges a pass reseeds keep stale hash state over zeroed
+// cells and must not be updated or collected until a later reseed covers
+// them.
+func (b *GroupBank) seedMembers(memberSeeds []uint64, lo, hi int) {
+	b.stageSeeds(memberSeeds, lo, hi)
+	b.cells.SeedSlots(lo*b.grid, b.slotSeed[lo*b.grid:hi*b.grid])
+}
+
 // Reseed zeroes the bank and re-derives every member's hashes from fresh
 // seeds — the phase-reuse primitive: one bank allocation serves every pass
 // of a spanner construction. len(memberSeeds) must equal Members(). Banks
@@ -89,20 +107,8 @@ func (b *GroupBank) Reseed(memberSeeds []uint64) {
 	if len(memberSeeds) != b.members {
 		panic("spanner: Reseed needs len(memberSeeds) == members")
 	}
-	b.ReseedPrefix(memberSeeds)
-}
-
-// ReseedPrefix is Reseed for the first len(memberSeeds) members only —
-// for consumers whose used prefix shrinks pass by pass (live-vertex
-// compaction): reseed cost tracks the live count, not the bank capacity.
-// Members past the prefix keep stale hash state over guaranteed-zero cells
-// and must not be updated or collected until a later reseed covers them.
-func (b *GroupBank) ReseedPrefix(memberSeeds []uint64) {
-	if len(memberSeeds) < 1 || len(memberSeeds) > b.members {
-		panic("spanner: ReseedPrefix needs 1 <= len(memberSeeds) <= members")
-	}
-	b.stageSeeds(memberSeeds)
-	b.cells.Reseed(b.slotSeed[:len(memberSeeds)*b.grid])
+	b.cells.Reset()
+	b.seedMembers(memberSeeds, 0, b.members)
 }
 
 // Members returns the number of logical samplers in the bank.
@@ -121,6 +127,20 @@ func (b *GroupBank) Update(member int, group, item uint64, delta int64) {
 	}
 }
 
+// updateMarked is Update for the slot-owned sweep: the arena slots written
+// are recorded in marks (see sketchcore.Arena.UpdateMarked).
+func (b *GroupBank) updateMarked(marks []uint64, member int, group, item uint64, delta int64) {
+	if delta == 0 {
+		return
+	}
+	base := member * b.grid
+	h := b.hash[member*b.reps : member*b.reps+b.reps]
+	for r := 0; r < b.reps; r++ {
+		k := int(h[r].Bounded(group, uint64(b.buckets)))
+		b.cells.UpdateMarked(marks, base+r*b.buckets+k, item, delta)
+	}
+}
+
 // CollectInto appends one sampled item per non-empty (rep, bucket) cell of
 // member, in the same grid order as GroupSampler.CollectInto. The caller
 // deduplicates by group; items may repeat across repetitions.
@@ -134,8 +154,9 @@ func (b *GroupBank) CollectInto(member int, out []uint64) []uint64 {
 	return out
 }
 
-// Add merges another bank built with identical parameters and seeds — the
-// shard-merge of a sharded construction pass, legal by linearity.
+// Add merges another bank built with identical parameters and seeds, legal
+// by linearity (the builders' sweeps no longer merge shard banks: each
+// member has one writer).
 func (b *GroupBank) Add(other *GroupBank) {
 	if b.universe != other.universe || b.members != other.members ||
 		b.budget != other.budget {
@@ -149,9 +170,9 @@ func (b *GroupBank) Add(other *GroupBank) {
 	b.cells.Add(other.cells)
 }
 
-// CloneEmpty returns a bank with b's shape and seeding but all-zero state —
-// the shard-spawn primitive for ShardedIngest phase replays. Hash state is
-// shared; the clone dies at b's next Reseed.
+// CloneEmpty returns a bank with b's shape and seeding but all-zero state,
+// for a sharded replay merged back with Add. Hash state is shared; the
+// clone dies at b's next Reseed.
 func (b *GroupBank) CloneEmpty() *GroupBank {
 	c := *b
 	c.cells = b.cells.CloneEmpty()

@@ -64,7 +64,8 @@ type rcTriple struct {
 // assignment, relabeling — runs on stamp/slice scratch reused across
 // passes, replacing the per-pass map[int]*GroupSampler and nested witness
 // maps of the retained baseline; each pass sweeps the coalesced plan once,
-// sharded across ingest workers; collection fans out across decode workers.
+// in slot-owned ranges (ownedSweep); collection fans out across decode
+// workers.
 // Output is bit-identical to the retained baseline construction.
 type RCBuilder struct {
 	n, k          int
@@ -96,6 +97,7 @@ type RCBuilder struct {
 	high        []int
 	assigned    []int
 	centerNew   []int
+	sweep       ownedSweep
 	dec         decodeScratch
 }
 
@@ -111,9 +113,9 @@ func NewRCBuilder(n, k int, seed uint64) *RCBuilder {
 	return &RCBuilder{n: n, k: k, seed: seed}
 }
 
-// SetIngestWorkers shards each pass's plan sweep across w goroutines
-// (w <= 0 defaults to GOMAXPROCS, w == 1 sequential; bit-identical by
-// linearity).
+// SetIngestWorkers splits each pass's plan sweep into w slot-owned ranges
+// (w <= 0 defaults to GOMAXPROCS, w == 1 sequential; bit-identical for
+// every setting).
 func (b *RCBuilder) SetIngestWorkers(w int) { b.ingestWorkers = w }
 
 // SetDecodeWorkers fans the per-supernode collection across w goroutines
@@ -171,24 +173,27 @@ func (b *RCBuilder) liveSupernodes() []int {
 	return out
 }
 
-// reuseBank reseeds cur when its shape matches, else allocates a new bank.
-func reuseBank(cur *GroupBank, members int, universe uint64, budget int, seeds []uint64) *GroupBank {
+// reuseBank returns cur when its shape matches (the sweep then zeroes and
+// reseeds its members range by range), else a new bank seeded from seeds.
+func reuseBank(cur *GroupBank, members int, universe uint64, budget int, seeds []uint64) (bank *GroupBank, reseed bool) {
 	if cur != nil && cur.members == members && cur.budget == budget && cur.universe == universe {
-		cur.Reseed(seeds)
-		return cur
+		return cur, true
 	}
-	return NewGroupBank(members, universe, budget, seeds)
+	return NewGroupBank(members, universe, budget, seeds), false
 }
 
-// sweepBank runs one sharded plan sweep into bank under the current
-// contraction.
-func (b *RCBuilder) sweepBank(plan *stream.Stream, bank *GroupBank) {
-	self := &rcPassShard{n: b.n, sn: b.sn, snSlot: b.snSlot, bank: bank}
-	sketchcore.ShardedIngest(plan.Updates, b.ingestWorkers, self,
-		func() *rcPassShard {
-			return &rcPassShard{n: b.n, sn: b.sn, snSlot: b.snSlot, bank: bank.CloneEmpty()}
-		},
-		func(sh *rcPassShard) { bank.Add(sh.bank) })
+// sweepBank runs one slot-owned plan sweep into bank under the current
+// contraction, zeroing and reseeding its members from b.memberSeeds first
+// if asked. Every member is live, so the ranges cover the whole bank.
+func (b *RCBuilder) sweepBank(plan *stream.Stream, bank *GroupBank, reseed bool) {
+	p := rcPass{n: b.n, sn: b.sn, snSlot: b.snSlot, bank: bank}
+	b.sweep.run(bank.members, b.ingestWorkers, []*sketchcore.Arena{bank.cells}, func(lo, hi int, marks [][]uint64) {
+		if reseed {
+			bank.resetMembers(lo, hi)
+			bank.seedMembers(b.memberSeeds, lo, hi)
+		}
+		p.sweep(plan.Updates, lo, hi, marks[0])
+	})
 }
 
 // collectBank drains every member's sampler, decode-worker-parallel; the
@@ -244,9 +249,9 @@ func (b *RCBuilder) Build(st *stream.Stream) RCResult {
 		for len(b.passBanks) <= i {
 			b.passBanks = append(b.passBanks, nil)
 		}
-		bank := reuseBank(b.passBanks[i], L, uint64(n)*uint64(n), di, b.memberSeeds[:L])
+		bank, reseed := reuseBank(b.passBanks[i], L, uint64(n)*uint64(n), di, b.memberSeeds[:L])
 		b.passBanks[i] = bank
-		b.sweepBank(plan, bank)
+		b.sweepBank(plan, bank, reseed)
 		passes++
 
 		// ---- build H_i on supernodes with witness edges ----
@@ -403,8 +408,9 @@ func (b *RCBuilder) Build(st *stream.Stream) RCResult {
 			b.snSlot[p] = idx
 			b.memberSeeds[idx] = hashing.DeriveSeed(passSeed, uint64(p))
 		}
-		b.finalBank = reuseBank(b.finalBank, L, uint64(n)*uint64(n), L, b.memberSeeds[:L])
-		b.sweepBank(plan, b.finalBank)
+		bank, reseed := reuseBank(b.finalBank, L, uint64(n)*uint64(n), L, b.memberSeeds[:L])
+		b.finalBank = bank
+		b.sweepBank(plan, bank, reseed)
 		passes++
 		b.collectBank(b.finalBank, L)
 		for idx := range live {
@@ -426,29 +432,20 @@ func (b *RCBuilder) Build(st *stream.Stream) RCResult {
 	}
 }
 
-// rcPassShard is one shard's view of a contraction pass: the (read-only)
-// supernode labeling plus this shard's bank.
-type rcPassShard struct {
+// rcPass is one contraction pass's view for the slot-owned sweep: the
+// (read-only) supernode labeling plus the pass's bank.
+type rcPass struct {
 	n      int
 	sn     []int
 	snSlot []int
 	bank   *GroupBank
 }
 
-func (p *rcPassShard) Update(u, v int, delta int64) {
-	if u == v {
-		return
-	}
-	if u > v {
-		u, v = v, u
-	}
-	p.UpdateBatch([]stream.Update{{U: u, V: v, Delta: delta}})
-}
-
-// UpdateBatch sweeps coalesced plan edges (canonical U < V): each
-// inter-supernode edge feeds both endpoints' group samplers, grouped by the
-// far supernode, carrying the original edge index as the item.
-func (p *rcPassShard) UpdateBatch(ups []stream.Update) {
+// sweep applies the coalesced plan edges (canonical U < V) that land on
+// members [lo, hi): each inter-supernode edge feeds both endpoints' group
+// samplers, grouped by the far supernode, carrying the original edge index
+// as the item; the slots written are recorded in marks.
+func (p *rcPass) sweep(ups []stream.Update, lo, hi int, marks []uint64) {
 	sn, snSlot := p.sn, p.snSlot
 	nn := uint64(p.n)
 	for _, up := range ups {
@@ -457,7 +454,11 @@ func (p *rcPassShard) UpdateBatch(ups []stream.Update) {
 			continue
 		}
 		idx := uint64(up.U)*nn + uint64(up.V)
-		p.bank.Update(snSlot[pu], uint64(pv), idx, up.Delta)
-		p.bank.Update(snSlot[pv], uint64(pu), idx, up.Delta)
+		if m := snSlot[pu]; m >= lo && m < hi {
+			p.bank.updateMarked(marks, m, uint64(pv), idx, up.Delta)
+		}
+		if m := snSlot[pv]; m >= lo && m < hi {
+			p.bank.updateMarked(marks, m, uint64(pu), idx, up.Delta)
+		}
 	}
 }

@@ -13,9 +13,11 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"graphsketch"
 	"graphsketch/internal/core/mincut"
+	"graphsketch/internal/core/spanner"
 	"graphsketch/internal/core/sparsify"
 	"graphsketch/internal/hashing"
 	"graphsketch/internal/sketchcore"
@@ -77,14 +79,41 @@ type Bundle struct {
 	// those copies to later small batches would land them level by level,
 	// one goroutine per level, across many ops.
 	cloned bool
+	// spanners is the tenant's spanner builder pool: NewBundle makes it and
+	// every Clone shares it, so each epoch's cold spanner query reuses one
+	// builder's arenas instead of allocating them.
+	spanners *spannerPool
+}
+
+// spannerPool keeps one idle Baswana–Sen builder for a bundle shape's
+// (N, SpannerK, Seed). A build takes the idle builder, or makes one if
+// another build holds it, and puts it back when it returns; a second
+// builder finishing while the slot is full is dropped, so a tenant retains
+// at most one. No lock is held across a build, and a build that panics
+// never returns its builder. Reuse is bit-identical to a fresh builder
+// (every pass reseeds and zeroes the arenas it sweeps).
+type spannerPool struct {
+	idle atomic.Pointer[spanner.BSBuilder]
+}
+
+// build runs the Baswana–Sen construction of st on a pooled builder.
+func (p *spannerPool) build(cfg BundleConfig, st *stream.Stream) spanner.BSResult {
+	bld := p.idle.Swap(nil)
+	if bld == nil {
+		bld = spanner.NewBSBuilder(cfg.N, cfg.SpannerK, cfg.Seed)
+	}
+	res := bld.Build(st)
+	p.idle.CompareAndSwap(nil, bld)
+	return res
 }
 
 // NewBundle creates an empty bundle with the given shape.
 func NewBundle(cfg BundleConfig) *Bundle {
 	b := &Bundle{
-		cfg: cfg,
-		mc:  mincut.New(mincut.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed}),
-		sp:  sparsify.NewSimple(sparsify.SimpleConfig{N: cfg.N, Epsilon: cfg.Eps, Seed: cfg.Seed}),
+		cfg:      cfg,
+		mc:       mincut.New(mincut.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed}),
+		sp:       sparsify.NewSimple(sparsify.SimpleConfig{N: cfg.N, Epsilon: cfg.Eps, Seed: cfg.Seed}),
+		spanners: &spannerPool{},
 	}
 	// Empty sketches: the occupancy-guided footprint walk touches no cell.
 	b.sketchBytes = b.mc.Footprint().ResidentBytes + b.sp.Footprint().ResidentBytes
@@ -173,6 +202,7 @@ func (b *Bundle) Clone() *Bundle {
 		coalesced:   b.coalesced,
 		logDig:      b.logDig,
 		sketchBytes: b.sketchBytes,
+		spanners:    b.spanners,
 	}
 }
 
@@ -194,10 +224,11 @@ func (b *Bundle) MinCut() (graphsketch.MinCutResult, error) { return b.mc.MinCut
 // Sparsify recovers the cut sparsifier's graph.
 func (b *Bundle) Sparsify() (*graphsketch.Graph, error) { return b.sp.Sparsify() }
 
-// Spanner builds a (2k-1)-spanner from the coalesced update log. The log's
-// vertex range is validated here, not at decode time: a merged payload
-// vouches for its own section, and this is the deliberate corrupt-payload
-// fixture the service's panic-isolation middleware is tested against.
+// Spanner builds a (2k-1)-spanner from the coalesced update log, on a
+// builder from the tenant's pool. The log's vertex range is validated here,
+// not at decode time: a merged payload vouches for its own section, and
+// this is the deliberate corrupt-payload fixture the service's
+// panic-isolation middleware is tested against.
 func (b *Bundle) Spanner() graphsketch.SpannerResult {
 	// Range-check before coalescing: the edge-index round-trip inside
 	// Coalesce is only a bijection on in-range vertices, so an out-of-range
@@ -208,8 +239,11 @@ func (b *Bundle) Spanner() graphsketch.SpannerResult {
 		}
 	}
 	b.coalesceLog()
-	st := &stream.Stream{N: b.cfg.N, Updates: b.spLog}
-	return graphsketch.BaswanaSenSpanner(st, b.cfg.SpannerK, b.cfg.Seed)
+	r := b.spanners.build(b.cfg, &stream.Stream{N: b.cfg.N, Updates: b.spLog})
+	return graphsketch.SpannerResult{
+		Spanner: r.Spanner, Passes: r.Passes, StretchBound: float64(r.StretchBound),
+		PhaseNanos: r.PhaseNanos, PlanEdges: r.PlanEdges,
+	}
 }
 
 // Footprint accumulates the member sketches' resident/wire sizes plus the

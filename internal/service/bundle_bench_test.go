@@ -216,3 +216,37 @@ func BenchmarkBundleMergeBytesFresh(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBundleOpenFromSnapshot is what opening a tenant from a snapshot
+// costs in cells: NewBundle and the fold of one full payload into it, timed
+// together (recovery, Server.Merge into a fresh tenant, and reopening an
+// evicted tenant all start this way). A fresh bundle's arenas sit on the
+// zero slab, so the fold's staging clone allocates the only cells.
+func BenchmarkBundleOpenFromSnapshot(b *testing.B) {
+	live, _ := benchBundle(b)
+	payload, err := live.MarshalBinaryCompact()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh := NewBundle(live.Config())
+		if err := fresh.MergeBytes(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEpochSpannerCold is an epoch's first spanner query: publish a
+// clone of the live bundle (the density-½ base graph, ~1,000 coalesced
+// edges at n = 64), then build its spanner. Every iteration is a new epoch
+// of one tenant, so it draws the builder the previous one returned.
+func BenchmarkEpochSpannerCold(b *testing.B) {
+	live, _ := benchBundle(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += int64(live.Clone().Spanner().Spanner.NumEdges())
+	}
+}

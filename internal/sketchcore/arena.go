@@ -33,6 +33,7 @@ package sketchcore
 import (
 	"math/bits"
 	"slices"
+	"sync"
 
 	"graphsketch/internal/hashing"
 	"graphsketch/internal/onesparse"
@@ -96,10 +97,11 @@ type Arena struct {
 	// zero stays marked (harmless: its zero row adds nothing); only Reset
 	// and a wire decode that replaces the state recompute the bitmap.
 	occ []uint64
-	// cow marks cells and occ as possibly shared with a Clone: the next
-	// write takes its own copy first (own). Clone marks both sides, and
-	// neither is told when the other stops sharing, so a marked arena may
-	// copy once more than it had to.
+	// cow marks cells and occ as possibly shared, with a Clone or with the
+	// zero slab a new arena starts on: the next write takes its own copy
+	// first (own). Clone marks both sides, and neither is told when the
+	// other stops sharing, so a marked arena may copy once more than it had
+	// to.
 	cow bool
 	// Shared-seed banks carry a maintained linear digest of their cells
 	// (see Digest): dk is the shape's multiplier tables (nil in per-slot
@@ -149,8 +151,7 @@ func New(cfg Config) *Arena {
 		shared:      cfg.SlotSeeds == nil,
 		deferTables: cfg.DeferTables && cfg.SlotSeeds != nil,
 	}
-	a.cells = make([]acell, a.slots*a.reps*a.levels)
-	a.occ = make([]uint64, (a.slots+63)/64)
+	a.zeroState(a.slots*a.reps*a.levels, (a.slots+63)/64)
 	if a.shared {
 		a.mix = make([]hashing.Mixer, a.reps)
 		for r := 0; r < a.reps; r++ {
@@ -163,15 +164,53 @@ func New(cfg Config) *Arena {
 		a.mix = make([]hashing.Mixer, a.slots*a.reps)
 		a.z = make([]uint64, a.slots)
 		a.pow = make([]*hashing.PowTable, a.slots)
-		a.seedSlots(cfg.SlotSeeds)
+		a.SeedSlots(0, cfg.SlotSeeds)
 	}
 	return a
 }
 
-// seedSlots derives every slot's level mixers and fingerprint base from its
-// seed, dropping any built power table (per-slot mode only).
-func (a *Arena) seedSlots(slotSeeds []uint64) {
-	for i, si := range slotSeeds {
+// zeroSlabCells bounds the zero slab at 4 MB. Every sketch bank's arena
+// fits (about 90 KB at n = 64); a larger arena, such as a spanner group
+// bank (12 MB at n = 64), allocates its own zeroed cells. The bound caps
+// what the slab can cost resident should the runtime hand it recycled
+// pages, which it must clear.
+const zeroSlabCells = 4 << 20 / 24
+
+// zeroSlab is the process-wide, never-written cell state every arena
+// within the bound starts on: New points cells and occ at a prefix of it
+// and marks the arena copy-on-write, so a fresh arena costs no cell memory
+// until its first write (own) takes its own zeroed copy, and reads need no
+// special case. An arena has at most one slot per cell, so the occupancy
+// slab covers every arena the cell slab does.
+var zeroSlab = sync.OnceValues(func() ([]acell, []uint64) {
+	return make([]acell, zeroSlabCells), make([]uint64, zeroSlabCells/64+1)
+})
+
+// zeroState gives a all-zero cells and occupancy of the given lengths: a
+// copy-on-write view of the zero slab when they fit, else fresh arrays.
+func (a *Arena) zeroState(cells, words int) {
+	if cells <= zeroSlabCells {
+		zc, zo := zeroSlab()
+		a.cells, a.occ, a.cow = zc[:cells:cells], zo[:words:words], true
+		return
+	}
+	a.cells, a.occ, a.cow = make([]acell, cells), make([]uint64, words), false
+}
+
+// SeedSlots re-derives the hash state (level mixers, fingerprint base) of
+// slots [lo, lo+len(slotSeeds)) from fresh seeds and drops their built power
+// tables, leaving every cell as it is: the per-range half of Reseed, for the
+// slot-owned fan-out (see ResetSlots); it writes only those slots' hash
+// state. Per-slot mode only.
+func (a *Arena) SeedSlots(lo int, slotSeeds []uint64) {
+	if a.shared {
+		panic("sketchcore: SeedSlots requires a per-slot arena")
+	}
+	if lo < 0 || lo+len(slotSeeds) > a.slots {
+		panic("sketchcore: SeedSlots slot range out of bounds")
+	}
+	for j, si := range slotSeeds {
+		i := lo + j
 		for r := 0; r < a.reps; r++ {
 			a.mix[i*a.reps+r] = hashing.NewMixer(hashing.SamplerMixerSeed(si, r))
 		}
@@ -200,7 +239,7 @@ func (a *Arena) Reseed(slotSeeds []uint64) {
 		panic("sketchcore: Reseed needs 1 <= len(slotSeeds) <= Slots")
 	}
 	a.Reset()
-	a.seedSlots(slotSeeds)
+	a.SeedSlots(0, slotSeeds)
 }
 
 // CloneEmpty returns an arena with a's shape, seeding, and table policy but
@@ -211,9 +250,7 @@ func (a *Arena) Reseed(slotSeeds []uint64) {
 // (the tables themselves are immutable and safely shared).
 func (a *Arena) CloneEmpty() *Arena {
 	c := *a
-	c.cells = make([]acell, len(a.cells))
-	c.occ = make([]uint64, len(a.occ))
-	c.cow = false
+	c.zeroState(len(a.cells), len(a.occ))
 	c.pow = append([]*hashing.PowTable(nil), a.pow...)
 	c.plan = nil
 	c.batch = planScratch{}
@@ -325,11 +362,11 @@ func (a *Arena) markAllSlots() {
 	}
 }
 
-// own gives a its own cells and occupancy before a write, if a Clone left
-// them shared: every method that writes either calls it first. An arena
-// with no occupied slot has all-zero cells, so it takes fresh zeroed ones
-// and copies none. Fan-outs that write disjoint ranges of one arena call it
-// before forking.
+// own gives a its own cells and occupancy before a write, if a Clone or the
+// zero slab left them shared: every method that writes either calls it
+// first. An arena with no occupied slot has all-zero cells, so it takes
+// fresh zeroed ones and copies none. Fan-outs that write disjoint ranges of
+// one arena call it before forking.
 func (a *Arena) own() {
 	if a.cow {
 		a.unshare() // out of line, so that own inlines into the write paths
@@ -361,12 +398,14 @@ func (a *Arena) SharesCells(b *Arena) bool {
 // Reset zeroes the arena's cell state, touching only occupied slot rows
 // (zeroing an arena that carries little state costs proportionally little
 // — the coordinator pattern of reusing one accumulator across batches). A
-// shared arena drops the shared state unread and takes fresh zeroed cells.
+// copy-on-write arena drops the shared state unread and goes back on the
+// zero slab, allocating nothing until its next write.
 func (a *Arena) Reset() {
+	a.dig = Digest{}
 	if a.cow {
-		a.occ = make([]uint64, len(a.occ))
+		a.zeroState(len(a.cells), len(a.occ))
+		return
 	}
-	a.own()
 	rowCells := a.reps * a.levels
 	for wi, w := range a.occ {
 		for w != 0 {
@@ -380,7 +419,6 @@ func (a *Arena) Reset() {
 		}
 		a.occ[wi] = 0
 	}
-	a.dig = Digest{}
 }
 
 // applyCell adds (delta, is = index*delta, precomputed fingerprint term) to
@@ -423,6 +461,78 @@ func (a *Arena) Update(slot int, index uint64, delta int64) {
 	}
 	if a.shared {
 		a.dig = a.dig.Add(a.writeDigest(slot, delta, is, term, m))
+	}
+}
+
+// The slot-owned fan-out: goroutines that each own a disjoint slot range of
+// one per-slot arena zero, reseed and write only their own slots, with
+// ResetSlots, SeedSlots and UpdateMarked. Two ranges' slots may share an
+// occupancy word, so none of the three writes occupancy: UpdateMarked
+// records its slot in the goroutine's own bitmap (MarkWords long), and
+// after the join Remark makes the union of the bitmaps the occupancy. The
+// caller Owns the arena before forking, and its ranges' ResetSlots calls
+// together cover every slot.
+
+// ResetSlots zeroes the occupied rows of slots [lo, hi), reading the
+// occupancy but leaving it as it is (see above).
+func (a *Arena) ResetSlots(lo, hi int) {
+	if lo < 0 || hi > a.slots || lo > hi {
+		panic("sketchcore: ResetSlots slot range out of bounds")
+	}
+	a.own()
+	rowCells := a.reps * a.levels
+	for slot := lo; slot < hi; {
+		w := a.occ[slot>>6] >> (uint(slot) & 63)
+		if w == 0 {
+			slot = (slot | 63) + 1
+			continue
+		}
+		slot += bits.TrailingZeros64(w)
+		if slot >= hi {
+			break
+		}
+		clear(a.cells[slot*rowCells : (slot+1)*rowCells])
+		slot++
+	}
+}
+
+// UpdateMarked is Update for the slot-owned fan-out: slot's occupancy bit
+// goes to marks, the goroutine's own bitmap. Per-slot mode only (a
+// shared-seed arena's digest is one accumulator).
+func (a *Arena) UpdateMarked(marks []uint64, slot int, index uint64, delta int64) {
+	if delta == 0 {
+		return
+	}
+	if a.shared {
+		panic("sketchcore: UpdateMarked requires a per-slot arena")
+	}
+	a.own()
+	marks[slot>>6] |= 1 << (uint(slot) & 63)
+	term := a.termOf(slot, index, delta)
+	is := int64(index) * delta
+	for r := 0; r < a.reps; r++ {
+		l := a.mix[slot*a.reps+r].Level(index)
+		if l >= a.levels {
+			l = a.levels - 1
+		}
+		a.applyCell(a.cellBase(slot, r)+l, delta, is, term)
+	}
+}
+
+// MarkWords is the length of the bitmaps UpdateMarked records into.
+func (a *Arena) MarkWords() int { return len(a.occ) }
+
+// Remark ends a slot-owned fan-out: the occupancy becomes the union of the
+// ranges' bitmaps, which are cleared for the next fan-out.
+func (a *Arena) Remark(marks [][]uint64) {
+	a.own()
+	for wi := range a.occ {
+		var w uint64
+		for _, m := range marks {
+			w |= m[wi]
+			m[wi] = 0
+		}
+		a.occ[wi] = w
 	}
 }
 

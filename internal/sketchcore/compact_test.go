@@ -252,6 +252,7 @@ func TestCompactArmMatchesAppendRuns(t *testing.T) {
 	})
 	t.Run("dense", func(t *testing.T) {
 		a := newEdgeArena(16, 21)
+		a.Own() // direct cell writes: leave the zero slab
 		for i := range a.cells {
 			// Extremes force 10-byte varints: the per-run reservation must
 			// cover the largest cell.
@@ -280,6 +281,7 @@ func TestCompactArmMatchesAppendRuns(t *testing.T) {
 		n := len(newEdgeArena(16, 21).cells)
 		for _, i := range []int{0, 1, n / 2, n - 2, n - 1} {
 			a := newEdgeArena(16, 21)
+			a.Own()
 			a.cells[i] = acell{w: 1, s: int64(i), f: 12345}
 			checkCompactArm(t, a)
 		}
@@ -307,6 +309,7 @@ func FuzzCompactArmDifferential(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x41}, 300))         // long literal run (2-byte count)
 	f.Fuzz(func(t *testing.T, pattern []byte) {
 		a := newEdgeArena(16, 21)
+		a.Own()
 		for i, p := range pattern {
 			if i >= len(a.cells) {
 				break

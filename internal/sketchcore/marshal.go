@@ -112,7 +112,7 @@ func (a *Arena) MergeStateTagged(data []byte) ([]byte, error) {
 // (zero in per-slot mode). On error the cells read so far stay applied and
 // are covered by the returned digest.
 func (a *Arena) decodeCells(data []byte, replace bool) ([]byte, Digest, error) {
-	a.own() // a no-op after DecodeStateTagged's Reset, which took fresh cells
+	a.own() // after DecodeStateTagged's Reset, copies nothing: at most fresh zeroed cells
 	rowCells := a.reps * a.levels
 	var cd cellDigester
 	if a.shared {
