@@ -238,9 +238,9 @@ func BenchmarkForestIngestPointerBaseline(b *testing.B) {
 	})
 }
 
-// BenchmarkForestIngestParallel shards the stream across worker
-// goroutines; merged results are bit-identical to sequential ingest
-// (scaling requires GOMAXPROCS > 1).
+// BenchmarkForestIngestParallel applies each staged chunk to the round
+// banks from worker goroutines, one owner per bank; results are
+// bit-identical to sequential ingest (scaling requires GOMAXPROCS > 1).
 func BenchmarkForestIngestParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

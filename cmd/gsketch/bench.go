@@ -154,8 +154,8 @@ type BenchReport struct {
 // benchCommand implements `gsketch bench [-n N] [-updates M] [-workers
 // 1,2,4] [-seed S] [-baseline] [-decode-n N'] [-decode-updates M']`:
 // measures forest-sketch ingest throughput for the pointer-per-sampler
-// baseline, the per-update arena path, the batched arena path, and sharded
-// parallel ingest; then measures the extraction (decode) paths —
+// baseline, the per-update arena path, the batched arena path, and
+// bank-parallel ingest; then measures the extraction (decode) paths —
 // spanning-forest Boruvka, min-cut witness post-processing, and Fig 3
 // sparsifier recovery — on a smaller ingested workload; then the k-way
 // merge and wire-format rows; and finally the Sec. 5 spanner construction

@@ -131,12 +131,15 @@ func (c *ingester[P]) Ingest(s *Stream) { c.sk.Ingest(s) }
 
 // UpdateBatch applies a slice of updates through the batched kernels:
 // bit-identical to the same Update calls, with per-edge hashing hoisted and
-// the batch sorted by level, class or bank before it is replayed.
+// the batch sorted by level, class or bank before it is replayed. Every
+// sketch but ConnectivitySketch then applies it as IngestParallel with
+// GOMAXPROCS workers does.
 func (c *ingester[P]) UpdateBatch(ups []Update) { c.sk.UpdateBatch(ups) }
 
-// IngestParallel replays a stream with workers applying each staged batch
-// to independent sampler banks (or shards merged by linearity) in
-// parallel; bit-identical to Ingest. workers <= 0 defaults to GOMAXPROCS.
+// IngestParallel replays a stream on up to workers goroutines, each owning
+// a disjoint share of the sketch (subsampling levels, weight classes,
+// sampler banks or slot ranges) that it alone writes, so the state is
+// bit-identical to Ingest. workers <= 0 defaults to GOMAXPROCS.
 func (c *ingester[P]) IngestParallel(s *Stream, workers int) { c.sk.IngestParallel(s, workers) }
 
 // Footprint reports resident bytes, cell occupancy, and wire bytes.
@@ -572,8 +575,8 @@ func (s *spannerLog[R]) UpdateBatch(ups []Update) {
 // Ingest appends a whole stream.
 func (s *spannerLog[R]) Ingest(st *Stream) { s.UpdateBatch(st.Updates) }
 
-// SetIngestWorkers shards each pass's plan sweep across w goroutines
-// (bit-identical for every setting).
+// SetIngestWorkers splits each pass's plan sweep into w slot-owned ranges
+// (0 = GOMAXPROCS; bit-identical for every setting).
 func (s *spannerLog[R]) SetIngestWorkers(w int) { s.bld.SetIngestWorkers(w) }
 
 // SetDecodeWorkers fans each pass's decode (BASWANA-SEN's retirement

@@ -23,8 +23,6 @@
 package agm
 
 import (
-	"runtime"
-
 	"graphsketch/internal/graph"
 	"graphsketch/internal/hashing"
 	"graphsketch/internal/sketchcore"
@@ -135,23 +133,24 @@ func (fs *ForestSketch) Ingest(s *stream.Stream) {
 // goroutines (workers <= 0 defaults to GOMAXPROCS), bit-identical to a
 // sequential Ingest. The parallel axis is the round bank, not the stream:
 // each chunk is staged once into the shared slot-sorted plan, and the
-// workers then claim round banks off an atomic counter and apply the plan
-// concurrently (sketchcore.ApplyPlanBanks). Every bank runs the exact
-// sequential apply, so bit-identity needs no linearity argument at all —
-// and unlike shard-per-worker replay there are no duplicate sketch
-// allocations, no merge-back pass, and each worker's working set is one
-// bank rather than a whole sketch. Distributed sites that genuinely hold
-// disjoint substreams still use Add/MergeMany on separately built sketches.
+// workers then claim round banks and apply the plan concurrently
+// (replayBanks). Every bank runs the exact sequential apply, so
+// bit-identity needs no linearity argument at all, and no worker allocates
+// a sketch of its own or merges one back. Distributed sites that genuinely
+// hold disjoint substreams use Add/MergeMany on separately built sketches.
 func (fs *ForestSketch) IngestParallel(s *stream.Stream, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 {
-		fs.Ingest(s)
-		return
-	}
-	sketchcore.ReplayPlanned(s.Updates, fs.n, &fs.plan, func(p *sketchcore.EdgePlan) {
-		sketchcore.ApplyPlanBanks(fs.banks, p, workers)
+	replayBanks(s.Updates, fs.n, &fs.plan, fs.banks, workers)
+}
+
+// replayBanks stages ups chunk by chunk into one slot-sorted plan and
+// applies every chunk to every bank, one owner per bank on
+// sketchcore.ForkJoin: the plan is read-only during ApplyPlan and each
+// arena keeps its own scratch, so the banks share nothing and end as the
+// sequential bank loop leaves them. All banks must be node-incidence arenas
+// over the same slots.
+func replayBanks(ups []stream.Update, slots int, plan **sketchcore.EdgePlan, banks []*sketchcore.Arena, workers int) {
+	sketchcore.ReplayPlanned(ups, slots, plan, func(p *sketchcore.EdgePlan) {
+		sketchcore.ForkJoin(len(banks), workers, func(i int) { banks[i].ApplyPlan(p) })
 	})
 }
 

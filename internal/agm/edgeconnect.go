@@ -87,12 +87,14 @@ func (ec *EdgeConnectSketch) Ingest(s *stream.Stream) {
 	ec.UpdateBatch(s.Updates)
 }
 
-// IngestParallel replays a stream across worker goroutines; the merged
-// result is bit-identical to Ingest.
+// IngestParallel replays a stream with the given number of worker
+// goroutines (workers <= 0 defaults to GOMAXPROCS), bit-identical to
+// Ingest: each chunk is staged once, and the round arenas of all k forest
+// banks are applied under that one plan, one owner per arena (as
+// ForestSketch.IngestParallel does for one forest).
 func (ec *EdgeConnectSketch) IngestParallel(s *stream.Stream, workers int) {
-	sketchcore.ShardedIngest(s.Updates, workers, ec,
-		func() *EdgeConnectSketch { return NewEdgeConnectSketch(ec.n, ec.k, ec.seed) },
-		func(sh *EdgeConnectSketch) { ec.Add(sh) })
+	ec.witness = nil
+	replayBanks(s.Updates, ec.n, &ec.plan, ec.AppendArenas(nil), workers)
 }
 
 // Add merges another EdgeConnectSketch (same n, k, seed).
@@ -325,9 +327,16 @@ func (bs *BipartitenessSketch) Update(u, v int, delta int64) {
 
 // UpdateBatch applies a batch of updates: the base sketch takes the batch
 // as-is, and the double-cover sketch takes the transformed batch
-// {u, v+n}, {u+n, v} staged once in a reusable scratch slice.
+// {u, v+n}, {u+n, v} staged once in a reusable scratch slice. Each applies
+// its staged plans from GOMAXPROCS goroutines, one owner per round bank.
 func (bs *BipartitenessSketch) UpdateBatch(ups []stream.Update) {
-	bs.base.UpdateBatch(ups)
+	bs.updateBatch(ups, 0)
+}
+
+// updateBatch is UpdateBatch on an explicit worker setting (0 =
+// GOMAXPROCS).
+func (bs *BipartitenessSketch) updateBatch(ups []stream.Update, workers int) {
+	replayBanks(ups, bs.n, &bs.base.plan, bs.base.banks, workers)
 	buf := bs.scratch[:0]
 	for _, up := range ups {
 		if up.U == up.V || up.Delta == 0 {
@@ -338,7 +347,7 @@ func (bs *BipartitenessSketch) UpdateBatch(ups []stream.Update) {
 			stream.Update{U: up.U + bs.n, V: up.V, Delta: up.Delta})
 	}
 	bs.scratch = buf[:0]
-	bs.double.UpdateBatch(buf)
+	replayBanks(buf, 2*bs.n, &bs.double.plan, bs.double.banks, workers)
 }
 
 // Ingest replays a whole stream via the batch kernel.
@@ -346,20 +355,10 @@ func (bs *BipartitenessSketch) Ingest(s *stream.Stream) {
 	bs.UpdateBatch(s.Updates)
 }
 
-// IngestParallel replays a stream across worker goroutines; the merged
-// result is bit-identical to Ingest.
+// IngestParallel is Ingest with the given number of worker goroutines
+// (workers <= 0 defaults to GOMAXPROCS); the state is bit-identical.
 func (bs *BipartitenessSketch) IngestParallel(s *stream.Stream, workers int) {
-	sketchcore.ShardedIngest(s.Updates, workers, bs,
-		func() *BipartitenessSketch {
-			sh := &BipartitenessSketch{n: bs.n}
-			sh.base = NewForestSketch(bs.n, bs.base.seed)
-			sh.double = NewForestSketch(2*bs.n, bs.double.seed)
-			return sh
-		},
-		func(sh *BipartitenessSketch) {
-			bs.base.Add(sh.base)
-			bs.double.Add(sh.double)
-		})
+	bs.updateBatch(s.Updates, workers)
 }
 
 // Words returns the memory footprint in 64-bit words.

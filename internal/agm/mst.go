@@ -37,8 +37,8 @@ func NewMSTSketch(n int, maxWeight int64, seed uint64) *MSTSketch {
 	return newMSTSketchClasses(n, bits.Len64(uint64(maxWeight)), seed)
 }
 
-// newMSTSketchClasses builds a sketch with an explicit class count (used to
-// spawn shard-identical siblings for parallel ingest).
+// newMSTSketchClasses builds a sketch with an explicit class count (the
+// wire decoder's constructor).
 func newMSTSketchClasses(n, classes int, seed uint64) *MSTSketch {
 	m := &MSTSketch{n: n, classes: classes, seed: seed}
 	m.prefix = make([]*ForestSketch, classes)
@@ -66,6 +66,14 @@ func (m *MSTSketch) Update(u, v int, delta int64) {
 // consumes exactly the leading run of updates with class <= c through its
 // batch kernel (linearity makes the reordering bit-neutral).
 func (m *MSTSketch) UpdateBatch(ups []stream.Update) {
+	m.updateBatch(ups, 0)
+}
+
+// updateBatch is UpdateBatch with the prefix sketches fanned out one owner
+// per weight class on sketchcore.ForkJoin (workers <= 0 = GOMAXPROCS).
+// Prefix c sees every class <= c, so the top classes carry the most
+// updates and are claimed first.
+func (m *MSTSketch) updateBatch(ups []stream.Update, workers int) {
 	m.sorter.Replay(ups, m.classes, false,
 		func(up stream.Update) (int, bool) {
 			if up.U == up.V || up.Delta == 0 {
@@ -74,11 +82,11 @@ func (m *MSTSketch) UpdateBatch(ups []stream.Update) {
 			return sketchcore.WeightClass(up.Delta, m.classes), true
 		},
 		func(sorted []stream.Update, cum []int) {
-			for c := 0; c < m.classes; c++ {
-				if cum[c] > 0 {
+			sketchcore.ForkJoin(m.classes, workers, func(i int) {
+				if c := m.classes - 1 - i; cum[c] > 0 {
 					m.prefix[c].UpdateBatch(sorted[:cum[c]])
 				}
-			}
+			})
 		})
 }
 
@@ -87,12 +95,10 @@ func (m *MSTSketch) Ingest(st *stream.Stream) {
 	m.UpdateBatch(st.Updates)
 }
 
-// IngestParallel replays a stream across worker goroutines; the merged
-// result is bit-identical to Ingest.
+// IngestParallel is Ingest with the given number of worker goroutines
+// (workers <= 0 defaults to GOMAXPROCS); the state is bit-identical.
 func (m *MSTSketch) IngestParallel(st *stream.Stream, workers int) {
-	sketchcore.ShardedIngest(st.Updates, workers, m,
-		func() *MSTSketch { return newMSTSketchClasses(m.n, m.classes, m.seed) },
-		func(sh *MSTSketch) { m.Add(sh) })
+	m.updateBatch(st.Updates, workers)
 }
 
 // Add merges another MSTSketch (same n, maxWeight, seed).

@@ -13,7 +13,6 @@ package mincut
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -88,13 +87,6 @@ type Sketch struct {
 // single-thread benchmarking and decode bit-identity checks.
 func (s *Sketch) SetDecodeWorkers(workers int) { s.decWorkers = workers }
 
-func (s *Sketch) decodeWorkers() int {
-	if s.decWorkers > 0 {
-		return s.decWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // New creates a MINCUT sketch.
 func New(cfg Config) *Sketch {
 	cfg.fill()
@@ -151,8 +143,15 @@ func (s *Sketch) Update(u, v int, delta int64) {
 // subsampling level (descending), after which level sketch i consumes
 // exactly the leading run of updates with level >= i through its batch
 // kernel — one contiguous replay per level instead of a per-update fan-out
-// (linearity makes the reordering bit-neutral).
+// (linearity makes the reordering bit-neutral). The levels fan out across
+// GOMAXPROCS goroutines, one owner per level.
 func (s *Sketch) UpdateBatch(ups []stream.Update) {
+	s.updateBatch(ups, 0)
+}
+
+// updateBatch is UpdateBatch on an explicit worker setting (0 =
+// GOMAXPROCS).
+func (s *Sketch) updateBatch(ups []stream.Update, workers int) {
 	s.decoded = false
 	s.sorter.Replay(ups, s.cfg.Levels, true,
 		func(up stream.Update) (int, bool) {
@@ -167,7 +166,7 @@ func (s *Sketch) UpdateBatch(ups []stream.Update) {
 			for levels < s.cfg.Levels && cum[levels] > 0 {
 				levels++
 			}
-			sketchcore.ForkJoin(levels, func(i int) { s.ecs[i].UpdateBatch(sorted[:cum[i]]) })
+			sketchcore.ForkJoin(levels, workers, func(i int) { s.ecs[i].UpdateBatch(sorted[:cum[i]]) })
 		})
 }
 
@@ -185,12 +184,11 @@ func (s *Sketch) Ingest(st *stream.Stream) {
 	s.UpdateBatch(st.Updates)
 }
 
-// IngestParallel replays a stream across worker goroutines; the merged
-// result is bit-identical to Ingest (linearity of every level sketch).
+// IngestParallel is Ingest with the given number of worker goroutines
+// (workers <= 0 defaults to GOMAXPROCS), one owner per level; the state is
+// bit-identical.
 func (s *Sketch) IngestParallel(st *stream.Stream, workers int) {
-	sketchcore.ShardedIngest(st.Updates, workers, s,
-		func() *Sketch { return New(s.cfg) },
-		func(sh *Sketch) { s.Add(sh) })
+	s.updateBatch(st.Updates, workers)
 }
 
 // Add merges another sketch built with an identical Config: the
@@ -239,14 +237,14 @@ var ErrAllLevelsSaturated = errors.New("mincut: all subsampling levels saturated
 // MinCut runs Fig 1's post-processing. Decode is read-only on the sketch
 // and cached: repeated calls return the same result.
 func (s *Sketch) MinCut() (Result, error) {
-	res, _, err := s.decode(s.decodeWorkers())
+	res, _, err := s.decode(s.decWorkers)
 	return res, err
 }
 
 // MinCutWithSide additionally returns the cut side (in the witness graph)
 // realizing the estimate. Shares MinCut's cached decode.
 func (s *Sketch) MinCutWithSide() (Result, []bool, error) {
-	return s.decode(s.decodeWorkers())
+	return s.decode(s.decWorkers)
 }
 
 // decode memoizes decodeLevels.
@@ -270,8 +268,9 @@ type levelDecode struct {
 // decodeLevels is the single decode path behind MinCut and MinCutWithSide:
 // Fig 1's scan for j = min{i : lambda(H_i) < k}, run level-parallel.
 // Independent levels are claimed off an atomic counter by up to `workers`
-// goroutines, each owning a reusable witness graph and extraction scratch.
-// Two exact short-circuits keep the work proportional to the answer:
+// goroutines (0 = GOMAXPROCS), each owning a reusable witness graph and
+// extraction scratch. Two exact short-circuits keep the work proportional
+// to the answer:
 //
 //   - levels above the best sub-k level found so far are never claimed
 //     (they cannot lower j), which in the sequential case degenerates to
@@ -291,12 +290,7 @@ func (s *Sketch) decodeLevels(workers int) (Result, []bool, error) {
 	var next atomic.Int64
 	var best atomic.Int64
 	best.Store(int64(levels))
-	if workers > levels {
-		workers = levels
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = min(sketchcore.Workers(workers), levels)
 	work := func() {
 		h := graph.New(s.cfg.N)
 		ws := agm.NewWitnessScratch()

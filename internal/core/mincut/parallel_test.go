@@ -6,14 +6,27 @@ import (
 	"graphsketch/internal/stream"
 )
 
-// TestIngestParallelBitIdentical: sharded parallel ingest + merge must be
+// perUpdate replays st one Update call at a time: the reference path,
+// sharing no batching or fan-out code with Ingest and IngestParallel.
+func perUpdate(sk interface{ Update(u, v int, delta int64) }, st *stream.Stream) {
+	for _, up := range st.Updates {
+		sk.Update(up.U, up.V, up.Delta)
+	}
+}
+
+// TestIngestParallelBitIdentical: level-parallel ingest must be
 // bit-identical to sequential ingest across all subsampling levels.
 func TestIngestParallelBitIdentical(t *testing.T) {
 	st := stream.GNP(32, 0.3, 11).WithChurn(2000, 12)
 	cfg := Config{N: 32, K: 6, Seed: 19}
 	seq := New(cfg)
 	seq.Ingest(st)
-	for _, workers := range []int{2, 4} {
+	ref := New(cfg)
+	perUpdate(ref, st)
+	if !seq.Equal(ref) {
+		t.Fatal("min-cut Ingest differs from per-update replay")
+	}
+	for _, workers := range []int{1, 2, 4} {
 		par := New(cfg)
 		par.IngestParallel(st, workers)
 		if !par.Equal(seq) {

@@ -217,7 +217,7 @@ func (b *BSBuilder) Build(st *stream.Stream) BSResult {
 			}
 		}
 		b.candidates = cands
-		b.dec.run(len(cands), b.workers(), func(w *decodeWorker, i int) {
+		b.dec.run(len(cands), b.decodeWorkers, func(w *decodeWorker, i int) {
 			v := cands[i]
 			if idx, _, ok := b.join.Sample(b.liveSlot[v]); ok {
 				w.join(i, idx)
@@ -285,7 +285,7 @@ func (b *BSBuilder) Build(st *stream.Stream) BSResult {
 			}
 		}
 		b.candidates = cands
-		b.dec.run(len(cands), b.workers(), func(w *decodeWorker, i int) {
+		b.dec.run(len(cands), b.decodeWorkers, func(w *decodeWorker, i int) {
 			w.collect(i, func(buf []uint64) []uint64 {
 				return b.bank.CollectInto(b.liveSlot[cands[i]], buf)
 			})
@@ -321,9 +321,6 @@ func (b *BSBuilder) rangeEnd(hi, live int) int {
 	}
 	return hi
 }
-
-// workers resolves the decode worker count.
-func (b *BSBuilder) workers() int { return resolveWorkers(b.decodeWorkers) }
 
 // bsPass is one BASWANA-SEN pass's view for the slot-owned sweep: the
 // (read-only) clustering plus the join arena and group bank.

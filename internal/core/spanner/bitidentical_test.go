@@ -169,107 +169,3 @@ func TestBuilderReuseBitIdentical(t *testing.T) {
 		t.Fatalf("implausible RC builder footprint %+v", f)
 	}
 }
-
-// TestGroupBankMatchesGroupSamplers: bank member m seeded with s must
-// collect exactly what NewGroupSampler(universe, budget, s) collects after
-// the same updates — the banked/standalone parity the construction relies
-// on.
-func TestGroupBankMatchesGroupSamplers(t *testing.T) {
-	const members, universe, budget = 9, 1 << 14, 6
-	seeds := make([]uint64, members)
-	for i := range seeds {
-		seeds[i] = uint64(1000 + i*i)
-	}
-	bank := spanner.NewGroupBank(members, universe, budget, seeds)
-	singles := make([]*spanner.GroupSampler, members)
-	for i := range singles {
-		singles[i] = spanner.NewGroupSampler(universe, budget, seeds[i])
-	}
-	x := uint64(3)
-	for i := 0; i < 2000; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		m, g, item, d := int(x%members), (x>>4)%32, (x>>16)%universe, int64(x%5)-2
-		bank.Update(m, g, item, d)
-		singles[m].Update(g, item, d)
-	}
-	var got, want []uint64
-	for m := 0; m < members; m++ {
-		got = bank.CollectInto(m, got[:0])
-		want = singles[m].CollectInto(want[:0])
-		if len(got) != len(want) {
-			t.Fatalf("member %d: %d items vs %d", m, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("member %d item %d: %d vs %d", m, i, got[i], want[i])
-			}
-		}
-	}
-
-	// Reseed must reproduce a freshly constructed bank.
-	seeds2 := make([]uint64, members)
-	for i := range seeds2 {
-		seeds2[i] = uint64(7777 + i*3)
-	}
-	bank.Reseed(seeds2)
-	fresh := spanner.NewGroupBank(members, universe, budget, seeds2)
-	for i := 0; i < 500; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		m, g, item := int(x%members), (x>>4)%16, (x>>16)%universe
-		bank.Update(m, g, item, 1)
-		fresh.Update(m, g, item, 1)
-	}
-	for m := 0; m < members; m++ {
-		got = bank.CollectInto(m, got[:0])
-		want = fresh.CollectInto(m, want[:0])
-		if len(got) != len(want) {
-			t.Fatalf("reseeded member %d: %d items vs %d", m, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("reseeded member %d item %d: %d vs %d", m, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestGroupBankShardMerge: per-shard banks spawned with CloneEmpty must
-// merge back to the sequential bank — the sharded phase-sweep contract.
-func TestGroupBankShardMerge(t *testing.T) {
-	const members, universe, budget = 5, 1 << 10, 4
-	seeds := []uint64{11, 22, 33, 44, 55}
-	whole := spanner.NewGroupBank(members, universe, budget, seeds)
-	self := spanner.NewGroupBank(members, universe, budget, seeds)
-	shard := self.CloneEmpty()
-	x := uint64(21)
-	for i := 0; i < 800; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		m, g, item, d := int(x%members), (x>>4)%8, (x>>16)%universe, int64(x%3)-1
-		whole.Update(m, g, item, d)
-		if i%2 == 0 {
-			self.Update(m, g, item, d)
-		} else {
-			shard.Update(m, g, item, d)
-		}
-	}
-	self.Add(shard)
-	var got, want []uint64
-	for m := 0; m < members; m++ {
-		got = self.CollectInto(m, got[:0])
-		want = whole.CollectInto(m, want[:0])
-		if len(got) != len(want) {
-			t.Fatalf("member %d: %d items vs %d", m, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("member %d item %d differs", m, i)
-			}
-		}
-	}
-}

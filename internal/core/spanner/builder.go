@@ -1,21 +1,11 @@
 package spanner
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"graphsketch/internal/sketchcore"
 )
-
-// resolveWorkers maps a SetDecodeWorkers setting to an effective count
-// (0 = GOMAXPROCS), the same convention as the mincut/sparsifier decoders.
-func resolveWorkers(w int) int {
-	if w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // decodeScratch is the reusable fan-out under the spanner decode steps
 // (retirement in BASWANA-SEN, per-supernode collection in RECURSECONNECT):
@@ -55,7 +45,8 @@ func (w *decodeWorker) collect(i int, fill func([]uint64) []uint64) {
 	w.d.items[i] = buf[start:len(buf):len(buf)]
 }
 
-// run fans fn over items [0, n) with the given worker count.
+// run fans fn over items [0, n) with the given worker setting (0 =
+// GOMAXPROCS).
 func (d *decodeScratch) run(n, workers int, fn func(w *decodeWorker, i int)) {
 	if cap(d.joinIdx) < n {
 		d.joinIdx = make([]uint64, n)
@@ -69,12 +60,7 @@ func (d *decodeScratch) run(n, workers int, fn func(w *decodeWorker, i int)) {
 		d.joinOK[i] = false
 		d.items[i] = nil
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(min(sketchcore.Workers(workers), n), 1)
 	for len(d.bufs) < workers {
 		d.bufs = append(d.bufs, nil)
 	}
@@ -133,7 +119,7 @@ type ownedSweep struct {
 // it must ResetSlots its members first, and the last range (hi == live)
 // every slot past them too.
 func (s *ownedSweep) run(live, workers int, arenas []*sketchcore.Arena, fn func(lo, hi int, marks [][]uint64)) {
-	ranges := min(resolveWorkers(workers), live)
+	ranges := min(sketchcore.Workers(workers), live)
 	na := len(arenas)
 	for _, a := range arenas {
 		a.Own()
@@ -146,7 +132,7 @@ func (s *ownedSweep) run(live, workers int, arenas []*sketchcore.Arena, fn func(
 			s.marks[j] = make([]uint64, words)
 		}
 	}
-	sketchcore.ForkJoin(ranges, func(r int) {
+	sketchcore.ForkJoin(ranges, 0, func(r int) {
 		fn(r*live/ranges, (r+1)*live/ranges, s.marks[r*na:(r+1)*na])
 	})
 	for i, a := range arenas {

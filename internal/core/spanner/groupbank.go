@@ -11,8 +11,8 @@ import (
 // instead of a map or slice of individually allocated samplers. Member m's
 // (rep, bucket) grid occupies the contiguous arena slot range
 // [m*grid, (m+1)*grid), so a construction pass costs one arena allocation
-// (reused across passes via Reseed) rather than one sampler allocation per
-// live vertex per pass.
+// (reused across passes: each slot-owned range zeroes and reseeds its own
+// members) rather than one sampler allocation per live vertex per pass.
 //
 // Bit-compatibility: member m seeded with s holds exactly the cells of
 // NewGroupSampler(universe, budget, s) after the same updates, and
@@ -27,8 +27,7 @@ type GroupBank struct {
 	buckets  int             // buckets per repetition
 	grid     int             // reps*buckets arena slots per member
 	hash     []hashing.Mixer // group-to-bucket hashes, member*reps + r
-	seeds    []uint64        // current per-member seeds
-	slotSeed []uint64        // Reseed staging scratch, members*grid
+	slotSeed []uint64        // per-slot seed staging, members*grid
 	cells    *sketchcore.Arena
 }
 
@@ -51,7 +50,6 @@ func NewGroupBank(members int, universe uint64, budget int, memberSeeds []uint64
 	}
 	b.grid = b.reps * b.buckets
 	b.hash = make([]hashing.Mixer, members*b.reps)
-	b.seeds = make([]uint64, members)
 	b.slotSeed = make([]uint64, members*b.grid)
 	b.stageSeeds(memberSeeds, 0, members)
 	b.cells = sketchcore.New(sketchcore.Config{
@@ -69,7 +67,6 @@ func NewGroupBank(members int, universe uint64, budget int, memberSeeds []uint64
 // stageSeeds fills members [lo, hi)'s group hashes and per-slot seed
 // staging from memberSeeds[lo:hi]. It writes only those members' entries.
 func (b *GroupBank) stageSeeds(memberSeeds []uint64, lo, hi int) {
-	copy(b.seeds[lo:hi], memberSeeds[lo:hi])
 	for m := lo; m < hi; m++ {
 		s := memberSeeds[m]
 		base := m * b.grid
@@ -89,26 +86,14 @@ func (b *GroupBank) resetMembers(lo, hi int) {
 }
 
 // seedMembers re-derives members [lo, hi)'s hashes from memberSeeds[lo:hi]
-// and leaves every cell as it is: Reseed's per-range half, for the
-// slot-owned sweep, whose goroutines each reseed their own member range.
+// and leaves every cell as it is, for the slot-owned sweep, whose
+// goroutines each zero (resetMembers) and reseed their own member range.
 // Members past the ranges a pass reseeds keep stale hash state over zeroed
 // cells and must not be updated or collected until a later reseed covers
 // them.
 func (b *GroupBank) seedMembers(memberSeeds []uint64, lo, hi int) {
 	b.stageSeeds(memberSeeds, lo, hi)
 	b.cells.SeedSlots(lo*b.grid, b.slotSeed[lo*b.grid:hi*b.grid])
-}
-
-// Reseed zeroes the bank and re-derives every member's hashes from fresh
-// seeds — the phase-reuse primitive: one bank allocation serves every pass
-// of a spanner construction. len(memberSeeds) must equal Members(). Banks
-// previously spawned with CloneEmpty must not be used past a Reseed.
-func (b *GroupBank) Reseed(memberSeeds []uint64) {
-	if len(memberSeeds) != b.members {
-		panic("spanner: Reseed needs len(memberSeeds) == members")
-	}
-	b.cells.Reset()
-	b.seedMembers(memberSeeds, 0, b.members)
 }
 
 // Members returns the number of logical samplers in the bank.
@@ -153,34 +138,6 @@ func (b *GroupBank) CollectInto(member int, out []uint64) []uint64 {
 	}
 	return out
 }
-
-// Add merges another bank built with identical parameters and seeds, legal
-// by linearity (the builders' sweeps no longer merge shard banks: each
-// member has one writer).
-func (b *GroupBank) Add(other *GroupBank) {
-	if b.universe != other.universe || b.members != other.members ||
-		b.budget != other.budget {
-		panic("spanner: merging incompatible group banks")
-	}
-	for i := range b.seeds {
-		if b.seeds[i] != other.seeds[i] {
-			panic("spanner: merging incompatible group banks")
-		}
-	}
-	b.cells.Add(other.cells)
-}
-
-// CloneEmpty returns a bank with b's shape and seeding but all-zero state,
-// for a sharded replay merged back with Add. Hash state is shared; the
-// clone dies at b's next Reseed.
-func (b *GroupBank) CloneEmpty() *GroupBank {
-	c := *b
-	c.cells = b.cells.CloneEmpty()
-	return &c
-}
-
-// Reset zeroes the bank's cell state, touching only occupied slot rows.
-func (b *GroupBank) Reset() { b.cells.Reset() }
 
 // Footprint reports the bank grid's space accounting.
 func (b *GroupBank) Footprint() sketchcore.Footprint {

@@ -199,7 +199,7 @@ func (b *RCBuilder) sweepBank(plan *stream.Stream, bank *GroupBank, reseed bool)
 // collectBank drains every member's sampler, decode-worker-parallel; the
 // results land in b.dec.items in member order.
 func (b *RCBuilder) collectBank(bank *GroupBank, members int) {
-	b.dec.run(members, resolveWorkers(b.decodeWorkers), func(w *decodeWorker, i int) {
+	b.dec.run(members, b.decodeWorkers, func(w *decodeWorker, i int) {
 		w.collect(i, func(buf []uint64) []uint64 {
 			return bank.CollectInto(i, buf)
 		})

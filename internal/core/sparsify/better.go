@@ -122,10 +122,18 @@ func (s *Sketch) Update(u, v int, delta int64) {
 // UpdateBatch applies a batch of updates: the rough sparsifier takes the
 // whole batch through its own batch kernel, and the recovery banks take a
 // level-descending counting sort so bank i consumes the leading run of
-// updates with level >= i through Bank.UpdateEdges.
+// updates with level >= i through Bank.UpdateEdges. Both halves fan out
+// across GOMAXPROCS goroutines, one owner per level.
 func (s *Sketch) UpdateBatch(ups []stream.Update) {
+	s.updateBatch(ups, 0)
+}
+
+// updateBatch is UpdateBatch on an explicit worker setting (0 =
+// GOMAXPROCS): the rough sketch's levels, then the recovery levels, each
+// level with one owner.
+func (s *Sketch) updateBatch(ups []stream.Update, workers int) {
 	s.decoded = false
-	s.rough.UpdateBatch(ups)
+	s.rough.updateBatch(ups, workers)
 	s.sorter.Replay(ups, s.cfg.Levels, true,
 		func(up stream.Update) (int, bool) {
 			if up.U == up.V || up.Delta == 0 {
@@ -134,13 +142,12 @@ func (s *Sketch) UpdateBatch(ups []stream.Update) {
 			return s.subLevel(up.U, up.V), true
 		},
 		func(sorted []stream.Update, cum []int) {
-			for i := 0; i < s.cfg.Levels; i++ {
-				ge := cum[i]
-				if ge == 0 {
-					break
-				}
-				s.nodeRec[i].UpdateEdges(sorted[:ge])
+			// Nesting: nothing at level i means nothing above.
+			levels := 0
+			for levels < s.cfg.Levels && cum[levels] > 0 {
+				levels++
 			}
+			sketchcore.ForkJoin(levels, workers, func(i int) { s.nodeRec[i].UpdateEdges(sorted[:cum[i]]) })
 		})
 }
 
@@ -158,12 +165,10 @@ func (s *Sketch) Ingest(st *stream.Stream) {
 	s.UpdateBatch(st.Updates)
 }
 
-// IngestParallel replays a stream across worker goroutines; the merged
-// result is bit-identical to Ingest.
+// IngestParallel is Ingest with the given number of worker goroutines
+// (workers <= 0 defaults to GOMAXPROCS); the state is bit-identical.
 func (s *Sketch) IngestParallel(st *stream.Stream, workers int) {
-	sketchcore.ShardedIngest(st.Updates, workers, s,
-		func() *Sketch { return New(s.cfg) },
-		func(sh *Sketch) { s.Add(sh) })
+	s.updateBatch(st.Updates, workers)
 }
 
 // Add merges another sketch built with an identical config.

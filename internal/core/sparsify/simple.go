@@ -18,7 +18,6 @@ package sparsify
 
 import (
 	"errors"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -93,13 +92,6 @@ type Simple struct {
 // The decoded graph is bit-identical for every setting.
 func (s *Simple) SetDecodeWorkers(workers int) { s.decWorkers = workers }
 
-func (s *Simple) decodeWorkers() int {
-	if s.decWorkers > 0 {
-		return s.decWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // NewSimple creates a SIMPLE-SPARSIFICATION sketch.
 func NewSimple(cfg SimpleConfig) *Simple {
 	cfg.fill()
@@ -151,8 +143,15 @@ func (s *Simple) Update(u, v int, delta int64) {
 // subsampling level (descending), after which level sketch i consumes the
 // leading run of updates with level >= i through its batch kernel (same
 // structure as the mincut sketch; linearity makes the reordering
-// bit-neutral).
+// bit-neutral). The levels fan out across GOMAXPROCS goroutines, one owner
+// per level.
 func (s *Simple) UpdateBatch(ups []stream.Update) {
+	s.updateBatch(ups, 0)
+}
+
+// updateBatch is UpdateBatch on an explicit worker setting (0 =
+// GOMAXPROCS).
+func (s *Simple) updateBatch(ups []stream.Update, workers int) {
 	s.decoded = false
 	s.sorter.Replay(ups, s.cfg.Levels, true,
 		func(up stream.Update) (int, bool) {
@@ -167,7 +166,7 @@ func (s *Simple) UpdateBatch(ups []stream.Update) {
 			for levels < s.cfg.Levels && cum[levels] > 0 {
 				levels++
 			}
-			sketchcore.ForkJoin(levels, func(i int) { s.ecs[i].UpdateBatch(sorted[:cum[i]]) })
+			sketchcore.ForkJoin(levels, workers, func(i int) { s.ecs[i].UpdateBatch(sorted[:cum[i]]) })
 		})
 }
 
@@ -185,12 +184,11 @@ func (s *Simple) Ingest(st *stream.Stream) {
 	s.UpdateBatch(st.Updates)
 }
 
-// IngestParallel replays a stream across worker goroutines; the merged
-// result is bit-identical to Ingest.
+// IngestParallel is Ingest with the given number of worker goroutines
+// (workers <= 0 defaults to GOMAXPROCS), one owner per level; the state is
+// bit-identical.
 func (s *Simple) IngestParallel(st *stream.Stream, workers int) {
-	sketchcore.ShardedIngest(st.Updates, workers, s,
-		func() *Simple { return NewSimple(s.cfg) },
-		func(sh *Simple) { s.Add(sh) })
+	s.updateBatch(st.Updates, workers)
 }
 
 // Add merges another sketch built with an identical config.
@@ -222,16 +220,16 @@ func (s *Simple) Equal(other *Simple) bool {
 // return the same graph (treat it as read-only).
 func (s *Simple) Sparsify() (*graph.Graph, error) {
 	if !s.decoded {
-		s.decGraph, s.decErr = s.sparsifyLevels(s.decodeWorkers())
+		s.decGraph, s.decErr = s.sparsifyLevels(s.decWorkers)
 		s.decoded = true
 	}
 	return s.decGraph, s.decErr
 }
 
 // sparsifyLevels extracts every level's witness — independent levels
-// claimed off an atomic counter by up to `workers` goroutines, each owning
-// its extraction scratch — then assembles the sparsifier. Results are
-// bit-identical for any worker count: hs[i] depends only on level i's
+// claimed off an atomic counter by up to `workers` goroutines (0 =
+// GOMAXPROCS), each owning its extraction scratch — then assembles the
+// sparsifier. Results are bit-identical for any worker count: hs[i] depends only on level i's
 // sketch, and assembly consumes the levels in index order. Property tests
 // pin this against workers = 1.
 func (s *Simple) sparsifyLevels(workers int) (*graph.Graph, error) {
@@ -250,10 +248,7 @@ func (s *Simple) sparsifyLevels(workers int) (*graph.Graph, error) {
 			sat[i] = s.ecs[i].WitnessInto(hs[i], ws)
 		}
 	}
-	if workers > levels {
-		workers = levels
-	}
-	if workers <= 1 {
+	if workers = min(sketchcore.Workers(workers), levels); workers <= 1 {
 		work()
 	} else {
 		var wg sync.WaitGroup

@@ -22,7 +22,7 @@ import (
 type Weighted struct {
 	n       int
 	classes int
-	cfg     WeightedConfig // as passed to NewWeighted (spawns shard siblings)
+	cfg     WeightedConfig // as passed to NewWeighted (merge checks, wire header)
 	ws      []*Simple
 	sorter  sketchcore.BatchSorter // UpdateBatch class-sort scratch
 
@@ -109,8 +109,16 @@ func (w *Weighted) Update(u, v int, delta int64) {
 // UpdateBatch applies a batch of weighted updates: chunks are
 // counting-sorted by weight class, and each class sketch consumes its
 // contiguous run through its batch kernel (linearity makes the reordering
-// bit-neutral).
+// bit-neutral). The classes fan out across GOMAXPROCS goroutines.
 func (w *Weighted) UpdateBatch(ups []stream.Update) {
+	w.updateBatch(ups, 0)
+}
+
+// updateBatch is UpdateBatch on an explicit worker setting (0 =
+// GOMAXPROCS): one owner per weight class, the top classes (the widest
+// weight ranges) claimed first. A class owner fans its own levels out on the same setting, so a
+// stream whose weights sit in one class still spreads.
+func (w *Weighted) updateBatch(ups []stream.Update, workers int) {
 	w.decoded = false
 	w.sorter.Replay(ups, w.classes, false,
 		func(up stream.Update) (int, bool) {
@@ -120,14 +128,16 @@ func (w *Weighted) UpdateBatch(ups []stream.Update) {
 			return sketchcore.WeightClass(up.Delta, w.classes), true
 		},
 		func(sorted []stream.Update, cum []int) {
-			start := 0
-			for c := 0; c < w.classes; c++ {
-				end := cum[c]
-				if end > start {
-					w.ws[c].UpdateBatch(sorted[start:end])
+			sketchcore.ForkJoin(w.classes, workers, func(i int) {
+				c := w.classes - 1 - i
+				start := 0
+				if c > 0 {
+					start = cum[c-1]
 				}
-				start = end
-			}
+				if cum[c] > start {
+					w.ws[c].updateBatch(sorted[start:cum[c]], workers)
+				}
+			})
 		})
 }
 
@@ -136,12 +146,10 @@ func (w *Weighted) Ingest(st *stream.Stream) {
 	w.UpdateBatch(st.Updates)
 }
 
-// IngestParallel replays a stream across worker goroutines; the merged
-// result is bit-identical to Ingest.
+// IngestParallel is Ingest with the given number of worker goroutines
+// (workers <= 0 defaults to GOMAXPROCS); the state is bit-identical.
 func (w *Weighted) IngestParallel(st *stream.Stream, workers int) {
-	sketchcore.ShardedIngest(st.Updates, workers, w,
-		func() *Weighted { return NewWeighted(w.cfg) },
-		func(sh *Weighted) { w.Add(sh) })
+	w.updateBatch(st.Updates, workers)
 }
 
 // Add merges another weighted sparsifier built with an identical config:

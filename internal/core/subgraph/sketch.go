@@ -90,6 +90,16 @@ func (s *Sketch) rank(subset []int) uint64 {
 // where p is the pair's position within S (the squash encoding of Fig 4).
 // Cost: C(n-2, k-2) coordinate updates per sampler.
 func (s *Sketch) Update(u, v int, delta int64) {
+	s.decoded = false
+	s.columns(u, v, delta, func(col uint64, val int64) {
+		s.samplers.UpdateAll(col, val)
+		s.norm.Update(col, val)
+	})
+}
+
+// columns calls fn(col, val) for every coordinate update of edge {u, v},
+// one per k-subset containing both endpoints, in a fixed order.
+func (s *Sketch) columns(u, v int, delta int64, fn func(col uint64, val int64)) {
 	if u == v || delta == 0 {
 		return
 	}
@@ -101,7 +111,7 @@ func (s *Sketch) Update(u, v int, delta int64) {
 	var rec func(start int)
 	rec = func(start int) {
 		if len(rest) == s.k-2 {
-			s.applyColumn(u, v, rest, subset, delta)
+			fn(s.column(u, v, rest, subset, delta))
 			return
 		}
 		for w := start; w < s.n; w++ {
@@ -116,8 +126,9 @@ func (s *Sketch) Update(u, v int, delta int64) {
 	rec(0)
 }
 
-// applyColumn updates the coordinate for the subset {u, v} ∪ rest.
-func (s *Sketch) applyColumn(u, v int, rest, subset []int, delta int64) {
+// column returns the coordinate of the subset {u, v} ∪ rest and the value
+// delta adds there.
+func (s *Sketch) column(u, v int, rest, subset []int, delta int64) (uint64, int64) {
 	// Merge {u,v} and rest (both sorted) into subset.
 	i, j := 0, 0
 	for idx := 0; idx < s.k; idx++ {
@@ -140,11 +151,7 @@ func (s *Sketch) applyColumn(u, v int, rest, subset []int, delta int64) {
 			pv = idx
 		}
 	}
-	col := s.rank(subset)
-	val := delta << uint(s.ps.PairPos(pu, pv))
-	s.decoded = false
-	s.samplers.UpdateAll(col, val)
-	s.norm.Update(col, val)
+	return s.rank(subset), delta << uint(s.ps.PairPos(pu, pv))
 }
 
 func pick(u, v int, i int) int {
@@ -154,15 +161,57 @@ func pick(u, v int, i int) int {
 	return v
 }
 
-// UpdateBatch applies a batch of updates. Each update already fans out to
-// C(n-2, k-2) coordinate updates per sampler — that inner loop is the hot
-// path, and its fingerprint terms come from the arena's lazily built
-// per-slot power tables; the batch entry point keeps subgraph sketches on
-// ShardedIngest's batched replay like every other sketch.
+// UpdateBatch applies a batch of updates, fanned out across GOMAXPROCS
+// goroutines (see updateBatch). Each update fans out to C(n-2, k-2)
+// coordinate updates per sampler; that inner loop is the hot path, and its
+// fingerprint terms come from the arena's lazily built per-slot power
+// tables.
 func (s *Sketch) UpdateBatch(ups []stream.Update) {
-	for _, up := range ups {
-		s.Update(up.U, up.V, up.Delta)
+	s.updateBatch(ups, 0)
+}
+
+// updateBatch is UpdateBatch on an explicit worker setting (0 =
+// GOMAXPROCS). The sampler arena splits into one slot range per worker,
+// and the norm estimator is one more unit. Every unit walks all the
+// updates' coordinates and writes only what it owns: the estimator, or its
+// slots (sketchcore.Arena.UpdateMarked, which records occupancy in the
+// range's own bitmap; Remark unions the bitmaps, and the occupancy from
+// before, after the join). Each cell gets the updates a sequential replay
+// gives it, in the same order, so the state is bit-identical for every
+// worker count.
+func (s *Sketch) updateBatch(ups []stream.Update, workers int) {
+	s.decoded = false
+	a := s.samplers
+	ranges := min(sketchcore.Workers(workers), s.samples)
+	// A range sets a bit of its bitmap on every update: pad the bitmaps to
+	// a cache line so that ranges on different cores never share one.
+	marks := make([][]uint64, ranges+1)
+	for i := range marks {
+		marks[i] = make([]uint64, max(a.MarkWords(), 8))
 	}
+	for slot := 0; slot < s.samples; slot++ {
+		if a.SlotOccupied(slot) {
+			marks[ranges][slot>>6] |= 1 << (uint(slot) & 63)
+		}
+	}
+	a.Own()
+	sketchcore.ForkJoin(ranges+1, workers, func(unit int) {
+		if unit == ranges {
+			for _, up := range ups {
+				s.columns(up.U, up.V, up.Delta, s.norm.Update)
+			}
+			return
+		}
+		lo, hi := unit*s.samples/ranges, (unit+1)*s.samples/ranges
+		for _, up := range ups {
+			s.columns(up.U, up.V, up.Delta, func(col uint64, val int64) {
+				for slot := lo; slot < hi; slot++ {
+					a.UpdateMarked(marks[unit], slot, col, val)
+				}
+			})
+		}
+	})
+	a.Remark(marks)
 }
 
 // Ingest replays a whole stream.
@@ -170,12 +219,10 @@ func (s *Sketch) Ingest(st *stream.Stream) {
 	s.UpdateBatch(st.Updates)
 }
 
-// IngestParallel replays a stream across worker goroutines; the merged
-// result is bit-identical to Ingest.
+// IngestParallel is Ingest with the given number of worker goroutines
+// (workers <= 0 defaults to GOMAXPROCS); the state is bit-identical.
 func (s *Sketch) IngestParallel(st *stream.Stream, workers int) {
-	sketchcore.ShardedIngest(st.Updates, workers, s,
-		func() *Sketch { return New(s.n, s.k, s.samples, s.seed) },
-		func(sh *Sketch) { s.Add(sh) })
+	s.updateBatch(st.Updates, workers)
 }
 
 // Add merges another sketch (same n, k, samples, seed construction).
@@ -188,9 +235,8 @@ func (s *Sketch) Add(other *Sketch) {
 	s.norm.Add(other.norm)
 }
 
-// Equal reports parameter and bit-identical sampler-state equality (the
-// norm estimator is seeded identically, so sampler equality is decisive
-// for the sharded-ingest tests).
+// Equal reports parameter and bit-identical sampler-cell equality; the norm
+// estimator and the occupancy are not compared.
 func (s *Sketch) Equal(other *Sketch) bool {
 	return s.n == other.n && s.k == other.k && s.samples == other.samples &&
 		s.seed == other.seed && s.samplers.Equal(other.samplers)

@@ -210,7 +210,7 @@ func (b *Bundle) Clone() *Bundle {
 // one goroutine per sketch bank.
 func (b *Bundle) ownArenas() {
 	b.cloned = false
-	sketchcore.ForkJoin(b.sketchBankCount(), func(id int) {
+	sketchcore.ForkJoin(b.sketchBankCount(), 0, func(id int) {
 		sk, idx, _ := b.sketchBank(id)
 		for _, a := range sk.BankArenas(idx) {
 			a.Own()
@@ -412,7 +412,7 @@ func decodeLogBank(data []byte) ([]stream.Update, error) {
 func (b *Bundle) leaves(digest func([]*sketchcore.Arena) sketchcore.Digest, logDig [logBankCount]uint64) []sketchcore.Digest {
 	out := make([]sketchcore.Digest, b.NumBanks())
 	nsk := b.sketchBankCount()
-	sketchcore.ForkJoin(nsk, func(id int) {
+	sketchcore.ForkJoin(nsk, 0, func(id int) {
 		sk, idx, _ := b.sketchBank(id)
 		out[id] = digest(sk.BankArenas(idx))
 	})
@@ -465,7 +465,7 @@ func (b *Bundle) VerifyDigests() error {
 // rotted reality before diffing against a peer's — a maintained pre-rot
 // leaf would hide exactly the bank that needs pulling.
 func (b *Bundle) RecomputeDigests() {
-	sketchcore.ForkJoin(b.sketchBankCount(), func(id int) {
+	sketchcore.ForkJoin(b.sketchBankCount(), 0, func(id int) {
 		sk, idx, _ := b.sketchBank(id)
 		for _, a := range sk.BankArenas(idx) {
 			a.RescanDigest()
@@ -515,7 +515,7 @@ func (b *Bundle) MarshalBanks(ids []int) ([]byte, error) {
 	}
 	banks := make([][]byte, len(order))
 	errs := make([]error, len(order))
-	sketchcore.ForkJoin(len(order), func(i int) { banks[i], errs[i] = b.appendBank(nil, order[i]) })
+	sketchcore.ForkJoin(len(order), 0, func(i int) { banks[i], errs[i] = b.appendBank(nil, order[i]) })
 	size := 0
 	for i, bankB := range banks {
 		if errs[i] != nil {
@@ -626,7 +626,7 @@ func (b *Bundle) foldBanks(p *bundlePayload, replace bool) error {
 	b.mc.Invalidate()
 	b.sp.Invalidate()
 	errs := make([]error, len(ids))
-	sketchcore.ForkJoin(len(ids), func(i int) { errs[i] = b.foldBank(p, ids[i], replace) })
+	sketchcore.ForkJoin(len(ids), 0, func(i int) { errs[i] = b.foldBank(p, ids[i], replace) })
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -53,8 +53,8 @@ func digestOps(rng *rand.Rand, n, count int, wrap bool) []stream.Update {
 	return ups
 }
 
-// ingestParallel is UpdateBatch through the sketches' sharded ingest, whose
-// shards merge back by Add.
+// ingestParallel is UpdateBatch through the sketches' IngestParallel, one
+// owner per level.
 func ingestParallel(b *Bundle, ups []stream.Update, workers int) {
 	st := &stream.Stream{N: b.cfg.N, Updates: ups}
 	b.mc.IngestParallel(st, workers)

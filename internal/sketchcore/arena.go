@@ -199,9 +199,14 @@ func (a *Arena) zeroState(cells, words int) {
 
 // SeedSlots re-derives the hash state (level mixers, fingerprint base) of
 // slots [lo, lo+len(slotSeeds)) from fresh seeds and drops their built power
-// tables, leaving every cell as it is: the per-range half of Reseed, for the
-// slot-owned fan-out (see ResetSlots); it writes only those slots' hash
-// state. Per-slot mode only.
+// tables, leaving every cell as it is. With ResetSlots it is the phase-reuse
+// primitive of multi-pass consumers (the spanner builders): one arena serves
+// every pass, each of the slot-owned ranges zeroing and reseeding its own
+// slots (see ResetSlots). It writes only those slots' hash state. Slots a
+// pass does not reseed keep their stale hash state; once zeroed they must
+// not be updated or sampled until a later pass reseeds them. Hash state is
+// rewritten in place, so a Clone of the arena must not be used past it.
+// Per-slot mode only.
 func (a *Arena) SeedSlots(lo int, slotSeeds []uint64) {
 	if a.shared {
 		panic("sketchcore: SeedSlots requires a per-slot arena")
@@ -217,45 +222,6 @@ func (a *Arena) SeedSlots(lo int, slotSeeds []uint64) {
 		a.z[i] = onesparse.FingerprintBase(hashing.SamplerCellSeed(si))
 		a.pow[i] = nil
 	}
-}
-
-// Reseed zeroes the cell state and re-derives the hash functions and
-// fingerprint bases of the first len(slotSeeds) slots from fresh seeds —
-// the phase-reuse primitive for multi-pass consumers (the spanner
-// builders): one arena allocation serves every pass, with only the cheap
-// hash state recomputed between passes. Per-slot mode only;
-// 1 <= len(slotSeeds) <= Slots. Slots past the reseeded prefix keep their
-// previous (stale) hash state with guaranteed-zero cells: a consumer that
-// reseeds a prefix (live-vertex compaction shrinks the used prefix pass by
-// pass) must not update or sample past it until the next Reseed covers
-// those slots. Hash state is rewritten in place, so arenas previously
-// spawned with CloneEmpty or Clone must not be used past their origin's
-// Reseed.
-func (a *Arena) Reseed(slotSeeds []uint64) {
-	if a.shared {
-		panic("sketchcore: Reseed requires a per-slot arena")
-	}
-	if len(slotSeeds) < 1 || len(slotSeeds) > a.slots {
-		panic("sketchcore: Reseed needs 1 <= len(slotSeeds) <= Slots")
-	}
-	a.Reset()
-	a.SeedSlots(0, slotSeeds)
-}
-
-// CloneEmpty returns an arena with a's shape, seeding, and table policy but
-// all-zero cell state — the shard-spawn primitive for ShardedIngest
-// consumers that already hold a configured arena. Immutable hash state
-// (mixers, fingerprint bases) is shared; the lazily built per-slot table
-// index is copied so clone and original can build tables independently
-// (the tables themselves are immutable and safely shared).
-func (a *Arena) CloneEmpty() *Arena {
-	c := *a
-	c.zeroState(len(a.cells), len(a.occ))
-	c.pow = append([]*hashing.PowTable(nil), a.pow...)
-	c.plan = nil
-	c.batch = planScratch{}
-	c.dig = Digest{}
-	return &c
 }
 
 // maxExp returns the largest z exponent the bank's power tables must cover:
@@ -649,11 +615,13 @@ func (a *Arena) mustMatch(other *Arena) {
 }
 
 // Add merges other into a (vector addition per slot): the
-// distributed-streams operation of Sec. 1.1. The pass streams the cell
-// arrays linearly, skipping 64-slot spans whose source occupancy word is
-// empty — word granularity keeps the dense-merge kernel branch-free (the
-// ShardedIngest shard merges are near-dense); the per-slot dispatch that
-// pays off on genuinely sparse sources lives in MergeMany.
+// distributed-streams operation of Sec. 1.1, behind every sketch's Add that
+// folds one site's sketch into another's. The pass streams the cell arrays
+// linearly, skipping only 64-slot spans whose source occupancy word is
+// empty: a site that saw its share of a stream over the same vertices
+// touches most of them, so word granularity keeps the merge kernel
+// branch-free where the cells are; the per-slot dispatch that pays off on
+// genuinely sparse sources lives in MergeMany.
 func (a *Arena) Add(other *Arena) {
 	a.mustMatch(other)
 	a.own()
@@ -730,8 +698,8 @@ func (a *Arena) Clone() *Arena {
 }
 
 // Equal reports whether two arenas have identical shape, seeding, and
-// bit-identical cell state. It is the ground truth for the sharded-ingest
-// merge tests.
+// bit-identical cell state. It is the ground truth for the parallel-ingest
+// and merge tests.
 func (a *Arena) Equal(other *Arena) bool {
 	if a.slots != other.slots || a.reps != other.reps || a.levels != other.levels ||
 		a.universe != other.universe || a.shared != other.shared || a.seed != other.seed {

@@ -7,7 +7,6 @@ import (
 
 	"graphsketch/internal/hashing"
 	"graphsketch/internal/l0"
-	"graphsketch/internal/stream"
 	"graphsketch/internal/wire"
 )
 
@@ -290,70 +289,6 @@ func TestAggregatorMatchesCloneAdd(t *testing.T) {
 	ai, aw, aok := ag.Sample(0)
 	if ai != ri || aw != rw || aok != rok {
 		t.Fatal("aggregator reuse across partitions is contaminated")
-	}
-}
-
-// edgeArena adapts a bare Arena to the Updater interface ShardedIngest
-// replays into, applying the node-incidence convention.
-type edgeArena struct {
-	a *Arena
-	n int
-}
-
-func (e edgeArena) Update(u, v int, delta int64) {
-	if u == v || delta == 0 {
-		return
-	}
-	if u > v {
-		u, v = v, u
-	}
-	e.a.UpdateEdge(u, v, stream.EdgeIndex(u, v, e.n), delta)
-}
-
-// TestShardedIngestBitIdentical: sharded ingest + merge must be
-// bit-identical to sequential ingest, for any worker count.
-func TestShardedIngestBitIdentical(t *testing.T) {
-	const n = 64
-	st := stream.GNP(n, 0.3, 5).WithChurn(3000, 6)
-	cfg := Config{Slots: n, Universe: uint64(n) * uint64(n), Reps: 4, Seed: 77}
-	seq := New(cfg)
-	for _, up := range st.Updates {
-		edgeArena{seq, n}.Update(up.U, up.V, up.Delta)
-	}
-	for _, workers := range []int{2, 3, 4, 7} {
-		par := New(cfg)
-		ShardedIngest(st.Updates, workers, edgeArena{par, n},
-			func() edgeArena { return edgeArena{New(cfg), n} },
-			func(sh edgeArena) { par.Add(sh.a) })
-		if !par.Equal(seq) {
-			t.Fatalf("workers=%d: sharded ingest differs from sequential", workers)
-		}
-	}
-}
-
-// TestShardedIngestShortStreams: streams shorter than (or barely longer
-// than) the worker count must not panic and must still merge correctly —
-// ceil-division chunking makes tail shards empty.
-func TestShardedIngestShortStreams(t *testing.T) {
-	cfg := Config{Slots: 8, Universe: 64, Reps: 3, Seed: 2}
-	for _, m := range []int{0, 1, 2, 3, 5, 10} {
-		ups := make([]stream.Update, m)
-		for i := range ups {
-			ups[i] = stream.Update{U: i % 7, V: (i % 7) + 1, Delta: 1}
-		}
-		seq := New(cfg)
-		for _, up := range ups {
-			edgeArena{seq, 8}.Update(up.U, up.V, up.Delta)
-		}
-		for _, workers := range []int{2, 4, 7, 16} {
-			par := New(cfg)
-			ShardedIngest(ups, workers, edgeArena{par, 8},
-				func() edgeArena { return edgeArena{New(cfg), 8} },
-				func(sh edgeArena) { par.Add(sh.a) })
-			if !par.Equal(seq) {
-				t.Fatalf("m=%d workers=%d: sharded ingest differs from sequential", m, workers)
-			}
-		}
 	}
 }
 

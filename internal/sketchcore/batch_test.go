@@ -56,60 +56,6 @@ func TestUpdateEdgesPanics(t *testing.T) {
 	expectPanic("universe", func() { wrongUniverse.UpdateEdges([]stream.Update{{U: 0, V: 1, Delta: 1}}) })
 }
 
-// batchSketch wraps an arena as a BatchUpdater; scalarSketch deliberately
-// does not implement UpdateBatch. Both replay the same node-incidence
-// updates, so ShardedIngest must produce identical state through either
-// replay path.
-type batchSketch struct {
-	a     *Arena
-	calls int
-}
-
-func (b *batchSketch) Update(u, v int, delta int64) {
-	b.a.UpdateEdges([]stream.Update{{U: u, V: v, Delta: delta}})
-}
-
-func (b *batchSketch) UpdateBatch(ups []stream.Update) {
-	b.calls++
-	b.a.UpdateEdges(ups)
-}
-
-type scalarSketch struct{ a *Arena }
-
-func (s *scalarSketch) Update(u, v int, delta int64) {
-	if u == v || delta == 0 {
-		return
-	}
-	if u > v {
-		u, v = v, u
-	}
-	s.a.UpdateEdge(u, v, uint64(u)*uint64(s.a.Slots())+uint64(v), delta)
-}
-
-// TestShardedIngestBatchPath: the BatchUpdater fast path must be taken when
-// available and must merge to the same bits as the per-update path.
-func TestShardedIngestBatchPath(t *testing.T) {
-	const n = 24
-	cfg := Config{Slots: n, Universe: n * n, Reps: 3, Seed: 77}
-	st := stream.GNP(n, 0.4, 3).WithChurn(200, 4)
-	for _, workers := range []int{1, 3} {
-		batch := &batchSketch{a: New(cfg)}
-		ShardedIngest(st.Updates, workers, batch,
-			func() *batchSketch { return &batchSketch{a: New(cfg)} },
-			func(sh *batchSketch) { batch.a.Add(sh.a) })
-		if batch.calls == 0 {
-			t.Fatalf("workers=%d: BatchUpdater fast path never taken", workers)
-		}
-		scalar := &scalarSketch{a: New(cfg)}
-		ShardedIngest(st.Updates, workers, scalar,
-			func() *scalarSketch { return &scalarSketch{a: New(cfg)} },
-			func(sh *scalarSketch) { scalar.a.Add(sh.a) })
-		if !batch.a.Equal(scalar.a) {
-			t.Fatalf("workers=%d: batch replay diverged from scalar replay", workers)
-		}
-	}
-}
-
 // TestPerSlotLazyPowTables: per-slot banks build tables only for updated
 // slots, and sampling untouched slots works without building one.
 func TestPerSlotLazyPowTables(t *testing.T) {

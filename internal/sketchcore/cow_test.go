@@ -73,7 +73,6 @@ func TestArenaCloneCopyOnWrite(t *testing.T) {
 		{"Reset", small, func(a *Arena) { a.Reset() }},
 		{"per-slot/Update", perSlot, func(a *Arena) { a.Update(2, 99, 1) }},
 		{"per-slot/UpdateAll", perSlot, func(a *Arena) { a.UpdateAll(7, -1) }},
-		{"per-slot/Reseed", perSlot, func(a *Arena) { a.Reseed([]uint64{9, 10, 11}) }},
 		{"per-slot/UpdateMarked", perSlot, func(a *Arena) { a.UpdateMarked(make([]uint64, a.MarkWords()), 2, 99, 1) }},
 		{"per-slot/ResetSlots", perSlot, func(a *Arena) { a.ResetSlots(1, 4) }},
 		{"per-slot/Remark", perSlot, func(a *Arena) { a.Remark([][]uint64{{0b10100}, {0b1}}) }},
@@ -165,10 +164,9 @@ func TestZeroSlabStaysZero(t *testing.T) {
 		{"MergeMany/fan-out", big, func(a *Arena) { a.MergeMany(bigSrcs) }},
 		{"DecodeStateTagged", edge, func(a *Arena) { mustDecode(t, a.DecodeStateTagged, srcBytes) }},
 		{"MergeStateTagged", edge, func(a *Arena) { mustDecode(t, a.MergeStateTagged, srcBytes) }},
-		{"CloneEmpty/Update", edge, func(a *Arena) { src.CloneEmpty().Update(3, 17, 2) }},
 		{"per-slot/Update", perSlot, func(a *Arena) { a.Update(2, 99, 1) }},
 		{"per-slot/UpdateAll", perSlot, func(a *Arena) { a.UpdateAll(7, -1) }},
-		{"per-slot/Reseed", perSlot, func(a *Arena) { a.Reseed([]uint64{9, 10, 11}); a.Update(1, 3, 1) }},
+		{"per-slot/SeedSlots", perSlot, func(a *Arena) { a.ResetSlots(0, 3); a.SeedSlots(0, []uint64{9, 10, 11}); a.Update(1, 3, 1) }},
 		{"per-slot/UpdateMarked", perSlot, func(a *Arena) { a.UpdateMarked(make([]uint64, a.MarkWords()), 2, 99, 1) }},
 		{"per-slot/ResetSlots", perSlot, func(a *Arena) { a.ResetSlots(1, 4) }},
 		{"per-slot/Remark", perSlot, func(a *Arena) { a.Remark([][]uint64{{0b10100}, {0b1}}) }},

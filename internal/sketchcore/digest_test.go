@@ -89,7 +89,9 @@ func TestDigestMaintainedEqualsScan(t *testing.T) {
 		banks := []*Arena{newPlanTestArena(slots, uint64(seed)), newPlanTestArena(slots, uint64(seed))}
 		var bankPlan *EdgePlan
 		for _, ups := range batches {
-			ReplayPlanned(ups, slots, &bankPlan, func(p *EdgePlan) { ApplyPlanBanks(banks, p, 2) })
+			ReplayPlanned(ups, slots, &bankPlan, func(p *EdgePlan) {
+				ForkJoin(len(banks), 2, func(i int) { banks[i].ApplyPlan(p) })
+			})
 		}
 		for name, b := range map[string]*Arena{"per-update": one, "edge-major": ref, "bank-parallel": banks[1]} {
 			checkDigest(t, name, b)
@@ -126,9 +128,6 @@ func TestDigestMaintainedEqualsScan(t *testing.T) {
 		}
 		if dec.Digest() != a.Digest() {
 			t.Fatalf("seed %d: decoded digest differs from the encoder's", seed)
-		}
-		if a.CloneEmpty().Digest() != (Digest{}) {
-			t.Fatal("CloneEmpty kept a digest")
 		}
 		cl.Reset()
 		if cl.Digest() != (Digest{}) || cl.ScanDigest() != (Digest{}) {
@@ -169,18 +168,33 @@ func TestDigestSeesSilentRot(t *testing.T) {
 	}
 	a.RescanDigest()
 	checkDigest(t, "RescanDigest", a)
+	clean := a.AppendStateTagged(nil)
 	for i, c := range a.cells {
 		for _, flip := range []acell{{w: 1}, {s: -1}, {f: 1}} {
 			x := a.Clone()
+			x.Own() // the rot lands in x's own cells, not in the cells it shares with a
 			x.cells[i] = acell{w: c.w + flip.w, s: c.s + flip.s, f: reduce61(c.f + flip.f)}
 			x.markSlot(i / (x.reps * x.levels))
 			if x.ScanDigest() == a.Digest() {
 				t.Fatalf("cell %d: single-field change %+v left the digest unchanged", i, flip)
 			}
+			mustBeUnmoved(t, a, clean)
 		}
 		if i > 200 {
 			break
 		}
+	}
+}
+
+// mustBeUnmoved fails unless a's bytes are still clean and its maintained
+// digest still matches a scan: an edit made on a Clone must not reach a.
+func mustBeUnmoved(t *testing.T, a *Arena, clean []byte) {
+	t.Helper()
+	if a.ScanDigest() != a.Digest() {
+		t.Fatal("an edit of a clone moved the source's scanned digest")
+	}
+	if !bytes.Equal(a.AppendStateTagged(nil), clean) {
+		t.Fatal("an edit of a clone moved the source's bytes")
 	}
 }
 
@@ -198,10 +212,12 @@ func TestDigestLinearBlindSpot(t *testing.T) {
 	clean := a.AppendStateTagged(nil)
 	flip := func(edit func(x *Arena)) (*Arena, bool) {
 		x := a.Clone()
+		x.Own() // the flips land in x's own cells, not in the cells it shares with a
 		edit(x)
 		x.markSlot(0)
 		x.markSlot(len(x.cells)/(x.reps*x.levels) - 1)
 		rotted := x.AppendStateTagged(nil)
+		mustBeUnmoved(t, a, clean)
 		return x, !bytes.Equal(rotted, clean) && crc64.Checksum(rotted, table) != crc64.Checksum(clean, table)
 	}
 	const top = math.MinInt64 // bit 63 of an int64 count

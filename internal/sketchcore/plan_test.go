@@ -2,8 +2,6 @@ package sketchcore
 
 import (
 	"math/rand"
-	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"graphsketch/internal/stream"
@@ -133,60 +131,6 @@ func TestCoalescePaths(t *testing.T) {
 	for i := range dense2 {
 		if dense2[i] != viaMap2[i] {
 			t.Fatalf("second batch diverges at %d", i)
-		}
-	}
-}
-
-// TestApplyPlanBanksBitIdentical: concurrent bank claiming must leave every
-// bank exactly as the sequential bank loop does, for worker counts below,
-// at, and above the bank count.
-func TestApplyPlanBanksBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	const slots, nbanks = 80, 7
-	ups := randomChurnUpdates(rng, slots, 4000)
-	mkBanks := func() []*Arena {
-		banks := make([]*Arena, nbanks)
-		for i := range banks {
-			banks[i] = newPlanTestArena(slots, uint64(100+i))
-		}
-		return banks
-	}
-	ref := mkBanks()
-	var refPlan *EdgePlan
-	ReplayPlanned(ups, slots, &refPlan, func(p *EdgePlan) {
-		for _, b := range ref {
-			b.ApplyPlan(p)
-		}
-	})
-	for _, workers := range []int{1, 2, nbanks, 16} {
-		got := mkBanks()
-		var plan *EdgePlan
-		ReplayPlanned(ups, slots, &plan, func(p *EdgePlan) {
-			ApplyPlanBanks(got, p, workers)
-		})
-		for i := range got {
-			if !got[i].Equal(ref[i]) {
-				t.Fatalf("workers=%d: bank %d diverged from sequential apply", workers, i)
-			}
-		}
-	}
-}
-
-// TestForkJoinEachIndexOnce: every index in [0, n) runs exactly once, for
-// unit counts below, at and above the processor count, and ForkJoin returns
-// only after all of them.
-func TestForkJoinEachIndexOnce(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(procs)
-		for _, n := range []int{0, 1, 2, 3, 17, 1000} {
-			runs := make([]atomic.Int32, n)
-			ForkJoin(n, func(i int) { runs[i].Add(1) })
-			for i := range runs {
-				if got := runs[i].Load(); got != 1 {
-					t.Fatalf("GOMAXPROCS=%d n=%d: index %d ran %d times", procs, n, i, got)
-				}
-			}
 		}
 	}
 }
