@@ -353,9 +353,10 @@ func (s *SimpleSparsifier) Clone() *SimpleSparsifier {
 // read-only).
 func (s *SimpleSparsifier) Sparsify() (*Graph, error) { return s.sk.Sparsify() }
 
-// SetDecodeWorkers overrides Sparsify's level-parallel extraction worker
-// count (0 restores the GOMAXPROCS default); the graph is bit-identical
-// for every setting.
+// SetDecodeWorkers overrides the worker count of Sparsify's level-parallel
+// decode, witness extraction and k-connectivity class pass alike (0
+// restores the GOMAXPROCS default); the graph is bit-identical for every
+// setting.
 func (s *SimpleSparsifier) SetDecodeWorkers(workers int) { s.sk.SetDecodeWorkers(workers) }
 
 // Sparsifier is SPARSIFICATION (Fig 3, Theorem 3.4): rough sparsifier +
@@ -382,9 +383,10 @@ func (s *Sparsifier) MergeMany(others []*Sparsifier) { s.sk.MergeMany(cores(othe
 // read-only).
 func (s *Sparsifier) Sparsify() (*Graph, error) { return s.sk.Sparsify() }
 
-// SetDecodeWorkers overrides the rough sparsifier's level-parallel
-// extraction worker count (0 restores the GOMAXPROCS default); the graph
-// is bit-identical for every setting.
+// SetDecodeWorkers overrides the worker count of the rough sparsifier's
+// level-parallel decode, witness extraction and class pass alike (0
+// restores the GOMAXPROCS default); the graph is bit-identical for every
+// setting.
 func (s *Sparsifier) SetDecodeWorkers(workers int) { s.sk.SetDecodeWorkers(workers) }
 
 // WeightedSparsifier sparsifies weighted graphs by powers-of-two weight
@@ -415,9 +417,9 @@ func (w *WeightedSparsifier) MergeMany(others []*WeightedSparsifier) { w.sk.Merg
 // read-only).
 func (w *WeightedSparsifier) Sparsify() (*Graph, error) { return w.sk.Sparsify() }
 
-// SetDecodeWorkers overrides each weight class's level-parallel extraction
-// worker count (0 restores the GOMAXPROCS default); the graph is
-// bit-identical for every setting.
+// SetDecodeWorkers overrides each weight class's level-parallel decode
+// worker count, witness extraction and class pass alike (0 restores the
+// GOMAXPROCS default); the graph is bit-identical for every setting.
 func (w *WeightedSparsifier) SetDecodeWorkers(workers int) { w.sk.SetDecodeWorkers(workers) }
 
 // MaxCutError measures the worst relative cut error of h against g over

@@ -92,8 +92,9 @@ func New(cfg Config) *Sketch {
 func (s *Sketch) Config() Config { return s.cfg }
 
 // SetDecodeWorkers overrides the worker count of the rough sparsifier's
-// level-parallel extraction (0 restores the GOMAXPROCS default). The
-// decoded graph is bit-identical for every setting.
+// level-parallel decode, witness extraction and class pass alike (0
+// restores the GOMAXPROCS default). The decoded graph is bit-identical for
+// every setting.
 func (s *Sketch) SetDecodeWorkers(workers int) { s.rough.SetDecodeWorkers(workers) }
 
 // Update applies a signed multiplicity change to edge {u, v}. Both the

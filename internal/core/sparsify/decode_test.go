@@ -21,9 +21,10 @@ func graphsEqual(a, b *graph.Graph) bool {
 	return true
 }
 
-// assembleSimpleRef is the pre-refactor Fig 2 step 3: a map-deduped
-// candidate set probed with one capped max-flow per (candidate, level).
-// It is kept as the semantic reference the memoized Gomory-Hu assembly is
+// assembleSimpleRef is Fig 2 step 3 as the paper states it: a map-deduped
+// candidate set probed with one capped max-flow per (candidate, level). It
+// is the semantic reference the class-based assembly (saturated levels
+// skipped, every other level answered from graph.KClasses labels) is
 // property-tested against.
 func assembleSimpleRef(hs []*graph.Graph, k int64, n int) *graph.Graph {
 	spars := graph.New(n)
@@ -82,6 +83,55 @@ func TestAssembleMatchesFlowReference(t *testing.T) {
 		if !graphsEqual(got, want) {
 			t.Fatalf("stream %d: assembly diverged from flow reference (got m=%d w=%d, want m=%d w=%d)",
 				si, got.NumEdges(), got.TotalWeight(), want.NumEdges(), want.TotalWeight())
+		}
+	}
+}
+
+// TestSparsifyClassesMatchFlowReference checks the class pass the decode
+// workers run beside witness extraction against the capped-flow reference
+// at 1, 2 and 4 workers: on GNP(64, 0.3), the end-to-end benchmark's base
+// graph, and on dense K40, whose low levels are saturated and skip the
+// class pass.
+func TestSparsifyClassesMatchFlowReference(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     SimpleConfig
+		st      *stream.Stream
+		wantSat bool
+	}{
+		{"gnp64-0.3", SimpleConfig{N: 64, Seed: 47}, stream.GNP(64, 0.3, 1), false},
+		{"k40", SimpleConfig{N: 40, K: 8, Seed: 47}, stream.Complete(40), true},
+	} {
+		ref := NewSimple(tc.cfg)
+		ref.Ingest(tc.st)
+		hs := make([]*graph.Graph, ref.cfg.Levels)
+		saturated, open := 0, 0
+		for i, ec := range ref.ecs {
+			var sat bool
+			hs[i], sat = ec.WitnessInfo()
+			if sat {
+				saturated++
+			} else if hs[i].NumEdges() > 0 {
+				open++
+			}
+		}
+		if tc.wantSat && saturated == 0 || open == 0 {
+			t.Fatalf("%s: %d saturated and %d open non-empty levels; the case no longer covers both kinds",
+				tc.name, saturated, open)
+		}
+		want := assembleSimpleRef(hs, int64(ref.cfg.K), ref.cfg.N)
+		for _, workers := range []int{1, 2, 4} {
+			s := NewSimple(tc.cfg)
+			s.Ingest(tc.st)
+			s.SetDecodeWorkers(workers)
+			got, err := s.Sparsify()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !graphsEqual(got, want) {
+				t.Fatalf("%s workers %d: assembly diverged from flow reference (got m=%d w=%d, want m=%d w=%d)",
+					tc.name, workers, got.NumEdges(), got.TotalWeight(), want.NumEdges(), want.TotalWeight())
+			}
 		}
 	}
 }

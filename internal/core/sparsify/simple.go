@@ -88,8 +88,9 @@ type Simple struct {
 }
 
 // SetDecodeWorkers overrides the worker count used by Sparsify's
-// level-parallel witness extraction (0 restores the GOMAXPROCS default).
-// The decoded graph is bit-identical for every setting.
+// level-parallel decode — witness extraction and each level's
+// k-connectivity class pass (0 restores the GOMAXPROCS default). The
+// decoded graph is bit-identical for every setting.
 func (s *Simple) SetDecodeWorkers(workers int) { s.decWorkers = workers }
 
 // NewSimple creates a SIMPLE-SPARSIFICATION sketch.
@@ -226,26 +227,31 @@ func (s *Simple) Sparsify() (*graph.Graph, error) {
 	return s.decGraph, s.decErr
 }
 
-// sparsifyLevels extracts every level's witness — independent levels
-// claimed off an atomic counter by up to `workers` goroutines (0 =
-// GOMAXPROCS), each owning its extraction scratch — then assembles the
-// sparsifier. Results are bit-identical for any worker count: hs[i] depends only on level i's
-// sketch, and assembly consumes the levels in index order. Property tests
-// pin this against workers = 1.
+// sparsifyLevels extracts every level's witness and, for each level that
+// is not saturated, its k-connectivity classes — independent levels claimed
+// off an atomic counter by up to `workers` goroutines (0 = GOMAXPROCS),
+// each owning its extraction and flow scratch — then assembles the
+// sparsifier. Results are bit-identical for any worker count: hs[i] and
+// classes[i] depend only on level i's sketch, and assembly consumes the
+// levels in index order. Property tests pin this against workers = 1.
 func (s *Simple) sparsifyLevels(workers int) (*graph.Graph, error) {
 	levels := s.cfg.Levels
+	k := int64(s.cfg.K)
 	hs := make([]*graph.Graph, levels)
-	sat := make([]bool, levels)
+	classes := make([][]int, levels)
 	var next atomic.Int64
 	work := func() {
 		ws := agm.NewWitnessScratch()
+		var cs graph.ClassScratch
 		for {
 			i := int(next.Add(1) - 1)
 			if i >= levels {
 				return
 			}
 			hs[i] = graph.New(s.cfg.N)
-			sat[i] = s.ecs[i].WitnessInto(hs[i], ws)
+			if !s.ecs[i].WitnessInto(hs[i], ws) {
+				classes[i], _ = hs[i].KClasses(k, &cs)
+			}
 		}
 	}
 	if workers = min(sketchcore.Workers(workers), levels); workers <= 1 {
@@ -261,27 +267,27 @@ func (s *Simple) sparsifyLevels(workers int) (*graph.Graph, error) {
 		}
 		wg.Wait()
 	}
-	return assembleSimple(hs, sat, int64(s.cfg.K), s.cfg.N), nil
+	return assembleSimple(hs, classes, s.cfg.N), nil
 }
 
 // assembleSimple implements Fig 2 step 3 given the witnesses: for each
 // candidate edge, find j = min{i : lambda_e(H_i) < k}; if e in H_j, weight
 // it 2^j (times its multiplicity).
 //
-// The lambda_e probes are served from memoized per-level connectivity
-// structures instead of a fresh capped max-flow per (candidate, level):
+// Each level answers the "lambda_e(H_i) < k" probe without a flow:
 //
-//   - sat[i] marks levels whose witness is provably >= k-connected (k
-//     edge-disjoint spanning trees — WitnessInfo's flag). There
-//     lambda_e(H_i) >= lambda(H_i) >= k for every pair, so the probe's
-//     "< k" test is false without any computation.
-//   - other levels lazily build one Gomory-Hu tree (n-1 max-flows on a
-//     reusable solver) and answer each probe as a min-edge-on-path query.
+//   - classes[i] is nil on levels whose witness is provably >= k-connected
+//     (k edge-disjoint spanning trees — WitnessInfo's flag). There
+//     lambda_e(H_i) >= lambda(H_i) >= k for every pair, so the test is
+//     false.
+//   - every other level carries its vertices' classes under
+//     lambda(u, v) >= k (graph.KClasses): the test is true iff u and v lie
+//     in different classes.
 //
-// Both answer with the exact lambda_e the capped flow was thresholding, so
-// the frozen level, and therefore every output byte, is unchanged — that is
-// pinned by TestSparsifyGolden and the reference-assembly property test.
-func assembleSimple(hs []*graph.Graph, sat []bool, k int64, n int) *graph.Graph {
+// Both decide exactly what a capped max-flow per (candidate, level) would,
+// so the frozen level, and therefore every output byte, matches it — pinned
+// by TestSparsifyGolden and the reference-assembly property tests.
+func assembleSimple(hs []*graph.Graph, classes [][]int, n int) *graph.Graph {
 	spars := graph.New(n)
 	// Candidate edges: union over witnesses, deduped via one sorted slice
 	// (deterministic iteration order, no map).
@@ -292,7 +298,6 @@ func assembleSimple(hs []*graph.Graph, sat []bool, k int64, n int) *graph.Graph 
 		}
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	ghs := make([]*graph.GHTree, len(hs))
 	var prev uint64
 	havePrev := false
 	for _, idx := range keys {
@@ -302,17 +307,11 @@ func assembleSimple(hs []*graph.Graph, sat []bool, k int64, n int) *graph.Graph 
 		prev, havePrev = idx, true
 		u, v := stream.EdgeFromIndex(idx, n)
 		for i, h := range hs {
-			if sat[i] {
+			c := classes[i]
+			if c == nil {
 				continue // lambda_e >= lambda(H_i) >= k: e does not freeze here
 			}
-			var lam int64
-			if h.NumEdges() > 0 {
-				if ghs[i] == nil {
-					ghs[i] = h.GomoryHu()
-				}
-				lam = ghs[i].MinCutBetween(u, v)
-			}
-			if lam < k {
+			if c[u] != c[v] {
 				if w := h.Weight(u, v); w != 0 {
 					spars.AddEdge(u, v, w<<uint(i))
 				}

@@ -88,9 +88,10 @@ func (cfg WeightedConfig) classConfig(c int) SimpleConfig {
 	}
 }
 
-// SetDecodeWorkers overrides each class sketch's level-parallel extraction
-// worker count (0 restores the GOMAXPROCS default). The decoded graph is
-// bit-identical for every setting.
+// SetDecodeWorkers overrides each class sketch's level-parallel decode
+// worker count, witness extraction and k-connectivity class pass alike (0
+// restores the GOMAXPROCS default). The decoded graph is bit-identical for
+// every setting.
 func (w *Weighted) SetDecodeWorkers(workers int) {
 	for _, s := range w.ws {
 		s.SetDecodeWorkers(workers)

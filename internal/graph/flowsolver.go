@@ -3,10 +3,10 @@ package graph
 // FlowSolver is a reusable Dinic max-flow engine: the arc arrays, BFS/DFS
 // scratch, and capacity snapshot are owned by the solver and recycled across
 // Reset/ResetFlow calls, so a caller running many flow queries (Gomory-Hu
-// construction, the lambda_e < k probes of SIMPLE-SPARSIFICATION assembly)
-// pays the graph traversal once instead of re-sorting the edge list and
-// re-allocating an adjacency structure per query, which profiling showed
-// dominated sparsifier decode.
+// construction, the k-connectivity classes behind SIMPLE-SPARSIFICATION's
+// lambda_e < k probes) pays the graph traversal once instead of re-sorting
+// the edge list and re-allocating an adjacency structure per query, which
+// profiling showed dominated sparsifier decode.
 //
 // Arc layout replicates the one-shot dinic exactly — per vertex, arcs appear
 // in Edges() order (forward arcs where the vertex is the lower endpoint

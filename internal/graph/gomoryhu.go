@@ -227,28 +227,6 @@ func (g *Graph) GomoryHu() *GHTree {
 	return t
 }
 
-// MinCutBetween returns the min u-v cut value: the minimum edge weight on
-// the tree path between u and v.
-func (t *GHTree) MinCutBetween(u, v int) int64 {
-	min := int64(1) << 62
-	du := t.depths()
-	uu, vv := u, v
-	for uu != vv {
-		if du[uu] >= du[vv] {
-			if t.Weight[uu] < min {
-				min = t.Weight[uu]
-			}
-			uu = t.Parent[uu]
-		} else {
-			if t.Weight[vv] < min {
-				min = t.Weight[vv]
-			}
-			vv = t.Parent[vv]
-		}
-	}
-	return min
-}
-
 // MinCutEdgeBetween returns the vertex whose parent-edge is a minimum-
 // weight edge on the u-v tree path. Fig 3 step 4d assigns each graph edge
 // to this tree edge. Returns -1 iff u == v.
@@ -312,9 +290,9 @@ func (t *GHTree) TreeEdges() []Edge {
 }
 
 // depths returns (and caches) every vertex's tree depth. The cache makes
-// repeated path queries — one per candidate edge during sparsifier assembly
-// — O(path) instead of O(n) each. Callers must not mutate Parent after the
-// first query.
+// repeated path queries — one per graph edge in Fig 3 step 4d — O(path)
+// instead of O(n) each. Callers must not mutate Parent after the first
+// query.
 func (t *GHTree) depths() []int {
 	if t.depth != nil {
 		return t.depth

@@ -8,6 +8,8 @@
 //     and Gomory-Hu construction, Sec. 3);
 //   - Stoer-Wagner global min cut (exact baseline for Fig 1);
 //   - Gomory-Hu trees with real cut partitions (Fig 3 step 4);
+//   - k-edge-connected classes, the partition under lambda(u, v) >= k
+//     (Fig 2 step 3);
 //   - cut evaluation and random/planted cut enumeration for sparsifier
 //     accuracy measurement.
 package graph

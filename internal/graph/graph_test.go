@@ -276,6 +276,29 @@ func TestStoerWagnerDisconnected(t *testing.T) {
 	}
 }
 
+// MinCutBetween returns the min u-v cut value: the minimum edge weight on
+// the tree path between u and v. It is the Gomory-Hu tests' oracle: the
+// tree is correct iff it answers every pair as a max-flow does.
+func (t *GHTree) MinCutBetween(u, v int) int64 {
+	min := int64(1) << 62
+	du := t.depths()
+	uu, vv := u, v
+	for uu != vv {
+		if du[uu] >= du[vv] {
+			if t.Weight[uu] < min {
+				min = t.Weight[uu]
+			}
+			uu = t.Parent[uu]
+		} else {
+			if t.Weight[vv] < min {
+				min = t.Weight[vv]
+			}
+			vv = t.Parent[vv]
+		}
+	}
+	return min
+}
+
 func TestGomoryHuPath(t *testing.T) {
 	// On a path with distinct weights, min u-v cut = min weight between.
 	g := New(5)

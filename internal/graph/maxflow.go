@@ -5,7 +5,8 @@ package graph
 //
 // Used for:
 //   - min u-v cuts during Gomory-Hu construction (Fig 3, step 4);
-//   - the lambda_e(H_i) < k tests of SIMPLE-SPARSIFICATION (Fig 2, step 3),
+//   - the k-connectivity classes (KClasses) that answer the
+//     lambda_e(H_i) < k tests of SIMPLE-SPARSIFICATION (Fig 2, step 3),
 //     where the flow can be capped at k to stop early.
 //
 // Callers issuing many queries should hold their own FlowSolver and use

@@ -250,3 +250,33 @@ func BenchmarkEpochSpannerCold(b *testing.B) {
 		benchSink += int64(live.Clone().Spanner().Spanner.NumEdges())
 	}
 }
+
+// BenchmarkEpochSparsifyCold is an epoch's first sparsify query: publish a
+// clone of the live bundle, then decode its sparsifier (witness extraction
+// plus the per-level k-connectivity classes Fig 2 step 3 probes). gnp0.5 is
+// publishFixture's base graph; gnp0.3 is the GNP(64, 0.3) base graph the
+// end-to-end benchmark preloads.
+func BenchmarkEpochSparsifyCold(b *testing.B) {
+	cfg, base, _ := publishFixture()
+	for _, fx := range []struct {
+		name string
+		base []stream.Update
+	}{
+		{"gnp0.5", base},
+		{"gnp0.3", stream.GNP(cfg.N, 0.3, 1).Updates},
+	} {
+		b.Run(fx.name, func(b *testing.B) {
+			live := NewBundle(cfg)
+			live.UpdateBatch(fx.base)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g, err := live.Clone().Sparsify()
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += int64(g.NumEdges())
+			}
+		})
+	}
+}
