@@ -40,7 +40,7 @@ func serveCommand(args []string, out io.Writer) error {
 	globalBudget := fs.Int64("global-budget", 0, "global resident-byte budget (evicts coldest tenant), 0 = unlimited")
 	queryTimeout := fs.Duration("query-timeout", 10*time.Second, "per-request deadline")
 	n := fs.Int("n", 64, "vertex universe per tenant bundle")
-	k := fs.Int("k", 6, "min-cut sketch connectivity bound")
+	k := fs.Int("k", 6, "min-cut connectivity threshold K, read off the sparsifier's first K forests per level (1 to its forest count, at least 6)")
 	eps := fs.Float64("eps", 1.0, "sparsifier accuracy")
 	spannerK := fs.Int("spanner-k", 2, "Baswana-Sen stretch parameter (2k-1 stretch)")
 	seed := fs.Uint64("seed", 1, "hash seed shared by all tenants")

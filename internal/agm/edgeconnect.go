@@ -238,10 +238,22 @@ func (ec *EdgeConnectSketch) WitnessInfo() (*graph.Graph, bool) {
 // The returned flag is WitnessInfo's provable-saturation bit. ws must not
 // be shared between concurrent calls.
 func (ec *EdgeConnectSketch) WitnessInto(h *graph.Graph, ws *WitnessScratch) bool {
+	return ec.WitnessPrefixInto(h, ws, ec.k)
+}
+
+// WitnessPrefixInto is WitnessInto over the first k <= K() forests only.
+// Forest i is seeded from (seed, i) whatever K() is and the forests are
+// peeled in order, so the result is bit-identical to WitnessInto on a
+// k-forest sketch with the same seed fed the same stream; the flag then
+// claims mincut(H) >= k.
+func (ec *EdgeConnectSketch) WitnessPrefixInto(h *graph.Graph, ws *WitnessScratch, k int) bool {
+	if k < 1 || k > ec.k {
+		panic("agm: witness prefix out of range")
+	}
 	h.Reset(ec.n)
 	ws.sub.Reset(ec.n)
 	provable := true
-	for i := 0; i < ec.k; i++ {
+	for i := 0; i < k; i++ {
 		ws.dsu.Reset(ec.n)
 		forest := ec.banks[i].spanningForestPending(ws.dsu, ws.agg, &ws.sub, ws.forest[:0])
 		ws.forest = forest // keep the grown buffer for the next forest

@@ -104,3 +104,37 @@ func TestWitnessSaturationFlag(t *testing.T) {
 		t.Fatalf("path witness flagged saturated; witness m=%d", hs.NumEdges())
 	}
 }
+
+// TestWitnessPrefixMatchesSmallerSketch pins the prefix extraction the
+// service's min cut reads off the sparsifier's levels: on random streams,
+// the first K forests of a k-forest sketch give the witness and saturation
+// flag of a K-forest sketch with the same seed, bit for bit, for K in
+// {1, ceil(k/2), k}.
+func TestWitnessPrefixMatchesSmallerSketch(t *testing.T) {
+	const n, k = 24, 7
+	streams := map[string]func(seed uint64) *stream.Stream{
+		"uniform": func(seed uint64) *stream.Stream { return stream.UniformUpdates(n, 3_000, seed) },
+		"churn":   func(seed uint64) *stream.Stream { return stream.GNP(n, 0.3, seed).WithChurn(400, seed^5) },
+		"dense":   func(seed uint64) *stream.Stream { return stream.GNP(n, 0.9, seed) },
+		"sparse":  func(seed uint64) *stream.Stream { return stream.GNP(n, 0.1, seed) },
+	}
+	h, want := graph.New(0), graph.New(0)
+	ws := NewWitnessScratch()
+	for name, gen := range streams {
+		for seed := uint64(1); seed <= 6; seed++ {
+			st := gen(seed)
+			full := NewEdgeConnectSketch(n, k, seed*31)
+			full.Ingest(st)
+			for _, kk := range []int{1, (k + 1) / 2, k} {
+				small := NewEdgeConnectSketch(n, kk, seed*31)
+				small.Ingest(st)
+				gotSat := full.WitnessPrefixInto(h, ws, kk)
+				wantSat := small.WitnessInto(want, NewWitnessScratch())
+				if gotSat != wantSat || !edgesEqual(h, want) {
+					t.Fatalf("%s seed %d K=%d: prefix witness (%d edges, flag %v) != %d-forest witness (%d edges, flag %v)",
+						name, seed, kk, h.NumEdges(), gotSat, kk, want.NumEdges(), wantSat)
+				}
+			}
+		}
+	}
+}

@@ -21,11 +21,11 @@ func TestDecodeParallelBitIdentical(t *testing.T) {
 	for si, st := range streams {
 		ref := New(Config{N: st.N, K: 6, Seed: uint64(si) + 1})
 		ref.Ingest(st)
-		wantRes, wantSide, wantErr := ref.decodeLevels(1)
+		wantRes, wantSide, wantErr := DecodeLevels(ref.ecs, ref.cfg.K, 1)
 		for _, workers := range []int{1, 2, 3, 8} {
 			s := New(Config{N: st.N, K: 6, Seed: uint64(si) + 1})
 			s.Ingest(st)
-			res, side, err := s.decodeLevels(workers)
+			res, side, err := DecodeLevels(s.ecs, s.cfg.K, workers)
 			if err != wantErr || res != wantRes {
 				t.Fatalf("stream %d workers %d: got (%+v, %v) want (%+v, %v)",
 					si, workers, res, err, wantRes, wantErr)

@@ -98,71 +98,6 @@ func (s *Sketch) MergeBinary(data []byte) error {
 	return nil
 }
 
-// NumBanks reports the sketch's digestable bank count: one bank per
-// subsampling level, in level order — the granularity the service's digest
-// tree and delta sync address.
-func (s *Sketch) NumBanks() int { return len(s.ecs) }
-
-// AppendBankState appends one level bank's headerless tagged state —
-// exactly the bytes MarshalBinaryCompact writes for that level, so a
-// bank-wise concatenation reproduces the envelope body.
-func (s *Sketch) AppendBankState(buf []byte, bank int) ([]byte, error) {
-	if bank < 0 || bank >= len(s.ecs) {
-		return nil, fmt.Errorf("mincut: bank %d out of [0,%d): %w", bank, len(s.ecs), wire.ErrBadEncoding)
-	}
-	return s.ecs[bank].AppendState(buf), nil
-}
-
-// ReplaceBankState replaces one level bank's contents with tagged state
-// bytes produced by AppendBankState on a same-config sketch, consuming data
-// fully. Banks are headerless, so cross-level installs are the caller's to
-// prevent — the service verifies the assembled state's digest root before
-// trusting a bank-wise install.
-//
-// ReplaceBankState and MergeBankState write only their bank, so distinct
-// banks may be written from concurrent goroutines. They leave the decode
-// cache alone for that reason: the caller calls Invalidate once, outside
-// any fan-out, before a pass of bank writes.
-func (s *Sketch) ReplaceBankState(bank int, data []byte) error {
-	if bank < 0 || bank >= len(s.ecs) {
-		return fmt.Errorf("mincut: bank %d out of [0,%d): %w", bank, len(s.ecs), wire.ErrBadEncoding)
-	}
-	rest, err := s.ecs[bank].DecodeState(data)
-	if err != nil {
-		return fmt.Errorf("mincut: %w", err)
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("mincut: %d trailing bytes after bank %d: %w", len(rest), bank, wire.ErrBadEncoding)
-	}
-	return nil
-}
-
-// MergeBankState folds tagged state bytes produced by AppendBankState on a
-// same-config sketch into one level bank (linearity: states add), consuming
-// data fully.
-func (s *Sketch) MergeBankState(bank int, data []byte) error {
-	if bank < 0 || bank >= len(s.ecs) {
-		return fmt.Errorf("mincut: bank %d out of [0,%d): %w", bank, len(s.ecs), wire.ErrBadEncoding)
-	}
-	rest, err := s.ecs[bank].MergeState(data)
-	if err != nil {
-		return fmt.Errorf("mincut: %w", err)
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("mincut: %d trailing bytes after bank %d: %w", len(rest), bank, wire.ErrBadEncoding)
-	}
-	return nil
-}
-
-// Invalidate drops the decode cache, so the next MinCut decodes the
-// current state. Bank writes (ReplaceBankState, MergeBankState) need it.
-func (s *Sketch) Invalidate() { s.decoded = false }
-
-// BankArenas returns one level bank's arenas in wire order: the cells
-// AppendBankState encodes, whose maintained digests (sketchcore.Digest)
-// sum to the bank's. bank must be in [0, NumBanks()).
-func (s *Sketch) BankArenas(bank int) []*sketchcore.Arena { return s.ecs[bank].AppendArenas(nil) }
-
 // MergeMany folds k sketches into s level by level in one occupancy-guided
 // pass each; bit-identical to sequential pairwise Add.
 func (s *Sketch) MergeMany(others []*Sketch) {

@@ -247,10 +247,10 @@ func (s *Sketch) MinCutWithSide() (Result, []bool, error) {
 	return s.decode(s.decWorkers)
 }
 
-// decode memoizes decodeLevels.
+// decode memoizes DecodeLevels on the sketch's levels.
 func (s *Sketch) decode(workers int) (Result, []bool, error) {
 	if !s.decoded {
-		s.decRes, s.decSide, s.decErr = s.decodeLevels(workers)
+		s.decRes, s.decSide, s.decErr = DecodeLevels(s.ecs, s.cfg.K, workers)
 		s.decoded = true
 	}
 	return s.decRes, s.decSide, s.decErr
@@ -265,12 +265,13 @@ type levelDecode struct {
 	m    int    // witness edge count
 }
 
-// decodeLevels is the single decode path behind MinCut and MinCutWithSide:
-// Fig 1's scan for j = min{i : lambda(H_i) < k}, run level-parallel.
-// Independent levels are claimed off an atomic counter by up to `workers`
-// goroutines (0 = GOMAXPROCS), each owning a reusable witness graph and
-// extraction scratch. Two exact short-circuits keep the work proportional
-// to the answer:
+// DecodeLevels is Fig 1's scan for j = min{i : lambda(H_i) < k}, with H_i
+// the witness of the first k forests of ecs[i] (at most any level's forest
+// count), run level-parallel: behind MinCut, and behind any other stack of
+// nested levels. Independent levels are claimed off an atomic counter by up
+// to `workers` goroutines (0 = GOMAXPROCS), each owning a reusable witness
+// graph and extraction scratch. Two exact short-circuits keep the work
+// proportional to the answer:
 //
 //   - levels above the best sub-k level found so far are never claimed
 //     (they cannot lower j), which in the sequential case degenerates to
@@ -284,26 +285,26 @@ type levelDecode struct {
 // each level's (val, side) is a deterministic function of that level's
 // sketch alone, and the returned level is the minimum ok level, independent
 // of scheduling. Property tests pin this against workers = 1.
-func (s *Sketch) decodeLevels(workers int) (Result, []bool, error) {
-	levels := s.cfg.Levels
+func DecodeLevels(ecs []*agm.EdgeConnectSketch, k, workers int) (Result, []bool, error) {
+	levels := len(ecs)
 	out := make([]levelDecode, levels)
 	var next atomic.Int64
 	var best atomic.Int64
 	best.Store(int64(levels))
 	workers = min(sketchcore.Workers(workers), levels)
 	work := func() {
-		h := graph.New(s.cfg.N)
+		h := graph.New(0)
 		ws := agm.NewWitnessScratch()
 		for {
 			i := int(next.Add(1) - 1)
 			if i >= levels || int64(i) > best.Load() {
 				return
 			}
-			saturated := s.ecs[i].WitnessInto(h, ws)
+			saturated := ecs[i].WitnessPrefixInto(h, ws, k)
 			ld := levelDecode{done: true}
 			if !saturated {
 				val, side := h.StoerWagner()
-				if val < int64(s.cfg.K) {
+				if val < int64(k) {
 					ld.ok, ld.val, ld.side, ld.m = true, val, side, h.NumEdges()
 					for {
 						b := best.Load()
@@ -316,7 +317,7 @@ func (s *Sketch) decodeLevels(workers int) (Result, []bool, error) {
 			out[i] = ld
 		}
 	}
-	if workers == 1 {
+	if workers <= 1 {
 		work()
 	} else {
 		var wg sync.WaitGroup

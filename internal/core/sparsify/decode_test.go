@@ -53,8 +53,8 @@ func assembleSimpleRef(hs []*graph.Graph, k int64, n int) *graph.Graph {
 	return spars
 }
 
-// TestAssembleMatchesFlowReference cross-checks the Gomory-Hu-memoized
-// assembly (with its saturated-level shortcut) against the per-candidate
+// TestAssembleMatchesFlowReference cross-checks the class-based assembly
+// (each level's k-connectivity classes, with its saturated-level shortcut) against the per-candidate
 // capped-flow reference on a spread of stream shapes: the frozen level of
 // every candidate, and hence every output byte, must agree.
 func TestAssembleMatchesFlowReference(t *testing.T) {
@@ -204,5 +204,61 @@ func TestSparsifyRepeatable(t *testing.T) {
 	s.Update(0, 1, 1)
 	if s.decoded {
 		t.Fatalf("simple: update did not invalidate the decode cache")
+	}
+}
+
+// TestSimpleMinCutMemo: MinCut is cached beside Sparsify, and every state
+// change that drops the sparsifier's cache drops it too — after each, the
+// answer is a fresh sketch's of the same state.
+func TestSimpleMinCutMemo(t *testing.T) {
+	const n, k = 32, 4
+	cfg := SimpleConfig{N: n, Epsilon: 1, Seed: 21}
+	base := stream.Barbell(n, 2).Updates
+	extra := []stream.Update{{U: 1, V: n - 1, Delta: 1}, {U: 2, V: n - 2, Delta: 1}, {U: 3, V: n - 3, Delta: 1}}
+	other := NewSimple(cfg)
+	other.UpdateBatch(extra)
+	bank, err := other.AppendBankState(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := map[string]func(s *Simple){
+		"UpdateBatch": func(s *Simple) { s.UpdateBatch(extra) },
+		"Update": func(s *Simple) {
+			for _, u := range extra {
+				s.Update(u.U, u.V, u.Delta)
+			}
+		},
+		"Add": func(s *Simple) { s.Add(other) },
+		"MergeBankState+Invalidate": func(s *Simple) {
+			if err := s.MergeBankState(0, bank); err != nil {
+				t.Fatal(err)
+			}
+			s.Invalidate()
+		},
+		"ReplaceBankState+Invalidate": func(s *Simple) {
+			if err := s.ReplaceBankState(0, bank); err != nil {
+				t.Fatal(err)
+			}
+			s.Invalidate()
+		},
+	}
+	for name, change := range paths {
+		s := NewSimple(cfg)
+		s.UpdateBatch(base)
+		before, err := s.MinCut(k)
+		if again, _ := s.MinCut(k); err != nil || again != before {
+			t.Fatalf("%s: repeated MinCut drifted: %+v then %+v (err %v)", name, before, again, err)
+		}
+		change(s)
+		fresh := NewSimple(cfg)
+		fresh.Add(s)
+		got, gotErr := s.MinCut(k)
+		want, wantErr := fresh.MinCut(k)
+		if got != want || gotErr != wantErr {
+			t.Fatalf("%s: %+v (err %v) after the change, a fresh sketch of the same state %+v (err %v)", name, got, gotErr, want, wantErr)
+		}
+		if got == before {
+			t.Fatalf("%s: fixture change left the min cut at %+v", name, got)
+		}
 	}
 }

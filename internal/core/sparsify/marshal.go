@@ -61,7 +61,8 @@ func (s *Simple) MergeState(data []byte) ([]byte, error) {
 }
 
 // NumBanks reports the sketch's digestable bank count: one bank per
-// sampling level, in level order (see mincut.Sketch.NumBanks).
+// sampling level, in level order — the granularity the service's digest
+// tree and delta sync address.
 func (s *Simple) NumBanks() int { return len(s.ecs) }
 
 // AppendBankState appends one level bank's headerless tagged state —
@@ -75,8 +76,13 @@ func (s *Simple) AppendBankState(buf []byte, bank int) ([]byte, error) {
 
 // ReplaceBankState replaces one level bank's contents with tagged state
 // bytes produced by AppendBankState on a same-config sketch, consuming data
-// fully (see mincut.Sketch.ReplaceBankState for the trust contract and for
-// concurrent writes to distinct banks, which need Invalidate).
+// fully. Banks are headerless, so cross-level installs are the caller's to
+// prevent (the service checks the assembled state's digest root).
+//
+// ReplaceBankState and MergeBankState write only their bank, so distinct
+// banks may be written from concurrent goroutines. They leave the decode
+// cache alone for that reason: the caller calls Invalidate once, outside
+// any fan-out, before a pass of bank writes.
 func (s *Simple) ReplaceBankState(bank int, data []byte) error {
 	if bank < 0 || bank >= len(s.ecs) {
 		return fmt.Errorf("sparsify: bank %d out of [0,%d): %w", bank, len(s.ecs), wire.ErrBadEncoding)
@@ -107,12 +113,13 @@ func (s *Simple) MergeBankState(bank int, data []byte) error {
 	return nil
 }
 
-// Invalidate drops the decode cache, so the next Sparsify decodes the
-// current state. Bank writes (ReplaceBankState, MergeBankState) need it.
+// Invalidate drops the decode cache, so the next Sparsify or MinCut
+// decodes the current state. Bank writes (ReplaceBankState, MergeBankState) need it.
 func (s *Simple) Invalidate() { s.decoded = false }
 
-// BankArenas returns one level bank's arenas in wire order; see
-// mincut.Sketch.BankArenas.
+// BankArenas returns one level bank's arenas in wire order: the cells
+// AppendBankState encodes, whose maintained digests (sketchcore.Digest)
+// sum to the bank's. bank must be in [0, NumBanks()).
 func (s *Simple) BankArenas(bank int) []*sketchcore.Arena { return s.ecs[bank].AppendArenas(nil) }
 
 // MergeMany folds k Simple sketches level by level in one occupancy-guided

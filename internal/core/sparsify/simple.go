@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 
 	"graphsketch/internal/agm"
+	"graphsketch/internal/core/mincut"
 	"graphsketch/internal/graph"
 	"graphsketch/internal/hashing"
 	"graphsketch/internal/sketchcore"
@@ -71,6 +72,12 @@ func (c *SimpleConfig) fill() {
 	}
 }
 
+// Filled returns the config with every zero field given its default.
+func (c SimpleConfig) Filled() SimpleConfig {
+	c.fill()
+	return c
+}
+
 // Simple is the Fig 2 sketch.
 type Simple struct {
 	cfg      SimpleConfig
@@ -79,18 +86,31 @@ type Simple struct {
 	sorter   sketchcore.BatchSorter // UpdateBatch level-sort scratch
 
 	// Decode cache: post-processing is read-only (witness extraction no
-	// longer peels banks in place), so the sparsifier is computed once and
-	// invalidated only when sketch state changes.
+	// longer peels banks in place), so the sparsifier and the min cut are
+	// each computed once per sketch state. A state change sets decoded =
+	// false, which drops both (memo).
 	decoded    bool
+	sparsified bool
 	decGraph   *graph.Graph
 	decErr     error
+	cutK       int // threshold of the cached min cut, 0 = none
+	cut        mincut.Result
+	cutErr     error
 	decWorkers int // 0 = GOMAXPROCS
 }
 
-// SetDecodeWorkers overrides the worker count used by Sparsify's
-// level-parallel decode — witness extraction and each level's
-// k-connectivity class pass (0 restores the GOMAXPROCS default). The
-// decoded graph is bit-identical for every setting.
+// memo drops the cached answers if the state changed since they were
+// decoded.
+func (s *Simple) memo() {
+	if !s.decoded {
+		s.sparsified, s.cutK, s.decoded = false, 0, true
+	}
+}
+
+// SetDecodeWorkers overrides the worker count used by Sparsify's and
+// MinCut's level-parallel decode — witness extraction and each level's
+// k-connectivity class pass or Stoer-Wagner (0 restores the GOMAXPROCS
+// default). The answers are bit-identical for every setting.
 func (s *Simple) SetDecodeWorkers(workers int) { s.decWorkers = workers }
 
 // NewSimple creates a SIMPLE-SPARSIFICATION sketch.
@@ -220,11 +240,26 @@ func (s *Simple) Equal(other *Simple) bool {
 // sparsifier. Decode is read-only on the sketch and cached: repeated calls
 // return the same graph (treat it as read-only).
 func (s *Simple) Sparsify() (*graph.Graph, error) {
-	if !s.decoded {
+	if s.memo(); !s.sparsified {
 		s.decGraph, s.decErr = s.sparsifyLevels(s.decWorkers)
-		s.decoded = true
+		s.sparsified = true
 	}
 	return s.decGraph, s.decErr
+}
+
+// MinCut answers Fig 1 (Theorem 3.2) off the sparsifier's own levels: the
+// scan for j = min{i : lambda(H_i) < k}, with H_i the witness of level i's
+// first k forests (mincut.DecodeLevels). Those forests are a k-EDGECONNECT
+// sketch of G_i, so this is the min-cut sketch at threshold k on this
+// sketch's hashes, without a second stack of levels. k must lie in
+// [1, Config().KForests]. The answer for the last k asked is cached beside
+// Sparsify's, and dropped with it.
+func (s *Simple) MinCut(k int) (mincut.Result, error) {
+	if s.memo(); s.cutK != k {
+		s.cut, _, s.cutErr = mincut.DecodeLevels(s.ecs, k, s.decWorkers)
+		s.cutK = k
+	}
+	return s.cut, s.cutErr
 }
 
 // sparsifyLevels extracts every level's witness and, for each level that

@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 
 	"graphsketch"
-	"graphsketch/internal/core/mincut"
 	"graphsketch/internal/core/spanner"
 	"graphsketch/internal/core/sparsify"
 	"graphsketch/internal/hashing"
@@ -31,7 +30,8 @@ import (
 type BundleConfig struct {
 	// N is the vertex universe size.
 	N int `json:"n"`
-	// K is the min-cut sketch's edge-connectivity bound (NewMinCutSketchK).
+	// K is Fig 1's min-cut threshold, read off the sparsifier's first K
+	// forests per level: in [1, k], k the sparsifier's forest count (>= 6).
 	K int `json:"k"`
 	// Eps is the sparsifier's accuracy parameter.
 	Eps float64 `json:"eps"`
@@ -47,14 +47,13 @@ func DefaultBundleConfig(n int, seed uint64) BundleConfig {
 	return BundleConfig{N: n, K: 6, Eps: 1.0, SpannerK: 2, Seed: seed}
 }
 
-// Bundle is one tenant's sketch state: a min-cut sketch, a cut sparsifier,
-// and a coalesced update log for multi-pass spanner construction. It
-// implements runtime.Sketch, so the WAL machinery recovers it
-// bit-identically, plus Clone for epoch snapshots and Footprint for
-// budget accounting.
+// Bundle is one tenant's sketch state: a cut sparsifier, whose nested
+// levels also answer the min cut, and a coalesced update log for
+// multi-pass spanner construction. It implements runtime.Sketch, so the WAL
+// machinery recovers it bit-identically, plus Clone for epoch snapshots and
+// Footprint for budget accounting.
 type Bundle struct {
 	cfg BundleConfig
-	mc  *mincut.Sketch
 	sp  *sparsify.Simple
 	// spLog is the coalesced live edge set as a replayable stream — the
 	// Baswana–Sen construction is r-adaptive (multi-pass), so it cannot run
@@ -67,10 +66,10 @@ type Bundle struct {
 	// the digest unchanged and Manifest reads it as is.
 	logDig [logBankCount]uint64
 
-	// sketchBytes is the resident size of mc and sp together. The config
-	// fixes it: their arenas are shared-mode (cell arrays, hash state and
-	// power tables all sized and built at construction), so no update, merge
-	// or install moves it and ResidentBytes never has to read a cell.
+	// sketchBytes is the resident size of sp. The config fixes it: its
+	// arenas are shared-mode (cell arrays, hash state and power tables all
+	// sized and built at construction), so no update, merge or install
+	// moves it and ResidentBytes never has to read a cell.
 	sketchBytes int64
 	// cloned marks a Clone since the last UpdateBatch, so the arenas may be
 	// shared with it. The next UpdateBatch copies the arenas it writes as it
@@ -107,31 +106,46 @@ func (p *spannerPool) build(cfg BundleConfig, st *stream.Stream) spanner.BSResul
 	return res
 }
 
-// NewBundle creates an empty bundle with the given shape.
+// sparsifierConfig is the shape of the bundle's sparsifier.
+func (c BundleConfig) sparsifierConfig() sparsify.SimpleConfig {
+	return sparsify.SimpleConfig{N: c.N, Epsilon: c.Eps, Seed: c.Seed}
+}
+
+// check reports a K the sparsifier's forests cannot serve.
+func (c BundleConfig) check() error {
+	if k := c.sparsifierConfig().Filled().KForests; c.K < 1 || c.K > k {
+		return fmt.Errorf("service: min-cut threshold K=%d outside [1, %d], the sparsifier's forest count", c.K, k)
+	}
+	return nil
+}
+
+// NewBundle creates an empty bundle with the given shape. It panics on a
+// config that fails check; NewServer refuses one with an error.
 func NewBundle(cfg BundleConfig) *Bundle {
+	if err := cfg.check(); err != nil {
+		panic(err)
+	}
 	b := &Bundle{
 		cfg:      cfg,
-		mc:       mincut.New(mincut.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed}),
-		sp:       sparsify.NewSimple(sparsify.SimpleConfig{N: cfg.N, Epsilon: cfg.Eps, Seed: cfg.Seed}),
+		sp:       sparsify.NewSimple(cfg.sparsifierConfig()),
 		spanners: &spannerPool{},
 	}
-	// Empty sketches: the occupancy-guided footprint walk touches no cell.
-	b.sketchBytes = b.mc.Footprint().ResidentBytes + b.sp.Footprint().ResidentBytes
+	// An empty sketch: the occupancy-guided footprint walk touches no cell.
+	b.sketchBytes = b.sp.Footprint().ResidentBytes
 	return b
 }
 
 // Config returns the bundle's shape.
 func (b *Bundle) Config() BundleConfig { return b.cfg }
 
-// UpdateBatch applies one batch to every member sketch and the spanner log.
-// Each sketch fans its levels out across GOMAXPROCS goroutines (one owner
+// UpdateBatch applies one batch to the sparsifier and the spanner log. The
+// sparsifier fans its levels out across GOMAXPROCS goroutines (one owner
 // per level), so the cells are the ones a one-goroutine pass would write.
 // The first batch after a Clone also copies every arena the clone shares.
 func (b *Bundle) UpdateBatch(ups []stream.Update) {
 	if len(ups) == 0 {
 		return
 	}
-	b.mc.UpdateBatch(ups)
 	b.sp.UpdateBatch(ups)
 	if b.cloned {
 		b.ownArenas()
@@ -154,7 +168,6 @@ func (b *Bundle) updateVerified(ups []stream.Update, root uint64) (undo func(), 
 		for i, u := range ups {
 			neg[i] = stream.Update{U: u.U, V: u.V, Delta: -u.Delta}
 		}
-		b.mc.UpdateBatch(neg)
 		b.sp.UpdateBatch(neg)
 		b.spLog, b.coalesced, b.logDig = spLog, coalesced, logDig
 	}
@@ -196,7 +209,6 @@ func (b *Bundle) Clone() *Bundle {
 	return &Bundle{
 		cloned:      true,
 		cfg:         b.cfg,
-		mc:          b.mc.Clone(),
 		sp:          b.sp.Clone(),
 		spLog:       append([]stream.Update(nil), b.spLog...),
 		coalesced:   b.coalesced,
@@ -210,16 +222,17 @@ func (b *Bundle) Clone() *Bundle {
 // one goroutine per sketch bank.
 func (b *Bundle) ownArenas() {
 	b.cloned = false
-	sketchcore.ForkJoin(b.sketchBankCount(), 0, func(id int) {
-		sk, idx, _ := b.sketchBank(id)
-		for _, a := range sk.BankArenas(idx) {
+	sketchcore.ForkJoin(b.sp.NumBanks(), 0, func(id int) {
+		for _, a := range b.sp.BankArenas(id) {
 			a.Own()
 		}
 	})
 }
 
-// MinCut estimates the global min cut from the bundle's epoch state.
-func (b *Bundle) MinCut() (graphsketch.MinCutResult, error) { return b.mc.MinCut() }
+// MinCut estimates the global min cut from the bundle's epoch state: Fig
+// 1's scan at threshold K over the sparsifier's levels, reading each
+// level's witness off its first K forests (sparsify.Simple.MinCut).
+func (b *Bundle) MinCut() (graphsketch.MinCutResult, error) { return b.sp.MinCut(b.cfg.K) }
 
 // Sparsify recovers the cut sparsifier's graph.
 func (b *Bundle) Sparsify() (*graphsketch.Graph, error) { return b.sp.Sparsify() }
@@ -246,11 +259,10 @@ func (b *Bundle) Spanner() graphsketch.SpannerResult {
 	}
 }
 
-// Footprint accumulates the member sketches' resident/wire sizes plus the
-// spanner log (24 bytes per buffered update).
+// Footprint is the sparsifier's resident/wire size plus the spanner log (24
+// bytes per buffered update).
 func (b *Bundle) Footprint() graphsketch.Footprint {
-	fp := b.mc.Footprint()
-	fp.Accum(b.sp.Footprint())
+	fp := b.sp.Footprint()
 	fp.ResidentBytes += int64(len(b.spLog)) * 24
 	return fp
 }
@@ -261,16 +273,15 @@ func (b *Bundle) Footprint() graphsketch.Footprint {
 func (b *Bundle) ResidentBytes() int64 { return b.sketchBytes + int64(len(b.spLog))*24 }
 
 // ---------------------------------------------------------------------------
-// Banked payload (v2) and the digest tree
+// Banked payload (v3) and the digest tree
 // ---------------------------------------------------------------------------
 //
 // A bundle's wire state decomposes into an ordered list of BANKS, the unit
 // the digest tree and delta anti-entropy address:
 //
-//	[0, mcBanks)                     min-cut subsampling levels, compact
-//	[mcBanks, mcBanks+spBanks)       sparsifier sampling levels, compact
-//	[mcBanks+spBanks, +logBankCount) spanner-log chunks keyed by
-//	                                 EdgeIndex(u,v,N) % logBankCount
+//	[0, spBanks)                 sparsifier sampling levels, compact
+//	[spBanks, +logBankCount)     spanner-log chunks keyed by
+//	                             EdgeIndex(u,v,N) % logBankCount
 //
 // Sketch banks are headerless tagged cell states (AppendBankState); log
 // chunks are uvarint count + (u, v, zigzag delta) triples over the
@@ -278,6 +289,7 @@ func (b *Bundle) ResidentBytes() int64 { return b.sketchBytes + int64(len(b.spLo
 // payload is:
 //
 //	config header  5 uvarints (N, K, Eps bits, SpannerK, Seed)
+//	layout         uvarint payloadLayout
 //	totalBanks     uvarint
 //	presentCount   uvarint
 //	present        presentCount × { id uvarint, len uvarint, bytes }
@@ -292,8 +304,15 @@ func (b *Bundle) ResidentBytes() int64 { return b.sketchBytes + int64(len(b.spLo
 // A leaf is linear in its bank's state, not a hash of its bytes: a sketch
 // bank's is the fold of its arenas' sketchcore.Digest, a log chunk's the
 // sum over its entries of delta * R(edge) mod 2^64. Every write keeps them
-// current, so Manifest sums about 1,440 per-arena accumulators and reads
+// current, so Manifest sums about 900 per-arena accumulators and reads
 // eight chunk sums — it never encodes a bank.
+//
+// v2 had no layout field and carried a separate min-cut stack's levels
+// ahead of the sparsifier's; its bank count (at least 14) sits where the
+// layout now is, so a v2 payload is refused with ErrBadEncoding.
+
+// payloadLayout versions the banked payload.
+const payloadLayout = 3
 
 // ErrDigestMismatch reports state bytes that contradict a digest-tree
 // leaf — silent corruption, never a crash artifact (those are torn tails).
@@ -343,36 +362,12 @@ func addDigests(a, b [logBankCount]uint64) [logBankCount]uint64 {
 	return a
 }
 
-// NumBanks reports the bundle's digest-tree width.
+// NumBanks reports the bundle's digest-tree width: the sparsifier's level
+// banks, then the log chunks. A level bank's digest is the sum of its
+// arenas' (sketchcore.SumDigests for the maintained one, ScanDigests for
+// the one read off the cells).
 func (b *Bundle) NumBanks() int {
-	return b.mc.NumBanks() + b.sp.NumBanks() + logBankCount
-}
-
-// sketchBanks is the bank surface the bundle uses on each of its two
-// sketches. A bank's digest is the sum of its arenas' (sketchcore.SumDigests
-// for the maintained one, ScanDigests for the one read off the cells).
-type sketchBanks interface {
-	NumBanks() int
-	AppendBankState(buf []byte, bank int) ([]byte, error)
-	MergeBankState(bank int, data []byte) error
-	ReplaceBankState(bank int, data []byte) error
-	BankArenas(bank int) []*sketchcore.Arena
-	Invalidate()
-}
-
-// sketchBankCount is the number of sketch banks; the log chunks follow them.
-func (b *Bundle) sketchBankCount() int { return b.mc.NumBanks() + b.sp.NumBanks() }
-
-// sketchBank resolves bundle bank id to the sketch holding it and the
-// bank's index there; for a log chunk ok is false and idx is the chunk.
-func (b *Bundle) sketchBank(id int) (sk sketchBanks, idx int, ok bool) {
-	for _, sk := range [...]sketchBanks{b.mc, b.sp} {
-		if id < sk.NumBanks() {
-			return sk, id, true
-		}
-		id -= sk.NumBanks()
-	}
-	return nil, id, false
+	return b.sp.NumBanks() + logBankCount
 }
 
 // appendBank appends bank id's canonical bytes. The spanner log must
@@ -381,13 +376,12 @@ func (b *Bundle) appendBank(buf []byte, id int) ([]byte, error) {
 	if id < 0 || id >= b.NumBanks() {
 		return nil, fmt.Errorf("service: bank %d out of [0,%d): %w", id, b.NumBanks(), wire.ErrBadEncoding)
 	}
-	sk, idx, ok := b.sketchBank(id)
-	if ok {
-		return sk.AppendBankState(buf, idx)
+	if id < b.sp.NumBanks() {
+		return b.sp.AppendBankState(buf, id)
 	}
 	ups := make([]stream.Update, 0, len(b.spLog)/logBankCount+1)
 	for _, u := range b.spLog {
-		if logChunk(u, b.cfg.N) == idx {
+		if logChunk(u, b.cfg.N) == id-b.sp.NumBanks() {
 			ups = append(ups, u)
 		}
 	}
@@ -411,11 +405,8 @@ func decodeLogBank(data []byte) ([]stream.Update, error) {
 // per bank, log chunks from logDig.
 func (b *Bundle) leaves(digest func([]*sketchcore.Arena) sketchcore.Digest, logDig [logBankCount]uint64) []sketchcore.Digest {
 	out := make([]sketchcore.Digest, b.NumBanks())
-	nsk := b.sketchBankCount()
-	sketchcore.ForkJoin(nsk, 0, func(id int) {
-		sk, idx, _ := b.sketchBank(id)
-		out[id] = digest(sk.BankArenas(idx))
-	})
+	nsk := b.sp.NumBanks()
+	sketchcore.ForkJoin(nsk, 0, func(id int) { out[id] = digest(b.sp.BankArenas(id)) })
 	for c, w := range logDig {
 		out[nsk+c] = sketchcore.Digest{W: w}
 	}
@@ -465,22 +456,25 @@ func (b *Bundle) VerifyDigests() error {
 // rotted reality before diffing against a peer's — a maintained pre-rot
 // leaf would hide exactly the bank that needs pulling.
 func (b *Bundle) RecomputeDigests() {
-	sketchcore.ForkJoin(b.sketchBankCount(), 0, func(id int) {
-		sk, idx, _ := b.sketchBank(id)
-		for _, a := range sk.BankArenas(idx) {
+	sketchcore.ForkJoin(b.sp.NumBanks(), 0, func(id int) {
+		for _, a := range b.sp.BankArenas(id) {
 			a.RescanDigest()
 		}
 	})
 	b.logDig = b.logDigests(b.spLog)
 }
 
-// appendConfigHeader writes the 5-uvarint config header.
+// header is the payload's leading uvarints: the config, then the layout.
+func (b *Bundle) header() []uint64 {
+	return []uint64{uint64(b.cfg.N), uint64(b.cfg.K), math.Float64bits(b.cfg.Eps), uint64(b.cfg.SpannerK), b.cfg.Seed, payloadLayout}
+}
+
+// appendConfigHeader writes the config header and the layout.
 func (b *Bundle) appendConfigHeader(buf []byte) []byte {
-	buf = wire.AppendUvarint(buf, uint64(b.cfg.N))
-	buf = wire.AppendUvarint(buf, uint64(b.cfg.K))
-	buf = wire.AppendUvarint(buf, math.Float64bits(b.cfg.Eps))
-	buf = wire.AppendUvarint(buf, uint64(b.cfg.SpannerK))
-	return wire.AppendUvarint(buf, b.cfg.Seed)
+	for _, v := range b.header() {
+		buf = wire.AppendUvarint(buf, v)
+	}
+	return buf
 }
 
 // MarshalBanks encodes a banked payload carrying the requested banks (ids
@@ -523,7 +517,7 @@ func (b *Bundle) MarshalBanks(ids []int) ([]byte, error) {
 		}
 		size += 2*binary.MaxVarintLen64 + len(bankB)
 	}
-	out := b.appendConfigHeader(make([]byte, 0, 8*binary.MaxVarintLen64+size+24+8*total))
+	out := b.appendConfigHeader(make([]byte, 0, 9*binary.MaxVarintLen64+size+24+8*total))
 	out = wire.AppendUvarint(out, uint64(total))
 	out = wire.AppendUvarint(out, uint64(present))
 	for i, bankB := range banks {
@@ -556,14 +550,13 @@ type bundlePayload struct {
 // of order, a manifest that fails its own root check, trailing bytes —
 // errors without touching bundle state.
 func (b *Bundle) decodePayload(data []byte) (*bundlePayload, error) {
-	hdr := []uint64{uint64(b.cfg.N), uint64(b.cfg.K), math.Float64bits(b.cfg.Eps), uint64(b.cfg.SpannerK), b.cfg.Seed}
-	for _, wantV := range hdr {
+	for _, wantV := range b.header() {
 		got, rest, err := wire.Uvarint(data)
 		if err != nil {
 			return nil, fmt.Errorf("service: bundle header: %w", err)
 		}
 		if got != wantV {
-			return nil, fmt.Errorf("service: bundle config mismatch (%d != %d): %w", got, wantV, wire.ErrBadEncoding)
+			return nil, fmt.Errorf("service: bundle config or layout mismatch (%d != %d): %w", got, wantV, wire.ErrBadEncoding)
 		}
 		data = rest
 	}
@@ -616,14 +609,13 @@ func (b *Bundle) decodePayload(data []byte) (*bundlePayload, error) {
 // fold would stop at. On error b holds a partial fold; callers fold into a
 // bundle they can throw away.
 func (b *Bundle) foldBanks(p *bundlePayload, replace bool) error {
-	nsk := b.sketchBankCount()
+	nsk := b.sp.NumBanks()
 	var ids []int
 	for id := 0; id < nsk; id++ {
 		if _, ok := p.present[id]; ok {
 			ids = append(ids, id)
 		}
 	}
-	b.mc.Invalidate()
 	b.sp.Invalidate()
 	errs := make([]error, len(ids))
 	sketchcore.ForkJoin(len(ids), 0, func(i int) { errs[i] = b.foldBank(p, ids[i], replace) })
@@ -648,23 +640,24 @@ func (b *Bundle) foldBanks(p *bundlePayload, replace bool) error {
 // contradicts its leaf as surely as one that decodes to other cells: the
 // error is ErrDigestMismatch either way, and also ErrBadEncoding when
 // decoding failed. A sketch bank writes only its own arenas (the caller
-// drops the sketches' decode caches), so distinct sketch banks may fold
+// drops the sparsifier's decode cache), so distinct sketch banks may fold
 // concurrently.
 func (b *Bundle) foldBank(p *bundlePayload, id int, replace bool) error {
 	bankB := p.present[id]
 	var got sketchcore.Digest
 	var err error
-	sk, idx, ok := b.sketchBank(id)
+	nsk := b.sp.NumBanks()
 	switch {
-	case ok && replace:
-		err = sk.ReplaceBankState(idx, bankB)
-		got = sketchcore.SumDigests(sk.BankArenas(idx))
-	case ok:
+	case id < nsk && replace:
+		err = b.sp.ReplaceBankState(id, bankB)
+		got = sketchcore.SumDigests(b.sp.BankArenas(id))
+	case id < nsk:
 		// The digest is linear: what the merge read is what it added.
-		before := sketchcore.SumDigests(sk.BankArenas(idx))
-		err = sk.MergeBankState(idx, bankB)
-		got = sketchcore.SumDigests(sk.BankArenas(idx)).Sub(before)
+		before := sketchcore.SumDigests(b.sp.BankArenas(id))
+		err = b.sp.MergeBankState(id, bankB)
+		got = sketchcore.SumDigests(b.sp.BankArenas(id)).Sub(before)
 	default:
+		idx := id - nsk
 		var ups []stream.Update
 		if ups, err = decodeLogBank(bankB); err == nil {
 			dig := b.logDigests(ups)
@@ -814,8 +807,7 @@ func (b *Bundle) InjectBankRot(bank int, seed uint64) error {
 	if bank < 0 || bank >= b.NumBanks() {
 		return fmt.Errorf("service: bank %d out of [0,%d): %w", bank, b.NumBanks(), wire.ErrBadEncoding)
 	}
-	sk, idx, ok := b.sketchBank(bank)
-	if !ok {
+	if idx := bank - b.sp.NumBanks(); idx >= 0 {
 		for i := uint64(0); ; i++ {
 			u := stream.Update{U: int((seed + i) % uint64(b.cfg.N)), V: int((seed + i + 1) % uint64(b.cfg.N)), Delta: 1}
 			if u.U != u.V && logChunk(u, b.cfg.N) == idx {
@@ -840,16 +832,14 @@ func (b *Bundle) InjectBankRot(bank int, seed uint64) error {
 		if u == v {
 			continue
 		}
-		up := []stream.Update{{U: u, V: v, Delta: 1}}
-		tmp.mc.UpdateBatch(up)
-		tmp.sp.UpdateBatch(up)
+		tmp.sp.UpdateBatch([]stream.Update{{U: u, V: v, Delta: 1}})
 		bankB, err := tmp.appendBank(nil, bank)
 		if err != nil {
 			return err
 		}
 		if !bytes.Equal(bankB, emptyB) {
-			sk.Invalidate()
-			return sketchcore.WithoutDigest(sk.BankArenas(idx), func() error { return sk.MergeBankState(idx, bankB) })
+			b.sp.Invalidate()
+			return sketchcore.WithoutDigest(b.sp.BankArenas(bank), func() error { return b.sp.MergeBankState(bank, bankB) })
 		}
 	}
 	return fmt.Errorf("service: could not synthesize rot for bank %d", bank)

@@ -111,7 +111,7 @@ func BenchmarkBundleClone(b *testing.B) {
 // BenchmarkBundleCloneThenUpdate is a publish and the batch after it. The
 // clone shares every arena with the live bundle, so the batch copies them:
 // the ones it writes as it writes them, then the rest. The
-// arenas-copied/op metric counts them (1,440 is the whole bundle).
+// arenas-copied/op metric counts them (900 is the whole bundle).
 func BenchmarkBundleCloneThenUpdate(b *testing.B) {
 	for _, n := range []int{8, 256} {
 		b.Run(fmt.Sprintf("updates=%d", n), func(b *testing.B) {
@@ -154,11 +154,9 @@ func BenchmarkBundleEpochSmallBatches(b *testing.B) {
 // the same arena of its clone.
 func arenasCopied(b, clone *Bundle) int {
 	n := 0
-	for id := 0; id < b.sketchBankCount(); id++ {
-		sk, idx, _ := b.sketchBank(id)
-		csk, _, _ := clone.sketchBank(id)
-		cas := csk.BankArenas(idx)
-		for i, a := range sk.BankArenas(idx) {
+	for id := 0; id < b.sp.NumBanks(); id++ {
+		cas := clone.sp.BankArenas(id)
+		for i, a := range b.sp.BankArenas(id) {
 			if !a.SharesCells(cas[i]) {
 				n++
 			}
@@ -276,6 +274,36 @@ func BenchmarkEpochSparsifyCold(b *testing.B) {
 					b.Fatal(err)
 				}
 				benchSink += int64(g.NumEdges())
+			}
+		})
+	}
+}
+
+// BenchmarkEpochMinCutCold is an epoch's first min-cut query: publish a
+// clone of the live bundle, then run Fig 1's level scan on it (witness
+// extraction of each level's first K forests, Stoer–Wagner where a witness
+// is not provably saturated), on the same two base graphs as
+// BenchmarkEpochSparsifyCold.
+func BenchmarkEpochMinCutCold(b *testing.B) {
+	cfg, base, _ := publishFixture()
+	for _, fx := range []struct {
+		name string
+		base []stream.Update
+	}{
+		{"gnp0.5", base},
+		{"gnp0.3", stream.GNP(cfg.N, 0.3, 1).Updates},
+	} {
+		b.Run(fx.name, func(b *testing.B) {
+			live := NewBundle(cfg)
+			live.UpdateBatch(fx.base)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := live.Clone().MinCut()
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += r.Value
 			}
 		})
 	}

@@ -21,18 +21,21 @@ func sha(data []byte) string {
 // Canonical bytes of the publishFixture bundle: the full payload and
 // manifest root with the base graph loaded, and again after the 256-toggle
 // step. An encoder change that moves a byte fails here. Re-pinned when the
-// manifest's leaves became linear digests (GSD2); TestBankSectionsGolden
-// proves every byte before the manifest section is the one pinned before.
+// manifest's leaves became linear digests (GSD2), and again when the bundle
+// dropped its separate min-cut stack (payload layout v3: the header gained
+// the layout, the min-cut banks and their leaves left);
+// TestSurvivingBanksPinned proves every remaining bank's bytes are the ones
+// pinned before.
 const (
-	goldenBaseSHA     = "c8140ad12eca254c2ab020fdaf3a07c27a4431d4b95d6cc9b882817c8bdacd30"
-	goldenBaseRoot    = uint64(0xbad347ea0c7d935a)
-	goldenToggledSHA  = "fb9695049f763bb67f738caca8d54d6c606b5a05726cc44d9cc830f5342b4e49"
-	goldenToggledRoot = uint64(0xa6c95784c242495)
+	goldenBaseSHA     = "d5eac05a13c332218fc2131836c43fd5faa027563bf765a265dff9a268544ba9"
+	goldenBaseRoot    = uint64(0x84626ab96f63f4cf)
+	goldenToggledSHA  = "597a1afabc27d373e34fdba4c4c348101bdc553082d8b4b0cab5096adf34dbca"
+	goldenToggledRoot = uint64(0x11378bbe2b507cf8)
 )
 
 // goldenBanks pins MarshalBanks at the same point for each id-list shape,
 // on the small test bundle (the race detector multiplies a default bundle's
-// 130 MB): nil (every bank), a subset across the three bank kinds with a
+// 81 MB): nil (every bank), a subset across both bank kinds with a
 // duplicate, and the empty list (manifest only) — each with a first stream
 // loaded and again after a second one dirties banks.
 var goldenBanks = []struct {
@@ -41,14 +44,14 @@ var goldenBanks = []struct {
 	base, toggled string
 }{
 	{"nil", nil,
-		"49b4e535019996b0e5c62708edcda91e4f31cc658e59e80eee7a5cc994eee571",
-		"8c768d3b355c037bb22bbeb61720a9f3bcb6a61da565a29706727821b531f739"},
-	{"subset", []int{0, 2, 2, 9, 17, 18, 25},
-		"47ad95b3ec28c8e813cae22ef48506da53982a995806c1341793e3ed532cea11",
-		"7e5ba54667b8f86c209b1787704e41ae665cc5b4bd6fb61f0d3597db3044fde3"},
+		"4a3108835abfd3fd0a4fb300fdeab79a14805ad9f9456a4271d9fb8764595d46",
+		"3730df7883c2c7c0d8eec2c7de4f45d551a7f7f7c5cde567bd9a3e1f5d1f8af3"},
+	{"subset", []int{0, 2, 2, 8, 9, 16},
+		"1ad48f0b43b1e350b3bb16b6da3ad33aae8849de56a5149ba890e7686a947b20",
+		"fb3008e75ff594cdb6ff9936fbca029dd949c552c1b6df212ca588d4a6d0c480"},
 	{"empty", []int{},
-		"b679256114f1533b06a270b2169177c5b661d10b65937162508bcc8c6d381453",
-		"5a525a9ed8922139d94da12884df94b629133cf612f3bb41e02990415cddde27"},
+		"6a1f491bde2105c3e210825014157b03a3fd4c9fbf2e4e53b681343ffe5fd2e0",
+		"7337c6cf61d6ee4a41d52a7e3b708b712569f3da712fda20831486776d010e5e"},
 }
 
 func TestBundleGoldenBytes(t *testing.T) {
@@ -247,7 +250,7 @@ func corruptLastSketchBank(t *testing.T, src *Bundle) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := src.mc.NumBanks() + src.sp.NumBanks() - 1
+	victim := src.sp.NumBanks() - 1
 	total := src.NumBanks()
 	out := src.appendConfigHeader(nil)
 	out = wire.AppendUvarint(out, uint64(total))
@@ -269,18 +272,19 @@ func corruptLastSketchBank(t *testing.T, src *Bundle) []byte {
 
 // goldenBankSections pins the bytes every golden payload carries BEFORE its
 // manifest section: the config header, the bank count and every bank's
-// bytes. They were captured while the manifest still held CRC64 leaves and
-// must survive any change to the manifest alone, which is what separates a
-// digest change from an encoder change.
+// bytes. They were captured while the manifest still held CRC64 leaves,
+// re-pinned at payload layout v3, and must survive any change to the
+// manifest alone, which is what separates a digest change from an encoder
+// change.
 var goldenBankSections = map[string]string{
-	"fixture/base":    "b290881581952245895a5eea357b7070c9e1a4682f9a5bfbaee1c33a5b9b7e89",
-	"fixture/toggled": "07915a97161258551706a9f310a5135062e14a0eeca7ee4c27b9884502901ad6",
-	"nil/base":        "f70840ae3944f939c97d6042aa2f465c50aa135abecb554980dca896ea70b571",
-	"nil/toggled":     "8962ca31aa69ef4efe238a411b28f14560a0d6e8c3f594d28483139d5c670440",
-	"subset/base":     "ff8065251cda557a4d4fcbc4086f00905315a9051ba893334d0daaa48ef8e730",
-	"subset/toggled":  "6866b7db43001308c0ac6af8e898b10b76225511f5b81506e4729b1cc8a774c2",
-	"empty/base":      "7d9860eba792be3ff21e872880f46743028938abf60aec25320d0dc33e38c08a",
-	"empty/toggled":   "7d9860eba792be3ff21e872880f46743028938abf60aec25320d0dc33e38c08a",
+	"fixture/base":    "e981e13327294e7e34c8a4abc16a9105116435bf62a516dc7743b67db84815e6",
+	"fixture/toggled": "e6da53678fb62efe58bcdf44b868590236d6e6d8cff6af14273af3dcafc8fb4b",
+	"nil/base":        "236d942f98ef7bbbb21745556d8c039c4852120525a4bdb112f6b202d604f902",
+	"nil/toggled":     "e1fc7f606bd13c18329ad2539028082c2325ba7ab5a4c6e97cf6dfab646e84e3",
+	"subset/base":     "2bb841419ce9b28520561aba0483ca20727804c7fb816482136775bdd5336161",
+	"subset/toggled":  "a7118e88d8fd35516e0813ee9d73fc969a28bc5e4810bf26dcb52981897cde3a",
+	"empty/base":      "638c06f2be527300c6480ca9423faac0a709016ac01e702edc1a1fd8ecaf54d4",
+	"empty/toggled":   "638c06f2be527300c6480ca9423faac0a709016ac01e702edc1a1fd8ecaf54d4",
 }
 
 func TestBankSectionsGolden(t *testing.T) {

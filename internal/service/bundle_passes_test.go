@@ -79,7 +79,7 @@ func bundlePasses(t *testing.T) map[string]string {
 	state("batches", live)
 	state("clone", live.Clone())
 	full := encoding("marshal/nil", live, nil)
-	encoding("marshal/subset", live, []int{0, 3, 9, 12, 17, 18, 20, 25})
+	encoding("marshal/subset", live, []int{0, 3, 5, 8, 9, 11, 16})
 
 	fresh := NewBundle(cfg)
 	if err := fresh.MergeBytes(full); err != nil {

@@ -53,11 +53,10 @@ func digestOps(rng *rand.Rand, n, count int, wrap bool) []stream.Update {
 	return ups
 }
 
-// ingestParallel is UpdateBatch through the sketches' IngestParallel, one
-// owner per level.
+// ingestParallel is UpdateBatch through the sparsifier's IngestParallel,
+// one owner per level.
 func ingestParallel(b *Bundle, ups []stream.Update, workers int) {
 	st := &stream.Stream{N: b.cfg.N, Updates: ups}
-	b.mc.IngestParallel(st, workers)
 	b.sp.IngestParallel(st, workers)
 	b.appendLog(ups)
 }

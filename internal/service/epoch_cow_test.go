@@ -102,7 +102,6 @@ func TestEpochUnmovedByWriter(t *testing.T) {
 			h := epochs[i%len(epochs)]
 			mu.Unlock()
 			h.ep.mu.Lock()
-			h.ep.Bundle.mc.Invalidate()
 			h.ep.Bundle.sp.Invalidate()
 			h.ep.mu.Unlock()
 			if got, err := h.ep.MinCut(); err != nil || got != h.cut {

@@ -525,10 +525,10 @@ func (r *modelRun) rot() string {
 	if _, err := r.a.Flush(r.ctx, modelTenantName); err != nil {
 		r.t.Fatalf("flush before rot: %v", err)
 	}
-	// The two lowest levels of either sketch: InjectBankRot synthesizes rot
-	// from a handful of edges, and at N=8 none of them hashes to a high
+	// The two lowest sparsifier levels: InjectBankRot synthesizes rot from
+	// a handful of edges, and at N=8 none of them hashes to a high
 	// subsampling level or to every log chunk.
-	bank := r.rng.Intn(2) + r.rng.Intn(2)*r.oracle.b.mc.NumBanks()
+	bank := r.rng.Intn(2)
 	if err := r.a.InjectBankRot(r.ctx, modelTenantName, bank, r.rng.Uint64()); err != nil {
 		r.t.Fatalf("inject rot: %v", err)
 	}

@@ -308,6 +308,9 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("service: config needs a data dir")
 	}
+	if err := cfg.Bundle.check(); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -512,7 +515,12 @@ func (t *tenant) run(wal *runtime.DiskWAL, live *Bundle) {
 // finish tail, so pulled updates count toward SnapshotEvery and EpochEvery.
 func (t *tenant) apply(o op, wal *runtime.DiskWAL, live *Bundle, sinceSnap, sincePub *int) {
 	if o.fn != nil {
+		snap := wal.SnapshotUpdates()
 		err := o.fn(wal, live)
+		if wal.SnapshotUpdates() != snap {
+			// An install or merge snapshotted: replay restarts there.
+			*sinceSnap = wal.ReplayUpdates()
+		}
 		t.finish(wal, live)
 		o.reply <- opResult{pos: wal.DurableUpdates(), err: err}
 		return

@@ -697,9 +697,11 @@ func (a *Arena) Clone() *Arena {
 	return &c
 }
 
-// Equal reports whether two arenas have identical shape, seeding, and
-// bit-identical cell state. It is the ground truth for the parallel-ingest
-// and merge tests.
+// Equal reports whether two arenas have identical shape, seeding,
+// occupancy bitmap and bit-identical cell state. It is the ground truth for
+// the parallel-ingest and merge tests: Sample, Reset, ResetSlots and the
+// compact encoding all read the occupancy, so two arenas that differ only
+// there are not interchangeable.
 func (a *Arena) Equal(other *Arena) bool {
 	if a.slots != other.slots || a.reps != other.reps || a.levels != other.levels ||
 		a.universe != other.universe || a.shared != other.shared || a.seed != other.seed {
@@ -710,12 +712,7 @@ func (a *Arena) Equal(other *Arena) bool {
 			return false
 		}
 	}
-	for i := range a.cells {
-		if a.cells[i] != other.cells[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.occ, other.occ) && slices.Equal(a.cells, other.cells)
 }
 
 // sampleCells scans one slot's exact-level cells (any provenance) for a

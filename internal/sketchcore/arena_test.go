@@ -2,6 +2,7 @@ package sketchcore
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -146,6 +147,22 @@ func TestCloneIndependence(t *testing.T) {
 	wantC.Update(2, 5, -2)
 	if !c.Equal(wantC) {
 		t.Fatal("mutating the original perturbed the clone")
+	}
+}
+
+// TestEqualSeesOccupancy: an update and its negation leave the cells zero
+// but the slot marked occupied, so the arena is not Equal to a fresh one,
+// although every cell matches.
+func TestEqualSeesOccupancy(t *testing.T) {
+	cfg := Config{Slots: 4, Universe: 256, Reps: 4, Seed: 21}
+	a, fresh := New(cfg), New(cfg)
+	a.Update(1, 17, 3)
+	a.Update(1, 17, -3)
+	if !slices.Equal(a.cells, fresh.cells) || a.OccupiedSlots() == fresh.OccupiedSlots() {
+		t.Fatal("fixture: want equal cells and different occupancy")
+	}
+	if a.Equal(fresh) || fresh.Equal(a) {
+		t.Fatal("arenas differing only in occupancy compare Equal")
 	}
 }
 

@@ -83,7 +83,13 @@ func TestTaggedRoundTrip(t *testing.T) {
 		if len(rest) != 0 {
 			t.Fatalf("%s: %d trailing bytes", tc.name, len(rest))
 		}
-		if !a.Equal(b) {
+		want := a
+		if tc.name == "cancelled" {
+			// The encoding carries cells, not occupancy: the slot whose
+			// writes cancelled decodes unoccupied, as if never written.
+			want = newEdgeArena(20, 7)
+		}
+		if !want.Equal(b) {
 			t.Fatalf("%s: round-trip not bit-identical", tc.name)
 		}
 		// Canonical encoding: re-encoding the decoded state reproduces the
